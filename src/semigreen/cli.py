@@ -44,20 +44,20 @@ def _position_header(dim: int):
 
 def _cmd_solve(args, cfg: RunConfig) -> int:
     grid = cfg.grid()
-    op = assemble(grid, cfg.coeffs)
-    gop = factorize(op)
+    gop = factorize(assemble(grid, cfg.coeffs))
     f = cfg.experiment_opts["boundary_f"](grid.nodes[grid.boundary_nodes])
     scheme = args.scheme or cfg.scheme
     tol = args.tol if args.tol is not None else cfg.tol
     max_iter = args.max_iter if args.max_iter is not None else cfg.max_iter
-    u, rep = solve_U(op, gop, f, cfg.phi, tol=tol, max_iter=max_iter,
+    u, rep = solve_U(gop, f, cfg.phi, tol=tol, max_iter=max_iter,
                      scheme=scheme, omega=cfg.omega)
 
     rows = [[cfg.fmt(c) for c in pt] + [cfg.fmt(v)] for pt, v in zip(grid.nodes, u)]
     _write_csv(_out(args, cfg, ".csv"), _position_header(grid.dim) + ["u"], rows)
-    gaps = rep.sandwich_gap_history
+    # under sandwich the step gap of each iterate is the envelope gap
+    sandwich = rep.scheme == "sandwich"
     log_rows = [
-        [str(i), cfg.fmt(gaps[i]) if i < len(gaps) else "", cfg.fmt(r)]
+        [str(i), cfg.fmt(r) if sandwich else "", cfg.fmt(r)]
         for i, r in enumerate(rep.residual_history)
     ]
     _write_csv(_out(args, cfg, "_log.csv"),
@@ -121,9 +121,8 @@ def _cmd_criterion(args, cfg: RunConfig) -> int:
 def _cmd_green(args, cfg: RunConfig) -> int:
     grid = cfg.grid()
     oracle = args.oracle or cfg.experiment_opts.get("oracle", "interval")
-    compare = args.compare or cfg.experiment_opts.get("compare", False)
-    op = assemble(grid, cfg.coeffs)
-    gop = factorize(op)
+    compare = args.compare
+    gop = factorize(assemble(grid, cfg.coeffs))
     header = _position_header(grid.dim) + ["discrete"]
     if oracle == "interval":
         if grid.dim != 1:

@@ -2,8 +2,9 @@
 
 Sections: [domain], [operator], [nonlinearity], [solver], [experiment],
 [output]. Every error names the offending "[section] key" so the CLI can
-map it to a validation exit. Expression values use the expr mini-language
-over (x, y) for fields and (x, y, t) for the nonlinearity.
+map it to a validation exit; a key that no parser reads is an error too.
+Expression values use the expr mini-language over (x, y) for fields and
+(x, y, t) for the nonlinearity.
 """
 
 from __future__ import annotations
@@ -32,8 +33,8 @@ class ConfigError(ValueError):
 
 @dataclass
 class RunConfig:
-    """Validated run description; expression values are kept as Expr and
-    turned into callables on demand."""
+    """Validated run description; expression values are already turned
+    into callables."""
 
     dim: int
     spacing: float
@@ -46,7 +47,6 @@ class RunConfig:
 
     coeffs: EllipticCoefficients = None
     phi: Nonlinearity = None
-    phi_expr: Expr = None
 
     scheme: str = "sandwich"
     tol: float = 1e-10
@@ -127,7 +127,18 @@ def _floats(raw: str, where: str, n: int = None):
     return vals
 
 
+class _Parser(configparser.ConfigParser):
+    """ConfigParser that records every (section, key) the parsers ask for,
+    so that load_config can reject the options nobody reads."""
+
+    def __init__(self):
+        super().__init__(interpolation=None)
+        self.optionxform = str
+        self.read_keys = set()
+
+
 def _get(cp, section, key, default=None, required=False):
+    cp.read_keys.add((section, key))
     if cp.has_option(section, key):
         return cp.get(section, key).strip()
     if required:
@@ -247,7 +258,6 @@ def _nonlinearity(cp, cfg_kw):
         return
     allowed = {"x", "y", "t"} if dim == 2 else {"x", "t"}
     e = _parse_expr(raw, "[nonlinearity] phi", allowed)
-    cfg_kw["phi_expr"] = e
     cfg_kw["phi"] = Nonlinearity(phi=phi_function(e, dim), differentiable=differentiable)
 
 
@@ -343,8 +353,7 @@ def _output(cp, cfg_kw):
 
 
 def load_config(path: str) -> RunConfig:
-    cp = configparser.ConfigParser(interpolation=None)
-    cp.optionxform = str
+    cp = _Parser()
     try:
         with open(path, "r", encoding="utf-8") as fh:
             cp.read_file(fh)
@@ -366,6 +375,10 @@ def load_config(path: str) -> RunConfig:
     _solver(cp, kw)
     _experiment(cp, kw)
     _output(cp, kw)
+    for sec in cp.sections():
+        for key in cp.options(sec):
+            if (sec, key) not in cp.read_keys:
+                raise ConfigError(f"[{sec}] {key}", "unknown key, or not used by this config")
     cfg = RunConfig(**kw)
     if cfg.basename is None:
         cfg.basename = cfg.experiment.replace("-", "_")

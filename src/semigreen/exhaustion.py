@@ -33,6 +33,9 @@ DECAY_FRACTION = 1e-3
 NONTRIVIAL_FRACTION = 0.05
 STALL_FRACTION = 0.1
 WINDOW = 3
+# check tolerances: superharmonicity of s, increase of the majorant family
+SUPERHARMONIC_TOL = 1e-9
+MAJORANT_TOL = 1e-9
 
 
 @dataclass
@@ -82,8 +85,6 @@ def run_exhaustion(
     tol: float = 1e-10,
     max_iter: int = 200,
     scheme: str = "sandwich",
-    sh_tol: float = 1e-9,
-    mono_tol: float = 1e-9,
     track_majorants: bool = True,
 ) -> ExhaustionRun:
     """Solve the absorption problem on every stage with data s|boundary.
@@ -103,13 +104,13 @@ def run_exhaustion(
         sf = _s_field(s, grid)
         sup_s = max(sup_s, float(np.max(sf)))
         if callable(s) or coeffs.zero_order_mode != "c_zero":
-            rep = check_superharmonic(op, sf, tol=sh_tol)
+            rep = check_superharmonic(op, sf, tol=SUPERHARMONIC_TOL)
             if not rep.passed:
                 raise ValueError(
                     f"stage {n}: supersolution data fails the superharmonic check "
                     f"(residual {rep.max_residual:.3e} at node {rep.worst_node})"
                 )
-        u, srep = solve_U(op, gop, sf[grid.boundary_nodes], phi,
+        u, srep = solve_U(gop, sf[grid.boundary_nodes], phi,
                           tol=tol, max_iter=max_iter, scheme=scheme)
         if srep.status != "converged":
             raise NonConvergence(
@@ -134,7 +135,7 @@ def run_exhaustion(
     majorants = [None] * len(fields)
     if track_majorants:
         w_family = [restrict(fields[-1], exh.stages[-1], g) for g in exh.stages]
-        majorants, _ = _majorant_family(exh.stages, gops, w_family, mono_tol)
+        majorants, _ = _majorant_family(exh.stages, gops, w_family, MAJORANT_TOL)
 
     anchor_values = np.asarray(anchors)
     return ExhaustionRun(
@@ -232,7 +233,7 @@ def correspondence_roundtrip(
             f"> {harmonicity_tol:.1e}")
 
     kappa = condition_factor(gop)
-    u, rep = solve_U(op, gop, h[grid.boundary_nodes], phi, tol=tol, **solve_kw)
+    u, rep = solve_U(gop, h[grid.boundary_nodes], phi, tol=tol, **solve_kw)
     if rep.status != "converged":
         raise NonConvergence("roundtrip solve did not converge", rep)
     pts = grid.nodes[grid.interior_nodes]
@@ -240,7 +241,7 @@ def correspondence_roundtrip(
     recon = float(np.max(np.abs(u[grid.interior_nodes] + gphi - h[grid.interior_nodes])))
 
     bump = harmonic_extension(gop, 1.0)
-    u2, rep2 = solve_U(op, gop, h[grid.boundary_nodes] + 1.0, phi, tol=tol, **solve_kw)
+    u2, rep2 = solve_U(gop, h[grid.boundary_nodes] + 1.0, phi, tol=tol, **solve_kw)
     if rep2.status != "converged":
         raise NonConvergence("roundtrip probe solve did not converge", rep2)
     monotone_ok = bool(np.min(u2 - u) >= -tol * kappa)

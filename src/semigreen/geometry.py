@@ -247,14 +247,6 @@ def _check_nested(inner: Grid, outer: Grid) -> None:
             raise ValueError("stage lattices are not aligned")
         if inner.bbox[ax][0] < outer.bbox[ax][0] - 1e-12 or inner.bbox[ax][1] > outer.bbox[ax][1] + 1e-12:
             raise ValueError("inner stage box is not contained in the outer stage box")
-    # interior containment: the inner box must sit strictly inside the outer box
-    # on every axis except faces shared with a fixed offset (half-plane bottom)
-    strict = [
-        inner.bbox[ax][0] > outer.bbox[ax][0] or inner.bbox[ax][0] == outer.bbox[ax][0]
-        for ax in range(inner.dim)
-    ]
-    if not all(strict):
-        raise ValueError("stages do not nest")
 
 
 def shared_node_indices(inner: Grid, outer: Grid):

@@ -108,11 +108,7 @@ class DiscreteOperator:
     boundary_coupling: sp.csr_matrix  # interior x boundary
     m_matrix: bool
     coeffs: EllipticCoefficients
-
-    @property
-    def K(self) -> sp.csr_matrix:
-        """-matrix; the M-matrix the potential solvers factorize."""
-        return (-self.matrix).tocsc()
+    K: sp.csc_matrix  # -matrix; the M-matrix the potential solvers factorize
 
     @property
     def B(self) -> sp.csr_matrix:
@@ -201,7 +197,7 @@ def assemble(grid: Grid, coeffs: EllipticCoefficients) -> DiscreteOperator:
     matrix.sum_duplicates()
     coupling.sum_duplicates()
 
-    K = -matrix
+    K = (-matrix).tocsc()
     diag = K.diagonal()
     offdiag_max = (K - sp.diags(diag)).max() if K.nnz else 0.0
     # row sums of -L over all columns (interior and boundary): discrete L1 <= 0
@@ -214,7 +210,8 @@ def assemble(grid: Grid, coeffs: EllipticCoefficients) -> DiscreteOperator:
         and (coupling.nnz == 0 or coupling.min() >= -_SIGN_TOL * scale)
     )
     return DiscreteOperator(
-        grid=grid, matrix=matrix, boundary_coupling=coupling, m_matrix=m_matrix, coeffs=coeffs
+        grid=grid, matrix=matrix, boundary_coupling=coupling, m_matrix=m_matrix, coeffs=coeffs,
+        K=K,
     )
 
 

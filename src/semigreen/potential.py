@@ -42,19 +42,19 @@ class GreenOperator:
     """Factorized solve handle over a DiscreteOperator's interior system.
 
     Sign convention: solves K v = rhs with K = -matrix, so Green data enters
-    with a plus sign and L(G psi) = -psi.
+    with a plus sign and L(G psi) = -psi. Building one runs the only sparse
+    LU factorization in the package.
     """
 
     op: DiscreteOperator
-    _lu: object = field(default=None, repr=False)
+    _lu: object = field(init=False, repr=False)
     _lock: threading.Lock = field(default_factory=threading.Lock, repr=False)
 
     def __post_init__(self):
-        if self._lu is None:
-            try:
-                self._lu = spla.splu(self.op.K.tocsc())
-            except RuntimeError as e:
-                raise RuntimeError(f"singular interior system: {e}") from e
+        try:
+            self._lu = spla.splu(self.op.K)
+        except RuntimeError as e:
+            raise RuntimeError(f"singular interior system: {e}") from e
 
     def solve(self, rhs: np.ndarray) -> np.ndarray:
         with self._lock:
@@ -67,12 +67,6 @@ class GreenOperator:
 
 def factorize(op: DiscreteOperator) -> GreenOperator:
     return GreenOperator(op=op)
-
-
-def _as_green(op) -> GreenOperator:
-    if isinstance(op, GreenOperator):
-        return op
-    return factorize(op)
 
 
 def _boundary_field(gop: GreenOperator, f) -> np.ndarray:
@@ -92,12 +86,12 @@ def _boundary_field(gop: GreenOperator, f) -> np.ndarray:
     return f
 
 
-def harmonic_extension(op, f) -> np.ndarray:
+def harmonic_extension(gop: GreenOperator, f) -> np.ndarray:
     """Solve the Dirichlet problem Lh = 0, h = f on the boundary.
 
     Parameters
     ----------
-    op : DiscreteOperator or GreenOperator (reuses the factorization).
+    gop : the factorized operator (see factorize).
     f : boundary values, aligned with grid.boundary_nodes; a scalar or a
         full node field are also accepted.
 
@@ -105,7 +99,6 @@ def harmonic_extension(op, f) -> np.ndarray:
     -------
     Full node field with h = f exactly on boundary nodes.
     """
-    gop = _as_green(op)
     grid = gop.grid
     fb = _boundary_field(gop, f)
     h = np.empty(grid.n_nodes)
@@ -114,13 +107,12 @@ def harmonic_extension(op, f) -> np.ndarray:
     return h
 
 
-def green_potential(gop, psi) -> np.ndarray:
+def green_potential(gop: GreenOperator, psi) -> np.ndarray:
     """Solve L g = -psi with zero boundary data; returns a full node field.
 
     psi may be interior-length or a full node field (boundary entries of a
     full field are ignored: the potential lives on interior sources).
     """
-    gop = _as_green(gop)
     grid = gop.grid
     psi = np.asarray(psi, dtype=float)
     if psi.ndim == 0:

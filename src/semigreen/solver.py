@@ -1,13 +1,17 @@
 """Nonlinear solution operator: the fixed point u = H_D f - G_D phi(.,u).
 
-Three schemes:
+Every entry point takes the factorized operator (a GreenOperator); nothing
+here factorizes. T u = H_D f - G_D phi(.,u) costs one Green solve. Three
+schemes, run by two loops:
 
-* ``sandwich`` (default): iterate T u = H_D f - G_D phi(.,u). T is antitone
-  for monotone phi, so even iterates decrease, odd iterates increase, and
-  the two envelopes bracket the fixed point; the envelope gap equals the
-  identity residual of the latest iterate. Needs only monotonicity of phi.
-* ``damped_picard``: u <- (1-omega) u + omega T u, for nonlinearities where
-  the pure alternation cycles.
+* ``damped_picard``: u <- (1-omega) u + omega T u, for nonlinearities
+  where the pure alternation cycles. The step gap ||u - T u||_inf is the
+  identity residual of u.
+* ``sandwich`` (default): damped Picard at omega = 1, i.e. u <- T u
+  started from H_D f. T is antitone for monotone phi, so even iterates
+  decrease, odd iterates increase, and the two envelopes bracket the fixed
+  point; the step gap is then also the envelope gap. Needs only
+  monotonicity of phi.
 * ``newton``: solves (K + diag(d phi)) delta = -(K u + phi(u) - B f) with a
   finite-difference slope, projecting iterates onto u >= 0 (the discrete
   fixed point is nonnegative for f >= 0 under (H3)). Offered only when the
@@ -21,15 +25,15 @@ Convergence is declared on the identity residual ||u + G phi(u) - H f||_inf.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Callable
 
 import numpy as np
 import scipy.sparse as sp
 import scipy.sparse.linalg as spla
 
-from .operator import DiscreteOperator, apply as apply_op
-from .potential import GreenOperator, _as_green, _boundary_field, harmonic_extension
+from .operator import apply as apply_op
+from .potential import GreenOperator, _boundary_field
 
 __all__ = [
     "Nonlinearity",
@@ -44,6 +48,7 @@ __all__ = [
 ]
 
 SCHEMES = ("sandwich", "damped_picard", "newton")
+MONOTONE_CHECK_SAMPLES = 16  # probe count of Nonlinearity.validate
 
 
 class NonConvergence(RuntimeError):
@@ -62,14 +67,10 @@ class Nonlinearity:
         array with t scalar or length-n; must satisfy phi >= 0, phi
         increasing in t, and phi(x, t) = 0 for t <= 0.
     differentiable : declared smoothness in t; gates the newton scheme.
-    monotone_check_samples : probe count for validate().
-    metadata : free-form (split masks and similar).
     """
 
     phi: Callable
     differentiable: bool = False
-    monotone_check_samples: int = 16
-    metadata: dict = field(default_factory=dict)
 
     def __call__(self, points: np.ndarray, t) -> np.ndarray:
         out = np.asarray(self.phi(points, t), dtype=float)
@@ -79,7 +80,7 @@ class Nonlinearity:
 
     def validate(self, points: np.ndarray, t_max: float = 1.0) -> None:
         """Spot-check (H1)-(H3) on sampled nodes and a t probe range."""
-        m = self.monotone_check_samples
+        m = MONOTONE_CHECK_SAMPLES
         idx = np.linspace(0, points.shape[0] - 1, min(m, points.shape[0])).astype(int)
         pts = points[idx]
         probes = np.concatenate([[-1.0, -1e-9, 0.0], np.linspace(1e-9, max(t_max, 1e-9), m)])
@@ -100,16 +101,17 @@ class Nonlinearity:
 @dataclass
 class SolveReport:
     iterations: int
-    residual_history: list
+    residual_history: list  # identity residual per iterate
     status: str  # converged | max_iter | diverged
-    final_identity_residual: float
-    sandwich_gap_history: list = field(default_factory=list)
     scheme: str = ""
 
+    @property
+    def final_identity_residual(self) -> float:
+        return self.residual_history[-1]
 
-def apply_T(op, gop, f, u, phi: Nonlinearity) -> np.ndarray:
+
+def apply_T(gop: GreenOperator, f, u, phi: Nonlinearity) -> np.ndarray:
     """One application of T u = H_D f - G_D phi(., u); full node fields."""
-    gop = _as_green(gop if gop is not None else op)
     grid = gop.grid
     fb = _boundary_field(gop, f)
     u = np.asarray(u, dtype=float)
@@ -132,8 +134,7 @@ def _phi_checked(phi: Nonlinearity, pts, t) -> np.ndarray:
 
 
 def solve_U(
-    op: DiscreteOperator,
-    gop,
+    gop: GreenOperator,
     f,
     phi: Nonlinearity,
     tol: float = 1e-10,
@@ -149,7 +150,6 @@ def solve_U(
     """
     if scheme not in SCHEMES:
         raise ValueError(f"unknown scheme {scheme!r}; expected one of {SCHEMES}")
-    gop = _as_green(gop if gop is not None else op)
     grid = gop.grid
     fb = _boundary_field(gop, f)
     if np.min(fb) < 0:
@@ -167,20 +167,15 @@ def solve_U(
     if np.max(fb, initial=0.0) == 0.0:
         # zero data: zero is the (trivial) solution, one step
         out[grid.interior_nodes] = 0.0
-        report = SolveReport(0, [0.0], "converged", 0.0, scheme=scheme)
+        report = SolveReport(0, [0.0], "converged", scheme=scheme)
         return out, report
 
     hf = gop.solve(gop.op.B @ fb)
-
-    def identity_residual(ui):
-        return float(np.max(np.abs(ui + gop.solve(_phi_checked(phi, pts, ui)) - hf)))
-
-    if scheme == "sandwich":
-        ui, report = _solve_sandwich(gop, hf, pts, phi, tol, max_iter)
-    elif scheme == "damped_picard":
-        ui, report = _solve_damped(gop, hf, pts, phi, tol, max_iter, omega, identity_residual)
+    if scheme == "newton":
+        ui, report = _solve_newton(gop, hf, fb, pts, phi, tol, max_iter)
     else:
-        ui, report = _solve_newton(gop, hf, fb, pts, phi, tol, max_iter, identity_residual)
+        ui, report = _solve_damped(gop, hf, pts, phi, tol, max_iter,
+                                   1.0 if scheme == "sandwich" else omega)
     report.scheme = scheme
     out[grid.interior_nodes] = ui
     return out, report
@@ -192,55 +187,39 @@ def _status(res_hist, tol):
     return "converged" if res_hist[-1] <= tol else "max_iter"
 
 
-def _solve_sandwich(gop, hf, pts, phi, tol, max_iter):
-    u = hf.copy()  # upper envelope start: T maps [0, Hf] downward
-    gaps, residuals = [], []
-    for it in range(max_iter):
-        tu = hf - gop.solve(_phi_checked(phi, pts, u))
-        gap = float(np.max(np.abs(u - tu)))
-        gaps.append(gap)
-        residuals.append(gap)  # identity residual of u equals the step gap
-        if not np.isfinite(gap):
-            return u, SolveReport(it + 1, residuals, "diverged", gap, gaps)
-        if gap <= tol:
-            return u, SolveReport(it + 1, residuals, "converged", gap, gaps)
-        u = tu
-    return u, SolveReport(max_iter, residuals, _status(residuals, tol), residuals[-1], gaps)
-
-
-def _solve_damped(gop, hf, pts, phi, tol, max_iter, omega, identity_residual):
+def _solve_damped(gop, hf, pts, phi, tol, max_iter, omega):
     if not (0 < omega <= 1):
         raise ValueError(f"omega must be in (0, 1], got {omega}")
-    u = hf.copy()
+    u = hf.copy()  # upper envelope start: T maps [0, Hf] downward
     residuals = []
     for it in range(max_iter):
         tu = hf - gop.solve(_phi_checked(phi, pts, u))
-        res = float(np.max(np.abs(u - tu)))
+        res = float(np.max(np.abs(u - tu)))  # identity residual of u
         residuals.append(res)
-        if not np.isfinite(res):
-            return u, SolveReport(it + 1, residuals, "diverged", res)
-        if res <= tol:
-            return u, SolveReport(it + 1, residuals, "converged", res)
+        if not (np.isfinite(res) and res > tol):
+            return u, SolveReport(it + 1, residuals, _status(residuals, tol))
         u = (1.0 - omega) * u + omega * tu
-    return u, SolveReport(max_iter, residuals, _status(residuals, tol), residuals[-1])
+    return u, SolveReport(max_iter, residuals, _status(residuals, tol))
 
 
 def _fd_slope(phi, pts, t, step):
     return (phi(pts, t + step) - phi(pts, t)) / step
 
 
-def _solve_newton(gop, hf, fb, pts, phi, tol, max_iter, identity_residual):
-    K = gop.op.K.tocsc()
+def _solve_newton(gop, hf, fb, pts, phi, tol, max_iter):
+    K = gop.op.K
     bf = gop.op.B @ fb
+
+    def identity_residual(ui):
+        return float(np.max(np.abs(ui + gop.solve(_phi_checked(phi, pts, ui)) - hf)))
+
     u = hf.copy()
     residuals = []
     for it in range(max_iter):
         res = identity_residual(u)
         residuals.append(res)
-        if not np.isfinite(res):
-            return u, SolveReport(it, residuals, "diverged", res)
-        if res <= tol:
-            return u, SolveReport(it, residuals, "converged", res)
+        if not (np.isfinite(res) and res > tol):
+            return u, SolveReport(it, residuals, _status(residuals, tol))
         # slope: max of absolute-step and relative-step secants (see module doc)
         s_abs = 1e-6 * (1.0 + np.abs(u))
         s_rel = 1e-6 * np.abs(u) + 1e-300
@@ -249,9 +228,8 @@ def _solve_newton(gop, hf, fb, pts, phi, tol, max_iter, identity_residual):
         direct = K @ u + _phi_checked(phi, pts, u) - bf
         delta = spla.spsolve(K + sp.diags(d), -direct)
         u = np.maximum(u + delta, 0.0)
-    res = identity_residual(u)
-    residuals.append(res)
-    return u, SolveReport(max_iter, residuals, _status(residuals, tol), res)
+    residuals.append(identity_residual(u))
+    return u, SolveReport(max_iter, residuals, _status(residuals, tol))
 
 
 @dataclass(frozen=True)
@@ -263,14 +241,14 @@ class CheckVerdict:
     reason: str = ""
 
 
-def condition_factor(gop) -> float:
+def condition_factor(gop: GreenOperator) -> float:
     """kappa = 1 + max(G_D 1): how far an interior residual slack of tol can
     displace the solution, by the discrete maximum principle."""
-    gop = _as_green(gop)
     return 1.0 + float(np.max(gop.solve(np.ones(gop.grid.n_interior))))
 
 
-def check_comparison(op, u, v, phi: Nonlinearity, boundary_gap: float = 0.0, tol: float = 1e-9) -> CheckVerdict:
+def check_comparison(gop: GreenOperator, u, v, phi: Nonlinearity, boundary_gap: float = 0.0,
+                     tol: float = 1e-9) -> CheckVerdict:
     """Discrete comparison check for Lu - phi(.,u) <= Lv - phi(.,v).
 
     Passes iff all three hold:
@@ -278,15 +256,15 @@ def check_comparison(op, u, v, phi: Nonlinearity, boundary_gap: float = 0.0, tol
       boundary premise   u >= v - boundary_gap on the boundary,
       conclusion         u >= v - boundary_gap - kappa*tol in the interior.
     """
-    grid = op.grid
+    grid = gop.grid
     u = np.asarray(u, dtype=float)
     v = np.asarray(v, dtype=float)
     if u.shape[0] != grid.n_nodes or v.shape[0] != grid.n_nodes:
         raise ValueError("check_comparison needs full node fields for u and v")
     pts = grid.nodes[grid.interior_nodes]
-    ru = apply_op(op, u) - phi(pts, u[grid.interior_nodes])
-    rv = apply_op(op, v) - phi(pts, v[grid.interior_nodes])
-    kappa = condition_factor(op)
+    ru = apply_op(gop.op, u) - phi(pts, u[grid.interior_nodes])
+    rv = apply_op(gop.op, v) - phi(pts, v[grid.interior_nodes])
+    kappa = condition_factor(gop)
 
     excess = ru - rv
     k = int(np.argmax(excess))
@@ -313,16 +291,16 @@ def check_comparison(op, u, v, phi: Nonlinearity, boundary_gap: float = 0.0, tol
     return CheckVerdict(True, int(grid.interior_nodes[k]), float(idiff[k] - bound), kappa)
 
 
-def check_monotone_in_data(op, gop, f, g, phi: Nonlinearity, tol: float = 1e-9, **solve_kw) -> CheckVerdict:
+def check_monotone_in_data(gop: GreenOperator, f, g, phi: Nonlinearity, tol: float = 1e-9,
+                           **solve_kw) -> CheckVerdict:
     """Solve with data f and g, f <= g on the boundary, and check
     U f <= U g + tol componentwise."""
-    gop = _as_green(gop if gop is not None else op)
     fb = _boundary_field(gop, f)
     gb = _boundary_field(gop, g)
     if np.any(fb > gb):
         raise ValueError("pre-condition f <= g on the boundary is violated")
-    uf, rf = solve_U(op, gop, fb, phi, **solve_kw)
-    ug, rg = solve_U(op, gop, gb, phi, **solve_kw)
+    uf, rf = solve_U(gop, fb, phi, **solve_kw)
+    ug, rg = solve_U(gop, gb, phi, **solve_kw)
     for name, rep in (("f", rf), ("g", rg)):
         if rep.status != "converged":
             raise NonConvergence(f"solve for data {name} did not converge", rep)

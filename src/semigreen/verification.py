@@ -94,32 +94,30 @@ def suite_green_positivity(rng, trials: int) -> SuiteResult:
 
 def _solve_pair(rng, tol=1e-12):
     grid = _random_grid(rng)
-    coeffs = _random_coeffs(rng)
-    op = assemble(grid, coeffs)
-    gop = factorize(op)
+    gop = factorize(assemble(grid, _random_coeffs(rng)))
     phi = _random_phi(rng)
     f = _random_boundary(rng, grid)
     bump = float(rng.uniform(0.1, 1.0))
-    return grid, op, gop, phi, f, bump, tol
+    return gop, phi, f, bump, tol
 
 
 def suite_comparison(rng, trials: int) -> SuiteResult:
     failures = 0
     worst = ""
     for _ in range(trials):
-        grid, op, gop, phi, f, bump, tol = _solve_pair(rng)
+        gop, phi, f, bump, tol = _solve_pair(rng)
         # random draws include steep phi on wide boxes where the
         # alternating scheme stalls; the tangent scheme is exact here
-        u1, r1 = solve_U(op, gop, f, phi, tol=tol, max_iter=500,
+        u1, r1 = solve_U(gop, f, phi, tol=tol, max_iter=500,
                          scheme="newton")
-        u2, r2 = solve_U(op, gop, f + bump, phi, tol=tol, max_iter=500,
+        u2, r2 = solve_U(gop, f + bump, phi, tol=tol, max_iter=500,
                          scheme="newton")
         if r1.status != "converged" or r2.status != "converged":
             failures += 1
             worst = f"non-converged trial ({r1.status}, {r2.status})"
             continue
-        big = check_comparison(op, u2, u1, phi, tol=TOL)
-        same = check_comparison(op, u1, u1, phi, tol=TOL)
+        big = check_comparison(gop, u2, u1, phi, tol=TOL)
+        same = check_comparison(gop, u1, u1, phi, tol=TOL)
         if not (big.passed and same.passed):
             failures += 1
             worst = big.reason or same.reason
@@ -130,8 +128,8 @@ def suite_monotone_data(rng, trials: int) -> SuiteResult:
     failures = 0
     worst = ""
     for _ in range(trials):
-        grid, op, gop, phi, f, bump, tol = _solve_pair(rng)
-        v = check_monotone_in_data(op, gop, f, f + bump, phi, tol=TOL,
+        gop, phi, f, bump, tol = _solve_pair(rng)
+        v = check_monotone_in_data(gop, f, f + bump, phi, tol=TOL,
                                    max_iter=500, scheme="newton")
         if not v.passed:
             failures += 1
@@ -143,10 +141,10 @@ def suite_sandwich_interleaving(rng, trials: int, n_iter: int = 8) -> SuiteResul
     failures = 0
     worst = ""
     for _ in range(trials):
-        grid, op, gop, phi, f, _, _ = _solve_pair(rng)
+        gop, phi, f, _, _ = _solve_pair(rng)
         it = [harmonic_extension(gop, f)]
         for _ in range(n_iter - 1):
-            it.append(apply_T(op, gop, f, it[-1], phi))
+            it.append(apply_T(gop, f, it[-1], phi))
         even = it[0::2]
         odd = it[1::2]
         ok = all(np.max(b - a) <= TOL for a, b in zip(even, even[1:]))
@@ -183,9 +181,8 @@ def suite_identity(rng, trials: int) -> SuiteResult:
     worst = ""
     configs = _benchmark_configs()
     for name, grid, coeffs, phi, data in configs:
-        op = assemble(grid, coeffs)
-        gop = factorize(op)
-        u, rep = solve_U(op, gop, data, phi, tol=1e-12, max_iter=500)
+        gop = factorize(assemble(grid, coeffs))
+        u, rep = solve_U(gop, data, phi, tol=1e-12, max_iter=500)
         if rep.status != "converged" or rep.final_identity_residual > 1e-10:
             failures += 1
             worst = f"{name}: {rep.status}, residual {rep.final_identity_residual:.2e}"

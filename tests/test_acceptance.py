@@ -80,7 +80,7 @@ def test_criterion_3_benchmark_convergence_order():
     for h in (1 / 32, 1 / 64, 1 / 128):
         grid = build_box_grid((0.0, 1.0), h)
         op = assemble(grid, LAPLACE)
-        u, rep = solve_U(op, factorize(op), 1.0, RAMP, tol=1e-12, max_iter=400)
+        u, rep = solve_U(factorize(op), 1.0, RAMP, tol=1e-12, max_iter=400)
         assert rep.status == "converged"
         exact = np.cosh(grid.nodes[:, 0] - 0.5) / math.cosh(0.5)
         errs.append(float(np.max(np.abs(u - exact))))

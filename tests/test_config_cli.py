@@ -116,6 +116,28 @@ class TestLoadConfig:
         with pytest.raises(ConfigError, match="precision"):
             load_config(write_ini(tmp_path, SOLVE_INI + "\n[output]\nprecision = 99\n"))
 
+    @pytest.mark.parametrize("section, key", [
+        ("domain", "spacng"),
+        ("operator", "a1l"),
+        ("nonlinearity", "differentable"),
+        ("solver", "tolerance"),
+        ("experiment", "boundary"),
+        ("output", "base_name"),
+    ])
+    def test_misspelled_key_rejected(self, tmp_path, section, key):
+        header = f"[{section}]\n"
+        if header in SOLVE_INI:
+            ini = SOLVE_INI.replace(header, f"{header}{key} = 1\n")
+        else:
+            ini = SOLVE_INI + f"\n{header}{key} = 1\n"
+        with pytest.raises(ConfigError, match=rf"\[{section}\] {key}: unknown key"):
+            load_config(write_ini(tmp_path, ini))
+
+    def test_key_of_another_experiment_rejected(self, tmp_path):
+        ini = SOLVE_INI.replace("boundary_f = 1\n", "boundary_f = 1\nsuper_s = 1\n")
+        with pytest.raises(ConfigError, match=r"\[experiment\] super_s"):
+            load_config(write_ini(tmp_path, ini))
+
     def test_degenerate_bbox(self, tmp_path):
         bad = SOLVE_INI.replace("bbox = 0, 1", "bbox = 1, 1")
         with pytest.raises(ConfigError, match="degenerate"):
@@ -137,6 +159,16 @@ class TestCliSolve:
         log = read_csv(tmp_path / "solve_log.csv")
         assert log[0] == ["iteration", "envelope_gap", "identity_residual"]
         assert len(log) >= 2
+
+    @pytest.mark.parametrize("scheme", ["sandwich", "damped_picard", "newton"])
+    def test_envelope_gap_only_under_sandwich(self, tmp_path, scheme):
+        cfg = write_ini(tmp_path, SOLVE_INI)
+        assert main(["solve", "--config", cfg, "--out-dir", str(tmp_path),
+                     "--scheme", scheme]) == 0
+        log = read_csv(tmp_path / "solve_log.csv")[1:]
+        assert log
+        for _, gap, residual in log:
+            assert gap == (residual if scheme == "sandwich" else "")
 
     def test_deterministic_bytes(self, tmp_path):
         cfg = write_ini(tmp_path, SOLVE_INI)

@@ -2,9 +2,11 @@ import math
 
 import numpy as np
 import pytest
+import scipy.sparse.linalg as spla
 from hypothesis import given, settings, strategies as st
 from scipy import optimize
 
+from semigreen import potential
 from semigreen.geometry import build_box_grid
 from semigreen.operator import EllipticCoefficients, assemble
 from semigreen.potential import factorize, harmonic_extension
@@ -17,6 +19,7 @@ from semigreen.solver import (
     condition_factor,
     solve_U,
 )
+from semigreen.verification import run_suites
 
 RAMP = Nonlinearity(lambda p, t: np.maximum(t, 0.0), differentiable=True)
 SQRT = Nonlinearity(lambda p, t: np.sqrt(np.maximum(t, 0.0)))
@@ -52,34 +55,34 @@ class TestNonlinearityValidation:
 class TestSolveBasics:
     def test_zero_data_short_circuit(self):
         grid, op, gop = laplace((0.0, 1.0), 0.125)
-        u, rep = solve_U(op, gop, 0.0, SQRT)
+        u, rep = solve_U(gop, 0.0, SQRT)
         assert np.max(np.abs(u)) == 0.0
         assert rep.iterations == 0 and rep.status == "converged"
 
     def test_negative_data_rejected(self):
         grid, op, gop = laplace((0.0, 1.0), 0.125)
         with pytest.raises(ValueError, match="nonnegative"):
-            solve_U(op, gop, -1.0, RAMP)
+            solve_U(gop, -1.0, RAMP)
 
     def test_unknown_scheme(self):
         grid, op, gop = laplace((0.0, 1.0), 0.125)
         with pytest.raises(ValueError, match="scheme"):
-            solve_U(op, gop, 1.0, RAMP, scheme="secant")
+            solve_U(gop, 1.0, RAMP, scheme="secant")
 
     def test_newton_needs_differentiable_flag(self):
         grid, op, gop = laplace((0.0, 1.0), 0.125)
         with pytest.raises(ValueError, match="differentiable"):
-            solve_U(op, gop, 1.0, SQRT, scheme="newton")
+            solve_U(gop, 1.0, SQRT, scheme="newton")
 
     def test_boundary_values_kept(self):
         grid, op, gop = laplace((0.0, 1.0), 0.125)
         fb = np.linspace(1.0, 2.0, grid.n_nodes - grid.n_interior)
-        u, _ = solve_U(op, gop, fb, RAMP)
+        u, _ = solve_U(gop, fb, RAMP)
         np.testing.assert_allclose(u[grid.boundary_nodes], fb)
 
     def test_stall_is_reported_not_raised(self):
         grid, op, gop = laplace((0.0, 1.0), 0.125)
-        u, rep = solve_U(op, gop, 1.0, RAMP, tol=1e-14, max_iter=1)
+        u, rep = solve_U(gop, 1.0, RAMP, tol=1e-14, max_iter=1)
         assert rep.status == "max_iter"
         assert np.all(np.isfinite(u))
 
@@ -89,7 +92,7 @@ class TestBenchmark:
 
     def solve(self, h, scheme="sandwich", tol=1e-12):
         grid, op, gop = laplace((0.0, 1.0), h)
-        u, rep = solve_U(op, gop, 1.0, RAMP, tol=tol, max_iter=400, scheme=scheme)
+        u, rep = solve_U(gop, 1.0, RAMP, tol=tol, max_iter=400, scheme=scheme)
         assert rep.status == "converged"
         return grid, u, rep
 
@@ -111,10 +114,18 @@ class TestBenchmark:
         for other in fields[1:]:
             assert np.max(np.abs(fields[0] - other)) <= 1e-10
 
+    def test_sandwich_is_damped_picard_at_omega_one(self):
+        grid, op, gop = laplace((0.0, 1.0), 1 / 32)
+        _, rs = solve_U(gop, 1.0, SQRT, tol=1e-12, max_iter=500, scheme="sandwich")
+        _, rd = solve_U(gop, 1.0, SQRT, tol=1e-12, max_iter=500, scheme="damped_picard",
+                        omega=1.0)
+        assert rs.residual_history == rd.residual_history
+        assert rs.final_identity_residual == rs.residual_history[-1]
+
     def test_report_residual_matches_recomputation(self):
         grid, op, gop = laplace((0.0, 1.0), 1 / 32)
-        u, rep = solve_U(op, gop, 1.0, RAMP, tol=1e-12)
-        tu = apply_T(op, gop, 1.0, u, RAMP)
+        u, rep = solve_U(gop, 1.0, RAMP, tol=1e-12)
+        tu = apply_T(gop, 1.0, u, RAMP)
         assert np.max(np.abs(u - tu)) == pytest.approx(rep.final_identity_residual, abs=1e-15)
         assert rep.final_identity_residual <= 1e-12
 
@@ -132,7 +143,7 @@ class TestNonsmoothCrossValidation:
 
         sol = optimize.root(system, 0.9 * np.ones(grid.n_interior), method="hybr", tol=1e-13)
         assert sol.success
-        u, rep = solve_U(op, gop, 1.0, SQRT, tol=1e-12, max_iter=500)
+        u, rep = solve_U(gop, 1.0, SQRT, tol=1e-12, max_iter=500)
         assert rep.status == "converged"
         assert np.max(np.abs(u[grid.interior_nodes] - sol.x)) <= 1e-7
 
@@ -140,8 +151,8 @@ class TestNonsmoothCrossValidation:
         # the projected tangent iteration absorbs the kink at the dead core
         grid, op, gop = laplace((0.0, 1.0), 1 / 32)
         phi = Nonlinearity(lambda p, t: np.sqrt(np.maximum(t, 0.0)), differentiable=True)
-        un, rn = solve_U(op, gop, 1.0, phi, tol=1e-12, scheme="newton")
-        us, rs = solve_U(op, gop, 1.0, phi, tol=1e-12, scheme="sandwich", max_iter=500)
+        un, rn = solve_U(gop, 1.0, phi, tol=1e-12, scheme="newton")
+        us, rs = solve_U(gop, 1.0, phi, tol=1e-12, scheme="sandwich", max_iter=500)
         assert rn.status == rs.status == "converged"
         assert rn.iterations < rs.iterations
         assert np.max(np.abs(un - us)) <= 1e-10
@@ -153,7 +164,7 @@ class TestSandwichStructure:
         v = harmonic_extension(gop, 1.0)
         iterates = [v]
         for _ in range(6):
-            iterates.append(apply_T(op, gop, 1.0, iterates[-1], RAMP))
+            iterates.append(apply_T(gop, 1.0, iterates[-1], RAMP))
         evens = iterates[0::2]
         odds = iterates[1::2]
         for a, b in zip(evens, evens[1:]):
@@ -164,8 +175,8 @@ class TestSandwichStructure:
 
     def test_solution_is_fixed_point(self):
         grid, op, gop = laplace((0.0, 1.0), 1 / 16)
-        u, _ = solve_U(op, gop, 1.0, SQRT, tol=1e-12, max_iter=500)
-        np.testing.assert_allclose(apply_T(op, gop, 1.0, u, SQRT), u, atol=1e-11)
+        u, _ = solve_U(gop, 1.0, SQRT, tol=1e-12, max_iter=500)
+        np.testing.assert_allclose(apply_T(gop, 1.0, u, SQRT), u, atol=1e-11)
 
     @given(st.integers(0, 10**6))
     @settings(max_examples=25, deadline=None)
@@ -174,8 +185,8 @@ class TestSandwichStructure:
         rng = np.random.default_rng(seed)
         v1 = rng.uniform(0.0, 1.0, grid.n_nodes)
         v2 = v1 + rng.uniform(0.0, 1.0, grid.n_nodes)
-        t1 = apply_T(op, gop, 1.0, v1, RAMP)
-        t2 = apply_T(op, gop, 1.0, v2, RAMP)
+        t1 = apply_T(gop, 1.0, v1, RAMP)
+        t2 = apply_T(gop, 1.0, v2, RAMP)
         assert np.all(t2 <= t1 + 1e-12)
 
     @given(st.floats(0.1, 3.0), st.floats(0.0, 2.0))
@@ -184,7 +195,7 @@ class TestSandwichStructure:
         # 0 <= u <= H f whenever the data is nonnegative
         grid, op, gop = laplace((0.0, 1.0), 1 / 8)
         fb = amp + slope * grid.nodes[grid.boundary_nodes, 0]
-        u, rep = solve_U(op, gop, fb, SQRT, tol=1e-10, max_iter=500)
+        u, rep = solve_U(gop, fb, SQRT, tol=1e-10, max_iter=500)
         assert rep.status == "converged"
         hf = harmonic_extension(gop, fb)
         assert np.min(u) >= -1e-12
@@ -196,54 +207,70 @@ class TestComparisonChecks:
         self.grid, self.op, self.gop = laplace((0.0, 1.0), 1 / 16)
 
     def test_ordered_solutions_pass(self):
-        u1, _ = solve_U(self.op, self.gop, 1.0, RAMP, tol=1e-12)
-        u2, _ = solve_U(self.op, self.gop, 1.5, RAMP, tol=1e-12)
-        verdict = check_comparison(self.op, u2, u1, RAMP)
+        u1, _ = solve_U(self.gop, 1.0, RAMP, tol=1e-12)
+        u2, _ = solve_U(self.gop, 1.5, RAMP, tol=1e-12)
+        verdict = check_comparison(self.gop, u2, u1, RAMP)
         assert verdict.passed
         assert verdict.kappa >= 1.0
 
     def test_boundary_premise_failure(self):
-        u1, _ = solve_U(self.op, self.gop, 1.0, RAMP, tol=1e-12)
-        u2, _ = solve_U(self.op, self.gop, 1.5, RAMP, tol=1e-12)
-        verdict = check_comparison(self.op, u1, u2, RAMP)
+        u1, _ = solve_U(self.gop, 1.0, RAMP, tol=1e-12)
+        u2, _ = solve_U(self.gop, 1.5, RAMP, tol=1e-12)
+        verdict = check_comparison(self.gop, u1, u2, RAMP)
         assert not verdict.passed
         assert "boundary" in verdict.reason
 
     def test_residual_premise_failure(self):
-        u, _ = solve_U(self.op, self.gop, 1.0, RAMP, tol=1e-12)
+        u, _ = solve_U(self.gop, 1.0, RAMP, tol=1e-12)
         dented = u.copy()
         dented[self.grid.interior_nodes] -= 0.1 * np.sin(
             np.pi * self.grid.nodes[self.grid.interior_nodes, 0]
         )
         # a concave dent raises L(u) - phi(u) without moving the boundary
-        verdict = check_comparison(self.op, dented, u, RAMP)
+        verdict = check_comparison(self.gop, dented, u, RAMP)
         assert not verdict.passed
         assert "residual" in verdict.reason
 
     def test_boundary_gap_allowance(self):
-        u1, _ = solve_U(self.op, self.gop, 1.0, RAMP, tol=1e-12)
-        u2, _ = solve_U(self.op, self.gop, 1.5, RAMP, tol=1e-12)
+        u1, _ = solve_U(self.gop, 1.0, RAMP, tol=1e-12)
+        u2, _ = solve_U(self.gop, 1.5, RAMP, tol=1e-12)
         # the smaller solution dominates the larger one up to the data gap
-        assert check_comparison(self.op, u1, u2, RAMP, boundary_gap=0.5).passed
-        assert not check_comparison(self.op, u1, u2, RAMP, boundary_gap=0.4).passed
+        assert check_comparison(self.gop, u1, u2, RAMP, boundary_gap=0.5).passed
+        assert not check_comparison(self.gop, u1, u2, RAMP, boundary_gap=0.4).passed
 
     def test_needs_full_fields(self):
-        u, _ = solve_U(self.op, self.gop, 1.0, RAMP, tol=1e-12)
+        u, _ = solve_U(self.gop, 1.0, RAMP, tol=1e-12)
         with pytest.raises(ValueError, match="full node fields"):
-            check_comparison(self.op, u[self.grid.interior_nodes], u, RAMP)
+            check_comparison(self.gop, u[self.grid.interior_nodes], u, RAMP)
 
     def test_monotone_in_data(self):
-        verdict = check_monotone_in_data(self.op, self.gop, 1.0, 2.0, RAMP, tol=1e-9)
+        verdict = check_monotone_in_data(self.gop, 1.0, 2.0, RAMP, tol=1e-9)
         assert verdict.passed
 
     def test_monotone_precondition(self):
         with pytest.raises(ValueError, match="pre-condition"):
-            check_monotone_in_data(self.op, self.gop, 2.0, 1.0, RAMP)
+            check_monotone_in_data(self.gop, 2.0, 1.0, RAMP)
 
     def test_monotone_propagates_nonconvergence(self):
         with pytest.raises(NonConvergence):
-            check_monotone_in_data(self.op, self.gop, 1.0, 2.0, SQRT, max_iter=2)
+            check_monotone_in_data(self.gop, 1.0, 2.0, SQRT, max_iter=2)
 
     def test_condition_factor_interval(self):
         # 1 + max x(1-x)/2 on the unit interval
         assert condition_factor(self.gop) == pytest.approx(1.125, abs=1e-12)
+
+
+class TestFactorizationCount:
+    def test_comparison_suite_factorizes_once_per_trial(self, monkeypatch):
+        # check_comparison reuses the caller's factorization
+        calls = []
+
+        class CountingLinalg:
+            def splu(self, *args, **kwargs):
+                calls.append(1)
+                return spla.splu(*args, **kwargs)
+
+        monkeypatch.setattr(potential, "spla", CountingLinalg())
+        (result,) = run_suites(["comparison"], trials=5)
+        assert result.passed
+        assert len(calls) == 5
