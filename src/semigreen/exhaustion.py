@@ -113,9 +113,12 @@ def run_exhaustion(
         u, srep = solve_U(gop, sf[grid.boundary_nodes], phi,
                           tol=tol, max_iter=max_iter, scheme=scheme)
         if srep.status != "converged":
+            last = ", ".join(f"{r:.3e}" for r in srep.residual_history[-3:])
+            dead = (f"; final dead set {srep.dead_set_history[-1]} nodes"
+                    if srep.dead_set_history else "")
             raise NonConvergence(
                 f"stage {n}: solve ended with status {srep.status!r} "
-                f"(residual {srep.final_identity_residual:.3e})", srep)
+                f"(last identity residuals {last}{dead})", srep)
         if prev_grid is not None:
             own, prior = shared_node_indices(prev_grid, grid)
             defect = float(np.max(u[prior] - fields[-1][own]))

@@ -6,13 +6,13 @@ assembled system is an M-matrix whenever a is diagonal and c <= 0. Mixed
 derivatives use the 4-point cross stencil and may break the M-matrix
 sign structure; the m_matrix flag reports the outcome of a direct check.
 
-Conventions: `matrix` maps interior values to (Lu) at interior nodes and
-`boundary_coupling` carries the boundary-data contribution, so
+Conventions: the stencil is stored once, as the M-matrix K = -L restricted
+to interior nodes, and `boundary_coupling` B carries the boundary-data
+contribution, so
 
-    (Lu)_interior = matrix @ u_interior + boundary_coupling @ u_boundary.
+    (Lu)_interior = -K @ u_interior + B @ u_boundary,
 
-Solvers elsewhere work with K = -matrix and B = boundary_coupling, for
-which K is the M-matrix and H f = K^-1 B f, G psi = K^-1 psi.
+and the solvers elsewhere use H f = K^-1 B f, G psi = K^-1 psi.
 """
 
 from __future__ import annotations
@@ -104,15 +104,19 @@ def _validate_coefficients(vals: dict, pts: np.ndarray, dim: int, mode: str) -> 
 @dataclass(frozen=True)
 class DiscreteOperator:
     grid: Grid
-    matrix: sp.csr_matrix  # interior x interior, rows of L
     boundary_coupling: sp.csr_matrix  # interior x boundary
     m_matrix: bool
     coeffs: EllipticCoefficients
-    K: sp.csc_matrix  # -matrix; the M-matrix the potential solvers factorize
+    K: sp.csc_matrix  # interior x interior, rows of -L; the M-matrix the solvers factorize
 
     @property
     def B(self) -> sp.csr_matrix:
         return self.boundary_coupling
+
+    @property
+    def matrix(self) -> sp.csr_matrix:
+        """Interior rows of L (= -K), built on each access."""
+        return (-self.K).tocsr()
 
 
 def assemble(grid: Grid, coeffs: EllipticCoefficients) -> DiscreteOperator:
@@ -201,7 +205,7 @@ def assemble(grid: Grid, coeffs: EllipticCoefficients) -> DiscreteOperator:
     diag = K.diagonal()
     offdiag_max = (K - sp.diags(diag)).max() if K.nnz else 0.0
     # row sums of -L over all columns (interior and boundary): discrete L1 <= 0
-    rowsum = -(matrix @ np.ones(n_int) + coupling @ np.ones(n_bd))
+    rowsum = K @ np.ones(n_int) - coupling @ np.ones(n_bd)
     scale = float(np.max(np.abs(diag))) if n_int else 1.0
     m_matrix = bool(
         np.all(diag > 0)
@@ -210,8 +214,7 @@ def assemble(grid: Grid, coeffs: EllipticCoefficients) -> DiscreteOperator:
         and (coupling.nnz == 0 or coupling.min() >= -_SIGN_TOL * scale)
     )
     return DiscreteOperator(
-        grid=grid, matrix=matrix, boundary_coupling=coupling, m_matrix=m_matrix, coeffs=coeffs,
-        K=K,
+        grid=grid, boundary_coupling=coupling, m_matrix=m_matrix, coeffs=coeffs, K=K,
     )
 
 
@@ -247,7 +250,7 @@ def apply(op: DiscreteOperator, u, boundary=None) -> np.ndarray:
     interior-only field with explicit `boundary` data.
     """
     ui, ub = _split_field(op, u, boundary)
-    return op.matrix @ ui + op.boundary_coupling @ ub
+    return -(op.K @ ui) + op.boundary_coupling @ ub
 
 
 @dataclass(frozen=True)

@@ -48,6 +48,7 @@ class GreenOperator:
 
     op: DiscreteOperator
     _lu: object = field(init=False, repr=False)
+    _kappa: float | None = field(default=None, init=False, repr=False)  # cache of condition_factor
     _lock: threading.Lock = field(default_factory=threading.Lock, repr=False)
 
     def __post_init__(self):

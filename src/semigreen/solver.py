@@ -12,20 +12,29 @@ schemes, run by two loops:
   decrease, odd iterates increase, and the two envelopes bracket the fixed
   point; the step gap is then also the envelope gap. Needs only
   monotonicity of phi.
-* ``newton``: solves (K + diag(d phi)) delta = -(K u + phi(u) - B f) with a
-  finite-difference slope, projecting iterates onto u >= 0 (the discrete
-  fixed point is nonnegative for f >= 0 under (H3)). Offered only when the
-  nonlinearity is declared differentiable. The slope is the larger of an
-  absolute-step and a relative-step secant; for concave phi this is
-  tangent-quality, which keeps the descent monotone even on degenerate
-  dead-core problems where an absolute step alone chatters.
+* ``newton``: a free-set (primal-dual active-set) Newton step for
+  F(u) = K u + phi(u) - B f = 0 with u >= 0 (the discrete fixed point is
+  nonnegative for f >= 0 under (H3)). Each step predicts the dead set
+  A = {u <= F(u) / diag(K)}, sends u to 0 on A, and solves
+  (K_II + diag(d phi)_I) delta_I = -F_I + K_IA u_A on the free nodes I
+  only, so the huge slopes of phi near a dead core never enter a linear
+  system and the dead set can move by many grid layers in one step
+  (Hintermueller, Ito and Kunisch, SIAM J. Optim. 13(3), 2003). Every
+  node whose new value would be <= 0 (all of A, and any free node that
+  overshoots) takes THETA times its old value instead: a positive node
+  stays positive, so a node predicted dead by mistake can come back. With
+  A empty the step is the plain Newton step on the whole system. Offered
+  only when the nonlinearity is declared differentiable. The slope is the
+  larger of an absolute-step and a relative-step secant; for concave phi
+  this is tangent-quality, which keeps the descent monotone even on
+  degenerate dead-core problems where an absolute step alone chatters.
 
 Convergence is declared on the identity residual ||u + G phi(u) - H f||_inf.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import Callable
 
 import numpy as np
@@ -49,6 +58,7 @@ __all__ = [
 
 SCHEMES = ("sandwich", "damped_picard", "newton")
 MONOTONE_CHECK_SAMPLES = 16  # probe count of Nonlinearity.validate
+THETA = 0.03  # newton: a node whose new value would be <= 0 shrinks to THETA * u
 
 
 class NonConvergence(RuntimeError):
@@ -104,6 +114,7 @@ class SolveReport:
     residual_history: list  # identity residual per iterate
     status: str  # converged | max_iter | diverged
     scheme: str = ""
+    dead_set_history: list = field(default_factory=list)  # newton: |A| per step
 
     @property
     def final_identity_residual(self) -> float:
@@ -202,34 +213,36 @@ def _solve_damped(gop, hf, pts, phi, tol, max_iter, omega):
     return u, SolveReport(max_iter, residuals, _status(residuals, tol))
 
 
-def _fd_slope(phi, pts, t, step):
-    return (phi(pts, t + step) - phi(pts, t)) / step
-
-
 def _solve_newton(gop, hf, fb, pts, phi, tol, max_iter):
     K = gop.op.K
+    kdiag = K.diagonal()
     bf = gop.op.B @ fb
 
-    def identity_residual(ui):
-        return float(np.max(np.abs(ui + gop.solve(_phi_checked(phi, pts, ui)) - hf)))
-
     u = hf.copy()
-    residuals = []
-    for it in range(max_iter):
-        res = identity_residual(u)
+    residuals, dead_sizes = [], []
+    for it in range(max_iter + 1):
+        p = _phi_checked(phi, pts, u)
+        res = float(np.max(np.abs(u + gop.solve(p) - hf)))  # identity residual
         residuals.append(res)
-        if not (np.isfinite(res) and res > tol):
-            return u, SolveReport(it, residuals, _status(residuals, tol))
+        if not (np.isfinite(res) and res > tol) or it == max_iter:
+            return u, SolveReport(it, residuals, _status(residuals, tol),
+                                  dead_set_history=dead_sizes)
         # slope: max of absolute-step and relative-step secants (see module doc)
         s_abs = 1e-6 * (1.0 + np.abs(u))
         s_rel = 1e-6 * np.abs(u) + 1e-300
-        d = np.maximum(_fd_slope(phi, pts, u, s_abs), _fd_slope(phi, pts, u, s_rel))
+        d = np.maximum((phi(pts, u + s_abs) - p) / s_abs, (phi(pts, u + s_rel) - p) / s_rel)
         d = np.maximum(d, 0.0)
-        direct = K @ u + _phi_checked(phi, pts, u) - bf
-        delta = spla.spsolve(K + sp.diags(d), -direct)
-        u = np.maximum(u + delta, 0.0)
-    residuals.append(identity_residual(u))
-    return u, SolveReport(max_iter, residuals, _status(residuals, tol))
+        direct = K @ u + p - bf
+        dead = u <= direct / kdiag
+        dead_sizes.append(int(np.count_nonzero(dead)))
+        if not dead_sizes[-1]:
+            new = u + spla.spsolve(K + sp.diags(d), -direct)
+        else:
+            free = np.flatnonzero(~dead)
+            rhs = (K @ np.where(dead, u, 0.0))[free] - direct[free]  # K_IA u_A - F_I
+            new = np.zeros_like(u)
+            new[free] = u[free] + spla.spsolve(K[free][:, free] + sp.diags(d[free]), rhs)
+        u = np.where(new <= 0.0, THETA * u, new)
 
 
 @dataclass(frozen=True)
@@ -243,8 +256,11 @@ class CheckVerdict:
 
 def condition_factor(gop: GreenOperator) -> float:
     """kappa = 1 + max(G_D 1): how far an interior residual slack of tol can
-    displace the solution, by the discrete maximum principle."""
-    return 1.0 + float(np.max(gop.solve(np.ones(gop.grid.n_interior))))
+    displace the solution, by the discrete maximum principle. Computed once
+    per operator and kept on it."""
+    if gop._kappa is None:
+        gop._kappa = 1.0 + float(np.max(gop.solve(np.ones(gop.grid.n_interior))))
+    return gop._kappa
 
 
 def check_comparison(gop: GreenOperator, u, v, phi: Nonlinearity, boundary_gap: float = 0.0,

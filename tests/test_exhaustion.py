@@ -1,6 +1,9 @@
+from pathlib import Path
+
 import numpy as np
 import pytest
 
+from semigreen.config import load_config
 from semigreen.exhaustion import (
     _classify,
     correspondence_roundtrip,
@@ -14,14 +17,17 @@ from semigreen.geometry import (
     restrict,
     shared_node_indices,
 )
-from semigreen.operator import EllipticCoefficients
-from semigreen.solver import NonConvergence, Nonlinearity
+from semigreen.operator import EllipticCoefficients, assemble
+from semigreen.potential import factorize
+from semigreen.solver import NonConvergence, Nonlinearity, condition_factor
+
+CONFIGS = Path(__file__).resolve().parent.parent / "configs"
 
 LAPLACE = EllipticCoefficients(zero_order_mode="c_zero")
 RAMP = Nonlinearity(lambda p, t: np.maximum(t, 0.0), differentiable=True)
 HALF_RAMP = Nonlinearity(lambda p, t: 0.5 * np.maximum(t, 0.0), differentiable=True)
 SQRT = Nonlinearity(lambda p, t: np.sqrt(np.maximum(t, 0.0)))
-# projected tangent steps tolerate the dead-core kink
+# free-set tangent steps tolerate the dead-core kink
 SQRT_N = Nonlinearity(lambda p, t: np.sqrt(np.maximum(t, 0.0)), differentiable=True)
 ZERO = Nonlinearity(lambda p, t: np.zeros(p.shape[0]), differentiable=True)
 # absorption confined to {y > 1}
@@ -80,6 +86,16 @@ class TestRunExhaustion:
     def test_nonconvergence_names_stage(self):
         with pytest.raises(NonConvergence, match="stage 0"):
             run_exhaustion(halfplane_exh(), LAPLACE, SQRT, 1.0, max_iter=1)
+
+    def test_nonconvergence_names_residuals_and_dead_set(self):
+        with pytest.raises(NonConvergence, match="stage 0") as exc:
+            run_exhaustion(halfplane_exh(), LAPLACE, SQRT_N, 1.0, scheme="newton",
+                           max_iter=2)
+        rep = exc.value.report
+        assert rep.status == "max_iter" and len(rep.residual_history) == 3
+        last = ", ".join(f"{r:.3e}" for r in rep.residual_history)
+        assert f"last identity residuals {last}" in str(exc.value)
+        assert f"final dead set {rep.dead_set_history[-1]} nodes" in str(exc.value)
 
     def test_shared_node_decrease_is_tracked(self):
         run = run_exhaustion(halfplane_exh(), LAPLACE, STRIP_OFF, sqrt_cap,
@@ -210,3 +226,28 @@ class TestSplitExperiment:
     def test_unknown_mode(self):
         with pytest.raises(ValueError, match="mode"):
             split_experiment(halfplane_exh(), LAPLACE, RAMP, RAMP, "ratio", 1.0)
+
+
+def shipped_run(name):
+    cfg = load_config(str(CONFIGS / f"{name}.ini"))
+    run = run_exhaustion(cfg.build_exhaustion(), cfg.coeffs, cfg.phi,
+                         cfg.experiment_opts["super_s"], tol=cfg.tol,
+                         max_iter=cfg.max_iter, scheme=cfg.scheme)
+    return cfg, run
+
+
+class TestShippedNewtonRuns:
+    def test_thin_support_takes_two_steps_per_stage(self):
+        _, run = shipped_run("thin_support")
+        assert [rep.iterations for rep in run.reports] == [2, 2, 2, 2]
+
+    def test_sqrt_decay_anchors_and_verdict(self):
+        # anchors of the projected-Newton runs this scheme replaced
+        before = np.array([0.74297152834799862, 0.74126296824161841,
+                           0.74126032843477718, 0.74126032842973255])
+        cfg, run = shipped_run("sqrt_decay")
+        kappa = np.array([condition_factor(factorize(assemble(grid, cfg.coeffs)))
+                          for grid, _, _ in run.stages])
+        assert np.all(np.abs(run.anchor_values - before) <= kappa * cfg.tol)
+        assert run.triviality_verdict == "nontrivial"
+        assert max(rep.iterations for rep in run.reports) <= 20

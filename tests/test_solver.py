@@ -6,8 +6,8 @@ import scipy.sparse.linalg as spla
 from hypothesis import given, settings, strategies as st
 from scipy import optimize
 
-from semigreen import potential
-from semigreen.geometry import build_box_grid
+from semigreen import potential, solver
+from semigreen.geometry import build_box_grid, build_halfplane_truncation
 from semigreen.operator import EllipticCoefficients, assemble
 from semigreen.potential import factorize, harmonic_extension
 from semigreen.solver import (
@@ -23,6 +23,7 @@ from semigreen.verification import run_suites
 
 RAMP = Nonlinearity(lambda p, t: np.maximum(t, 0.0), differentiable=True)
 SQRT = Nonlinearity(lambda p, t: np.sqrt(np.maximum(t, 0.0)))
+SQRT_N = Nonlinearity(lambda p, t: np.sqrt(np.maximum(t, 0.0)), differentiable=True)
 
 
 def laplace(bbox, h):
@@ -148,7 +149,7 @@ class TestNonsmoothCrossValidation:
         assert np.max(np.abs(u[grid.interior_nodes] - sol.x)) <= 1e-7
 
     def test_newton_handles_sqrt_declared_differentiable(self):
-        # the projected tangent iteration absorbs the kink at the dead core
+        # the free-set tangent iteration absorbs the kink at the dead core
         grid, op, gop = laplace((0.0, 1.0), 1 / 32)
         phi = Nonlinearity(lambda p, t: np.sqrt(np.maximum(t, 0.0)), differentiable=True)
         un, rn = solve_U(gop, 1.0, phi, tol=1e-12, scheme="newton")
@@ -274,3 +275,59 @@ class TestFactorizationCount:
         (result,) = run_suites(["comparison"], trials=5)
         assert result.passed
         assert len(calls) == 5
+
+    def test_comparison_suite_computes_kappa_once_per_trial(self, monkeypatch):
+        # both check_comparison calls of a trial read one cached kappa
+        kappa_solves = []
+        solve = potential.GreenOperator.solve
+
+        def counting_solve(self, rhs):
+            if np.all(np.asarray(rhs) == 1.0):
+                kappa_solves.append(1)
+            return solve(self, rhs)
+
+        monkeypatch.setattr(potential.GreenOperator, "solve", counting_solve)
+        (result,) = run_suites(["comparison"], trials=5)
+        assert result.passed
+        assert len(kappa_solves) == 5
+
+
+def halfplane_sqrt(h, radius=8.0):
+    """One stage of the shipped sqrt_decay physics: Laplacian, data 1, sqrt absorption."""
+    grid = build_halfplane_truncation(radius, 0.25, h)
+    return grid, factorize(assemble(grid, EllipticCoefficients(zero_order_mode="c_zero")))
+
+
+class TestFreeSetNewton:
+    def test_iterations_mesh_independent(self):
+        iterations = []
+        for h in (0.25, 0.125):
+            _, gop = halfplane_sqrt(h)
+            _, rep = solve_U(gop, 1.0, SQRT_N, tol=1e-10, scheme="newton")
+            assert rep.status == "converged"
+            iterations.append(rep.iterations)
+        assert max(iterations) <= 25
+        assert iterations[1] <= 1.2 * iterations[0]
+
+    def test_linear_systems_fit_the_free_set(self, monkeypatch):
+        sizes = []
+
+        class RecordingLinalg:
+            def spsolve(self, A, b):
+                sizes.append(A.shape[0])
+                return spla.spsolve(A, b)
+
+        monkeypatch.setattr(solver, "spla", RecordingLinalg())
+        grid, gop = halfplane_sqrt(0.25, radius=4.0)
+        _, rep = solve_U(gop, 1.0, SQRT_N, tol=1e-10, scheme="newton")
+        assert rep.status == "converged"
+        assert len(rep.dead_set_history) == rep.iterations
+        assert max(rep.dead_set_history) > 0
+        assert sizes == [grid.n_interior - a for a in rep.dead_set_history]
+
+    def test_picard_schemes_record_no_dead_set(self):
+        _, gop = halfplane_sqrt(0.25, radius=2.0)
+        for scheme in ("sandwich", "damped_picard"):
+            _, rep = solve_U(gop, 1.0, SQRT, tol=1e-10, max_iter=500, scheme=scheme)
+            assert rep.status == "converged"
+            assert rep.dead_set_history == []
