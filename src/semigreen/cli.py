@@ -143,8 +143,7 @@ def _cmd_green(args, cfg: RunConfig) -> int:
             raise ConfigError("[experiment] source", f"source {source} is not interior")
         e = np.zeros(grid.n_interior)
         e[np.searchsorted(grid.interior_nodes, j)] = 1.0 / (grid.spacing[0] * grid.spacing[1])
-        g = np.zeros(grid.n_nodes)
-        g[grid.interior_nodes] = gop.solve(e)
+        g = green_potential(gop, e)
         analytic = np.array([
             halfplane_green(tuple(z), source) if k != j else np.nan
             for k, z in enumerate(grid.nodes)

@@ -43,7 +43,7 @@ class RunConfig:
     radius: float = None
     delta: float = None
     anchor: tuple = None
-    exhaustion: dict = None  # factor, stages, delta, spacing_rule
+    exhaustion: dict = None  # factor, stages, spacing_rule
 
     coeffs: EllipticCoefficients = None
     phi: Nonlinearity = None
@@ -72,7 +72,7 @@ class RunConfig:
         return build_exhaustion(
             base, ex["factor"], ex["stages"],
             spacing_rule=ex["spacing_rule"], spacing=self.spacing,
-            anchor=self.anchor, halfplane=self.halfplane, delta=ex["delta"],
+            anchor=self.anchor, halfplane=self.halfplane, delta=self.delta,
         )
 
     def fmt(self, value: float) -> str:
@@ -191,7 +191,6 @@ def _domain(cp, cfg_kw):
         exh = {
             "factor": _get_float(cp, "domain", "exhaustion.factor", default=2.0),
             "stages": _get_int(cp, "domain", "exhaustion.stages", required=True),
-            "delta": _get_float(cp, "domain", "exhaustion.delta"),
             "spacing_rule": _get(cp, "domain", "exhaustion.spacing_rule", default="fixed"),
         }
         if exh["spacing_rule"] not in ("fixed", "halve"):
@@ -203,11 +202,7 @@ def _domain(cp, cfg_kw):
         if dim != 2:
             raise ConfigError("[domain] halfplane", "halfplane mode needs dim = 2")
         radius = _get_float(cp, "domain", "radius", required=True)
-        delta = _get_float(cp, "domain", "delta")
-        if delta is None:
-            delta = exh["delta"] if exh and exh["delta"] is not None else spacing
-        if exh is not None and exh["delta"] is None:
-            exh["delta"] = delta
+        delta = _get_float(cp, "domain", "delta", default=spacing)
         cfg_kw.update(radius=radius, delta=delta)
     else:
         raw = _get(cp, "domain", "bbox", required=True)
@@ -217,8 +212,6 @@ def _domain(cp, cfg_kw):
             if not lo < hi:
                 raise ConfigError("[domain] bbox", f"axis [{lo}, {hi}] is degenerate")
         cfg_kw["bbox"] = bbox
-        if exh is not None and exh["delta"] is None:
-            exh["delta"] = spacing
 
     raw_anchor = _get(cp, "domain", "anchor")
     cfg_kw["anchor"] = tuple(_floats(raw_anchor, "[domain] anchor", dim)) if raw_anchor else None

@@ -53,18 +53,6 @@ class ExhaustionRun:
     monotone_slack: float = 0.0  # worst observed u_{n+1} - u_n on shared nodes
 
 
-def _s_field(s, grid: Grid) -> np.ndarray:
-    if callable(s):
-        vals = np.asarray(s(grid.nodes), dtype=float)
-        if vals.shape != (grid.n_nodes,):
-            raise ValueError("supersolution callable must return one value per node")
-        return vals
-    vals = np.asarray(s, dtype=float)
-    if vals.ndim == 0:
-        return np.full(grid.n_nodes, float(vals))
-    raise ValueError("supersolution data must be a scalar or a callable on points")
-
-
 def _classify(anchor_values: np.ndarray, sup_s: float) -> str:
     if len(anchor_values) < WINDOW:
         return "undecided"
@@ -89,8 +77,10 @@ def run_exhaustion(
 ) -> ExhaustionRun:
     """Solve the absorption problem on every stage with data s|boundary.
 
-    s must be discretely superharmonic on each stage (a scalar skips the
-    check when c vanishes identically: constants are then harmonic). The
+    s is a scalar or a callable on points (any form Grid.field accepts on
+    every stage) and must be discretely superharmonic on each stage (a
+    scalar skips the check when c vanishes identically: constants are then
+    harmonic). The
     decrease u_{n+1} <= u_n + kappa*tol on shared nodes is enforced; a
     violation means the discretization, not the math, is wrong.
     """
@@ -101,17 +91,16 @@ def run_exhaustion(
     for n, grid in enumerate(exh.stages):
         op = assemble(grid, coeffs)
         gop = factorize(op)
-        sf = _s_field(s, grid)
+        sf = grid.field(s, name="supersolution s")
         sup_s = max(sup_s, float(np.max(sf)))
-        if callable(s) or coeffs.zero_order_mode != "c_zero":
+        if not np.isscalar(s) or coeffs.zero_order_mode != "c_zero":
             rep = check_superharmonic(op, sf, tol=SUPERHARMONIC_TOL)
             if not rep.passed:
                 raise ValueError(
                     f"stage {n}: supersolution data fails the superharmonic check "
                     f"(residual {rep.max_residual:.3e} at node {rep.worst_node})"
                 )
-        u, srep = solve_U(gop, sf[grid.boundary_nodes], phi,
-                          tol=tol, max_iter=max_iter, scheme=scheme)
+        u, srep = solve_U(gop, sf, phi, tol=tol, max_iter=max_iter, scheme=scheme)
         if srep.status != "converged":
             last = ", ".join(f"{r:.3e}" for r in srep.residual_history[-3:])
             dead = (f"; final dead set {srep.dead_set_history[-1]} nodes"
@@ -159,7 +148,7 @@ def run_exhaustion(
 def _majorant_family(grids, gops, w_family, tol):
     family = []
     for n, (grid, gop, w) in enumerate(zip(grids, gops, w_family)):
-        h = harmonic_extension(gop, np.asarray(w, dtype=float)[grid.boundary_nodes])
+        h = harmonic_extension(gop, w)
         if family:
             own, prior = shared_node_indices(grids[n - 1], grid)
             defect = float(np.min(h[prior] - family[-1][own]))
@@ -181,7 +170,7 @@ def harmonic_majorant(exh: Exhaustion, coeffs: EllipticCoefficients, w, tol: flo
     if isinstance(w, np.ndarray):
         w_family = [restrict(w, exh.stages[-1], g) for g in exh.stages]
     else:
-        w_family = [np.asarray(wn, dtype=float) for wn in w]
+        w_family = list(w)
         if len(w_family) != len(exh.stages):
             raise ValueError(
                 f"expected {len(exh.stages)} stage fields, got {len(w_family)}")
@@ -219,14 +208,7 @@ def correspondence_roundtrip(
     """
     op = assemble(grid, coeffs)
     gop = factorize(op)
-    if callable(h):
-        h = np.asarray(h(grid.nodes), dtype=float)
-    else:
-        h = np.asarray(h, dtype=float)
-        if h.ndim == 0:
-            h = np.full(grid.n_nodes, float(h))
-    if h.shape != (grid.n_nodes,):
-        raise ValueError("h must be a full node field")
+    h = grid.field(h, name="h")
     if np.min(h) < 0:
         raise ValueError(f"h must be nonnegative; min = {np.min(h):.3e}")
     harm_res = float(np.max(np.abs(apply_op(op, h)))) if grid.n_interior else 0.0
@@ -236,7 +218,7 @@ def correspondence_roundtrip(
             f"> {harmonicity_tol:.1e}")
 
     kappa = condition_factor(gop)
-    u, rep = solve_U(gop, h[grid.boundary_nodes], phi, tol=tol, **solve_kw)
+    u, rep = solve_U(gop, h, phi, tol=tol, **solve_kw)
     if rep.status != "converged":
         raise NonConvergence("roundtrip solve did not converge", rep)
     pts = grid.nodes[grid.interior_nodes]
@@ -244,7 +226,7 @@ def correspondence_roundtrip(
     recon = float(np.max(np.abs(u[grid.interior_nodes] + gphi - h[grid.interior_nodes])))
 
     bump = harmonic_extension(gop, 1.0)
-    u2, rep2 = solve_U(gop, h[grid.boundary_nodes] + 1.0, phi, tol=tol, **solve_kw)
+    u2, rep2 = solve_U(gop, h + 1.0, phi, tol=tol, **solve_kw)
     if rep2.status != "converged":
         raise NonConvergence("roundtrip probe solve did not converge", rep2)
     monotone_ok = bool(np.min(u2 - u) >= -tol * kappa)
@@ -281,7 +263,7 @@ def split_experiment(
     if mode not in ("domination", "sum"):
         raise ValueError(f"unknown split mode {mode!r}")
     final = exh.stages[-1]
-    sup_s = float(np.max(_s_field(s, final)))
+    sup_s = float(np.max(final.field(s, name="supersolution s")))
     probes = np.linspace(0.0, max(sup_s, 1.0), 9)
     pts = final.nodes
     if mode == "domination":

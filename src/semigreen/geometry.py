@@ -77,6 +77,33 @@ class Grid:
             flat = flat * self.shape[ax] + idx[ax]
         return flat
 
+    def field(self, value, on: str = "nodes", name: str = "field") -> np.ndarray:
+        """The one node-field format: values of `value` on the nodes `on`
+        ("nodes", "interior" or "boundary"), as a float array in grid order.
+
+        value may be a scalar, a callable on an (n, dim) point array
+        (evaluated on all nodes), a full node field, or an array already
+        of the length of `on`. Raises ValueError naming `name` on a wrong
+        shape or a non-finite value.
+        """
+        index = {"nodes": None, "interior": self.interior_nodes,
+                 "boundary": self.boundary_nodes}[on]
+        n = self.n_nodes if index is None else len(index)
+        if callable(value):
+            value = value(self.nodes)
+        vals = np.asarray(value, dtype=float)
+        if vals.ndim == 0:
+            vals = np.full(n, float(vals))
+        elif index is not None and vals.shape == (self.n_nodes,):
+            vals = vals[index]
+        if vals.shape != (n,):
+            also = "" if index is None else f" or {n} {on} values"
+            raise ValueError(f"{name} must be a scalar, a callable or a full node field "
+                             f"of {self.n_nodes} values{also}; got shape {vals.shape}")
+        if not np.all(np.isfinite(vals)):
+            raise ValueError(f"{name} must be finite")
+        return vals
+
 
 @dataclass(frozen=True)
 class Exhaustion:

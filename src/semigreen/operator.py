@@ -7,7 +7,7 @@ derivatives use the 4-point cross stencil and may break the M-matrix
 sign structure; the m_matrix flag reports the outcome of a direct check.
 
 Conventions: the stencil is stored once, as the M-matrix K = -L restricted
-to interior nodes, and `boundary_coupling` B carries the boundary-data
+to interior nodes, and the boundary coupling B carries the boundary-data
 contribution, so
 
     (Lu)_interior = -K @ u_interior + B @ u_boundary,
@@ -18,7 +18,6 @@ and the solvers elsewhere use H f = K^-1 B f, G psi = K^-1 psi.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable
 
 import numpy as np
 import scipy.sparse as sp
@@ -38,18 +37,11 @@ EPS_ELL = 1e-10  # strict-ellipticity floor
 _SIGN_TOL = 1e-12
 
 
-def _as_field(value) -> Callable:
-    """Normalize a scalar or callable(points)->values to a vectorized callable."""
-    if callable(value):
-        return value
-    const = float(value)
-    return lambda pts: np.full(pts.shape[0], const)
-
-
 @dataclass(frozen=True)
 class EllipticCoefficients:
-    """Coefficient fields of L; scalars or callables mapping (n,dim) points
-    to per-node values. 1D uses a11, b1, c only.
+    """Coefficient fields of L, each in a form Grid.field accepts (a
+    scalar, a callable on (n, dim) points, or a node field). 1D uses a11,
+    b1, c only.
 
     zero_order_mode: "c_nonpos" allows c <= 0; "c_zero" requires c == 0.
     """
@@ -65,13 +57,6 @@ class EllipticCoefficients:
     def __post_init__(self):
         if self.zero_order_mode not in ("c_nonpos", "c_zero"):
             raise ValueError(f"unknown zero_order_mode {self.zero_order_mode!r}")
-
-    def sample(self, pts: np.ndarray) -> dict:
-        vals = {
-            name: _as_field(getattr(self, name))(pts)
-            for name in ("a11", "a22", "a12", "b1", "b2", "c")
-        }
-        return {k: np.asarray(v, dtype=float) * np.ones(pts.shape[0]) for k, v in vals.items()}
 
 
 def _validate_coefficients(vals: dict, pts: np.ndarray, dim: int, mode: str) -> None:
@@ -104,19 +89,10 @@ def _validate_coefficients(vals: dict, pts: np.ndarray, dim: int, mode: str) -> 
 @dataclass(frozen=True)
 class DiscreteOperator:
     grid: Grid
-    boundary_coupling: sp.csr_matrix  # interior x boundary
+    B: sp.csr_matrix  # interior x boundary coupling
     m_matrix: bool
     coeffs: EllipticCoefficients
     K: sp.csc_matrix  # interior x interior, rows of -L; the M-matrix the solvers factorize
-
-    @property
-    def B(self) -> sp.csr_matrix:
-        return self.boundary_coupling
-
-    @property
-    def matrix(self) -> sp.csr_matrix:
-        """Interior rows of L (= -K), built on each access."""
-        return (-self.K).tocsr()
 
 
 def assemble(grid: Grid, coeffs: EllipticCoefficients) -> DiscreteOperator:
@@ -126,7 +102,8 @@ def assemble(grid: Grid, coeffs: EllipticCoefficients) -> DiscreteOperator:
     A broken M-matrix sign structure from cross derivatives is reported
     via m_matrix=False, not an error.
     """
-    vals = coeffs.sample(grid.nodes)
+    vals = {name: grid.field(getattr(coeffs, name), name=name)
+            for name in ("a11", "a22", "a12", "b1", "b2", "c")}
     _validate_coefficients(vals, grid.nodes, grid.dim, coeffs.zero_order_mode)
 
     n_int = grid.n_interior
@@ -214,43 +191,16 @@ def assemble(grid: Grid, coeffs: EllipticCoefficients) -> DiscreteOperator:
         and (coupling.nnz == 0 or coupling.min() >= -_SIGN_TOL * scale)
     )
     return DiscreteOperator(
-        grid=grid, boundary_coupling=coupling, m_matrix=m_matrix, coeffs=coeffs, K=K,
+        grid=grid, B=coupling, m_matrix=m_matrix, coeffs=coeffs, K=K,
     )
 
 
-def _split_field(op: DiscreteOperator, u, boundary):
-    """Accept a full node field (with optional boundary override) and return
-    (interior values, boundary values)."""
+def apply(op: DiscreteOperator, u) -> np.ndarray:
+    """Evaluate (Lu) at interior nodes of a full node field u (any form
+    Grid.field accepts on the nodes)."""
     grid = op.grid
-    u = np.asarray(u, dtype=float)
-    if u.shape[0] == grid.n_nodes:
-        ub = u[grid.boundary_nodes]
-    elif u.shape[0] == grid.n_interior:
-        ub = None
-    else:
-        raise ValueError(
-            f"field length {u.shape[0]} matches neither {grid.n_nodes} nodes "
-            f"nor {grid.n_interior} interior nodes of the grid"
-        )
-    if boundary is not None:
-        boundary = np.asarray(boundary, dtype=float)
-        if boundary.shape[0] != len(grid.boundary_nodes):
-            raise ValueError("boundary data length mismatch")
-        ub = boundary
-    if ub is None:
-        raise ValueError("boundary data required for an interior-only field")
-    ui = u[grid.interior_nodes] if u.shape[0] == grid.n_nodes else u
-    return ui, ub
-
-
-def apply(op: DiscreteOperator, u, boundary=None) -> np.ndarray:
-    """Evaluate (Lu) at interior nodes.
-
-    u may be a full node field (boundary values read off the field) or an
-    interior-only field with explicit `boundary` data.
-    """
-    ui, ub = _split_field(op, u, boundary)
-    return -(op.K @ ui) + op.boundary_coupling @ ub
+    u = grid.field(u, name="u")
+    return -(op.K @ u[grid.interior_nodes]) + op.B @ u[grid.boundary_nodes]
 
 
 @dataclass(frozen=True)
@@ -261,9 +211,9 @@ class SuperharmonicReport:
     tol: float
 
 
-def check_superharmonic(op: DiscreteOperator, s, boundary=None, tol: float = 1e-9) -> SuperharmonicReport:
+def check_superharmonic(op: DiscreteOperator, s, tol: float = 1e-9) -> SuperharmonicReport:
     """Check Ls <= tol at interior nodes (discrete superharmonicity of s >= 0)."""
-    vals = apply(op, s, boundary)
+    vals = apply(op, s)
     worst = int(np.argmax(vals)) if vals.size else 0
     mx = float(vals[worst]) if vals.size else 0.0
     return SuperharmonicReport(

@@ -70,38 +70,22 @@ def factorize(op: DiscreteOperator) -> GreenOperator:
     return GreenOperator(op=op)
 
 
-def _boundary_field(gop: GreenOperator, f) -> np.ndarray:
-    grid = gop.grid
-    f = np.asarray(f, dtype=float)
-    if f.ndim == 0:
-        f = np.full(len(grid.boundary_nodes), float(f))
-    if f.shape[0] == grid.n_nodes:
-        f = f[grid.boundary_nodes]
-    if f.shape[0] != len(grid.boundary_nodes):
-        raise ValueError(
-            f"boundary data length {f.shape[0]} does not match "
-            f"{len(grid.boundary_nodes)} boundary nodes"
-        )
-    if not np.all(np.isfinite(f)):
-        raise ValueError("boundary data must be finite")
-    return f
-
-
 def harmonic_extension(gop: GreenOperator, f) -> np.ndarray:
     """Solve the Dirichlet problem Lh = 0, h = f on the boundary.
 
     Parameters
     ----------
     gop : the factorized operator (see factorize).
-    f : boundary values, aligned with grid.boundary_nodes; a scalar or a
-        full node field are also accepted.
+    f : boundary values in a form Grid.field accepts on="boundary" (a
+        scalar, a callable, a full node field, or values aligned with
+        grid.boundary_nodes).
 
     Returns
     -------
     Full node field with h = f exactly on boundary nodes.
     """
     grid = gop.grid
-    fb = _boundary_field(gop, f)
+    fb = grid.field(f, on="boundary", name="boundary data")
     h = np.empty(grid.n_nodes)
     h[grid.boundary_nodes] = fb
     h[grid.interior_nodes] = gop.solve(gop.op.B @ fb)
@@ -111,22 +95,12 @@ def harmonic_extension(gop: GreenOperator, f) -> np.ndarray:
 def green_potential(gop: GreenOperator, psi) -> np.ndarray:
     """Solve L g = -psi with zero boundary data; returns a full node field.
 
-    psi may be interior-length or a full node field (boundary entries of a
-    full field are ignored: the potential lives on interior sources).
+    psi may be any form Grid.field accepts on="interior"; the boundary
+    entries of a full node field are ignored (the potential lives on
+    interior sources).
     """
     grid = gop.grid
-    psi = np.asarray(psi, dtype=float)
-    if psi.ndim == 0:
-        psi = np.full(grid.n_interior, float(psi))
-    if psi.shape[0] == grid.n_nodes:
-        psi = psi[grid.interior_nodes]
-    if psi.shape[0] != grid.n_interior:
-        raise ValueError(
-            f"source field length {psi.shape[0]} does not match "
-            f"{grid.n_interior} interior nodes"
-        )
-    if not np.all(np.isfinite(psi)):
-        raise ValueError("source field must be finite")
+    psi = grid.field(psi, on="interior", name="source field")
     g = np.zeros(grid.n_nodes)
     g[grid.interior_nodes] = gop.solve(psi)
     return g

@@ -42,7 +42,7 @@ import scipy.sparse as sp
 import scipy.sparse.linalg as spla
 
 from .operator import apply as apply_op
-from .potential import GreenOperator, _boundary_field
+from .potential import GreenOperator
 
 __all__ = [
     "Nonlinearity",
@@ -122,11 +122,12 @@ class SolveReport:
 
 
 def apply_T(gop: GreenOperator, f, u, phi: Nonlinearity) -> np.ndarray:
-    """One application of T u = H_D f - G_D phi(., u); full node fields."""
+    """One application of T u = H_D f - G_D phi(., u); returns a full node
+    field. f and u take any form Grid.field accepts on the boundary and the
+    interior."""
     grid = gop.grid
-    fb = _boundary_field(gop, f)
-    u = np.asarray(u, dtype=float)
-    ui = u[grid.interior_nodes] if u.shape[0] == grid.n_nodes else u
+    fb = grid.field(f, on="boundary", name="boundary data")
+    ui = grid.field(u, on="interior", name="u")
     pts = grid.nodes[grid.interior_nodes]
     hf = gop.solve(gop.op.B @ fb)
     out = np.empty(grid.n_nodes)
@@ -162,7 +163,7 @@ def solve_U(
     if scheme not in SCHEMES:
         raise ValueError(f"unknown scheme {scheme!r}; expected one of {SCHEMES}")
     grid = gop.grid
-    fb = _boundary_field(gop, f)
+    fb = grid.field(f, on="boundary", name="boundary data")
     if np.min(fb) < 0:
         raise ValueError(f"boundary data must be nonnegative; min f = {np.min(fb):.3e}")
     if scheme == "newton" and not phi.differentiable:
@@ -311,8 +312,8 @@ def check_monotone_in_data(gop: GreenOperator, f, g, phi: Nonlinearity, tol: flo
                            **solve_kw) -> CheckVerdict:
     """Solve with data f and g, f <= g on the boundary, and check
     U f <= U g + tol componentwise."""
-    fb = _boundary_field(gop, f)
-    gb = _boundary_field(gop, g)
+    fb = gop.grid.field(f, on="boundary", name="boundary data f")
+    gb = gop.grid.field(g, on="boundary", name="boundary data g")
     if np.any(fb > gb):
         raise ValueError("pre-condition f <= g on the boundary is violated")
     uf, rf = solve_U(gop, fb, phi, **solve_kw)

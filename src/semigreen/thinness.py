@@ -40,14 +40,12 @@ class ThinnessCertificate:
 
     set_A: bool node mask or predicate(points) -> bool array.
     witness_s: node field or callable(points) -> values.
-    min_over_grid / superharmonic_residual are filled by verification.
+    Both take any form Grid.field accepts on the nodes.
     """
 
     set_A: object
     witness_s: object
     margin: float
-    min_over_grid: float = None
-    superharmonic_residual: float = None
 
 
 @dataclass(frozen=True)
@@ -59,26 +57,11 @@ class CertificateVerdict:
     reasons: tuple = ()
 
 
-def _eval_field(obj, grid: Grid, name: str) -> np.ndarray:
-    if callable(obj):
-        vals = np.asarray(obj(grid.nodes), dtype=float)
-    else:
-        vals = np.asarray(obj, dtype=float)
-    if vals.shape != (grid.n_nodes,):
-        raise ValueError(f"{name} must give one value per node, got shape {vals.shape}")
-    return vals
-
-
 def verify_certificate(grid: Grid, coeffs, cert: ThinnessCertificate, tol: float = 1e-9) -> CertificateVerdict:
     """Check the three certificate inequalities discretely. Diagnostic:
     failures are reported in the verdict, never raised."""
-    s = _eval_field(cert.witness_s, grid, "witness_s")
-    if callable(cert.set_A):
-        mask = np.asarray(cert.set_A(grid.nodes), dtype=bool)
-    else:
-        mask = np.asarray(cert.set_A, dtype=bool)
-    if mask.shape != (grid.n_nodes,):
-        raise ValueError(f"set_A must give one flag per node, got shape {mask.shape}")
+    s = grid.field(cert.witness_s, name="witness_s")
+    mask = grid.field(cert.set_A, name="set_A") != 0
 
     reasons = []
     if not (cert.margin > 0):
@@ -97,9 +80,6 @@ def verify_certificate(grid: Grid, coeffs, cert: ThinnessCertificate, tol: float
     if not rep.passed:
         reasons.append(
             f"superharmonicity fails: residual {rep.max_residual:.3e} at node {rep.worst_node}")
-
-    cert.min_over_grid = min_s
-    cert.superharmonic_residual = rep.max_residual
     return CertificateVerdict(not reasons, min_s, min_on_a, rep.max_residual, tuple(reasons))
 
 
@@ -344,7 +324,7 @@ def necessary_direction_probe(run, c0: float = None) -> tuple:
         raise ValueError(
             f"probe requires a nontrivial run, got {run.triviality_verdict!r}")
     grid = run.stages[-1][0]
-    v = np.asarray(run.limit_estimate, dtype=float)
+    v = run.limit_estimate
     c = float(run.sup_s)
     if c0 is None:
         c0 = 0.5 * (float(np.min(v)) + float(np.max(v)))

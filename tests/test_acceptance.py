@@ -13,7 +13,7 @@ import pytest
 
 import conftest
 from semigreen.config import load_config
-from semigreen.exhaustion import correspondence_roundtrip, run_exhaustion
+from semigreen.exhaustion import correspondence_roundtrip
 from semigreen.geometry import build_box_grid, shared_node_indices
 from semigreen.operator import EllipticCoefficients, assemble
 from semigreen.potential import factorize, green_potential, poisson_extension
@@ -35,22 +35,6 @@ def record(num, ok, detail):
     print(line)
     conftest.ACCEPTANCE_LINES.append(line)
     assert ok, line
-
-
-@pytest.fixture(scope="module")
-def shipped_runs():
-    """The two staged half-plane runs exactly as configured on disk."""
-    out = {}
-    for name in ("thin_support", "sqrt_decay"):
-        cfg = load_config(str(CONFIGS / f"{name}.ini"))
-        t0 = time.perf_counter()
-        run = run_exhaustion(
-            cfg.build_exhaustion(), cfg.coeffs, cfg.phi,
-            cfg.experiment_opts["super_s"],
-            tol=cfg.tol, max_iter=cfg.max_iter, scheme=cfg.scheme,
-        )
-        out[name] = (run, time.perf_counter() - t0)
-    return out
 
 
 def test_criterion_1_interval_green_identity():
@@ -99,10 +83,11 @@ def test_criterion_4_randomized_invariants():
     record(4, ok, f"200 trials per suite at tol 1e-9, failures: {fails}")
 
 
-def test_criterion_5_exhaustion_monotone(shipped_runs):
+def test_criterion_5_exhaustion_monotone(shipped_run):
     worst = -np.inf
     radii_ok = True
-    for name, (run, _) in shipped_runs.items():
+    for name in ("thin_support", "sqrt_decay"):
+        _, run, _ = shipped_run(name)
         radii = [g.bbox[0][1] for g, _, _ in run.stages]
         radii_ok &= radii == [4.0, 8.0, 16.0, 32.0]
         for (g1, u1, _), (g2, u2, _) in zip(run.stages, run.stages[1:]):
@@ -113,8 +98,8 @@ def test_criterion_5_exhaustion_monotone(shipped_runs):
            f"both configured runs, radii 4..32")
 
 
-def test_criterion_6_thin_support_persistence(shipped_runs):
-    run, elapsed = shipped_runs["thin_support"]
+def test_criterion_6_thin_support_persistence(shipped_run):
+    _, run, elapsed = shipped_run("thin_support")
     bound = 1.0 - math.sqrt(0.5) - 1e-3
     final = float(run.anchor_values[-1])
     shape = run.stages[-1][0].shape
@@ -176,8 +161,8 @@ def test_criterion_9_poisson_normalization():
                   f"indicator at (0,1) off by {ind_err:.2e} (<= 1e-6)")
 
 
-def test_criterion_10_probe_certificate(shipped_runs):
-    run, _ = shipped_runs["thin_support"]
+def test_criterion_10_probe_certificate(shipped_run):
+    _, run, _ = shipped_run("thin_support")
     cert, verdict = necessary_direction_probe(run)
     grid = run.stages[-1][0]
     v = run.limit_estimate

@@ -34,6 +34,21 @@ type = solve
 boundary_f = 1
 """
 
+EXHAUST_INI = """\
+[domain]
+dim = 2
+halfplane = true
+radius = 1
+spacing = 0.125
+delta = 0.25
+anchor = 0, 0.5
+exhaustion.stages = 2
+
+[experiment]
+type = exhaust
+super_s = 1
+"""
+
 
 class TestLoadConfig:
     def test_shipped_exhaust_config(self):
@@ -137,6 +152,18 @@ class TestLoadConfig:
         ini = SOLVE_INI.replace("boundary_f = 1\n", "boundary_f = 1\nsuper_s = 1\n")
         with pytest.raises(ConfigError, match=r"\[experiment\] super_s"):
             load_config(write_ini(tmp_path, ini))
+
+    def test_exhaustion_delta_key_rejected(self, tmp_path):
+        ini = EXHAUST_INI.replace("exhaustion.stages = 2\n",
+                                  "exhaustion.stages = 2\nexhaustion.delta = 0.5\n")
+        with pytest.raises(ConfigError, match=r"\[domain\] exhaustion.delta: unknown key"):
+            load_config(write_ini(tmp_path, ini))
+
+    def test_exhaust_wall_sits_at_domain_delta(self, tmp_path):
+        cfg = load_config(write_ini(tmp_path, EXHAUST_INI))
+        walls = [g.bbox[1][0] for g in cfg.build_exhaustion().stages]
+        assert walls == [0.25, 0.25]
+        assert cfg.grid().bbox[1][0] == 0.25
 
     def test_degenerate_bbox(self, tmp_path):
         bad = SOLVE_INI.replace("bbox = 0, 1", "bbox = 1, 1")

@@ -1,9 +1,6 @@
-from pathlib import Path
-
 import numpy as np
 import pytest
 
-from semigreen.config import load_config
 from semigreen.exhaustion import (
     _classify,
     correspondence_roundtrip,
@@ -20,8 +17,6 @@ from semigreen.geometry import (
 from semigreen.operator import EllipticCoefficients, assemble
 from semigreen.potential import factorize
 from semigreen.solver import NonConvergence, Nonlinearity, condition_factor
-
-CONFIGS = Path(__file__).resolve().parent.parent / "configs"
 
 LAPLACE = EllipticCoefficients(zero_order_mode="c_zero")
 RAMP = Nonlinearity(lambda p, t: np.maximum(t, 0.0), differentiable=True)
@@ -228,24 +223,16 @@ class TestSplitExperiment:
             split_experiment(halfplane_exh(), LAPLACE, RAMP, RAMP, "ratio", 1.0)
 
 
-def shipped_run(name):
-    cfg = load_config(str(CONFIGS / f"{name}.ini"))
-    run = run_exhaustion(cfg.build_exhaustion(), cfg.coeffs, cfg.phi,
-                         cfg.experiment_opts["super_s"], tol=cfg.tol,
-                         max_iter=cfg.max_iter, scheme=cfg.scheme)
-    return cfg, run
-
-
 class TestShippedNewtonRuns:
-    def test_thin_support_takes_two_steps_per_stage(self):
-        _, run = shipped_run("thin_support")
+    def test_thin_support_takes_two_steps_per_stage(self, shipped_run):
+        _, run, _ = shipped_run("thin_support")
         assert [rep.iterations for rep in run.reports] == [2, 2, 2, 2]
 
-    def test_sqrt_decay_anchors_and_verdict(self):
+    def test_sqrt_decay_anchors_and_verdict(self, shipped_run):
         # anchors of the projected-Newton runs this scheme replaced
         before = np.array([0.74297152834799862, 0.74126296824161841,
                            0.74126032843477718, 0.74126032842973255])
-        cfg, run = shipped_run("sqrt_decay")
+        cfg, run, _ = shipped_run("sqrt_decay")
         kappa = np.array([condition_factor(factorize(assemble(grid, cfg.coeffs)))
                           for grid, _, _ in run.stages])
         assert np.all(np.abs(run.anchor_values - before) <= kappa * cfg.tol)

@@ -132,3 +132,70 @@ class TestRestrict:
 def test_halfplane_truncation_finest_shape():
     g = build_halfplane_truncation(32.0, 0.25, 0.25)
     assert g.shape == (257, 257)
+
+
+GRIDS = {
+    "1d": lambda: build_box_grid((0.0, 1.0), 0.125),
+    "2d": lambda: build_box_grid(((0.0, 2.0), (0.0, 1.0)), 0.25),
+}
+
+
+def _on_points(pts):
+    return 1.0 + pts[:, 0] ** 2 + pts[:, -1]
+
+
+def _node_values(grid):
+    return _on_points(grid.nodes)
+
+
+def _slice(grid, on):
+    return {"nodes": np.arange(grid.n_nodes), "interior": grid.interior_nodes,
+            "boundary": grid.boundary_nodes}[on]
+
+
+class TestGridField:
+    @pytest.mark.parametrize("dim", sorted(GRIDS))
+    @pytest.mark.parametrize("on", ["nodes", "interior", "boundary"])
+    @pytest.mark.parametrize("form", ["scalar", "callable", "full", "restricted"])
+    def test_every_form_matches_the_explicit_slice(self, dim, on, form):
+        grid = GRIDS[dim]()
+        full = _node_values(grid)
+        expected = full[_slice(grid, on)]
+        value = {
+            "scalar": 2.5,
+            "callable": _on_points,
+            "full": full,
+            "restricted": expected.copy(),
+        }[form]
+        if form == "scalar":
+            expected = np.full(expected.shape, 2.5)
+        out = grid.field(value, on=on, name="probe")
+        assert out.dtype == np.float64
+        np.testing.assert_array_equal(out, expected)
+
+    @pytest.mark.parametrize("dim", sorted(GRIDS))
+    @pytest.mark.parametrize("on", ["nodes", "interior", "boundary"])
+    def test_wrong_length_names_the_field(self, dim, on):
+        grid = GRIDS[dim]()
+        with pytest.raises(ValueError, match="probe must be"):
+            grid.field(np.ones(grid.n_nodes + 1), on=on, name="probe")
+        with pytest.raises(ValueError, match="probe must be"):
+            grid.field(lambda pts: np.ones(3), on=on, name="probe")
+
+    @pytest.mark.parametrize("on", ["nodes", "interior", "boundary"])
+    def test_nan_rejected(self, on):
+        grid = GRIDS["2d"]()
+        with pytest.raises(ValueError, match="probe must be finite"):
+            grid.field(np.nan, on=on, name="probe")
+        bad = _node_values(grid)
+        bad[_slice(grid, on)[0]] = np.inf
+        with pytest.raises(ValueError, match="finite"):
+            grid.field(bad, on=on, name="probe")
+
+    def test_restriction_ignores_values_off_the_target(self):
+        # a full field is sliced before the finiteness check
+        grid = GRIDS["1d"]()
+        full = _node_values(grid)
+        full[grid.interior_nodes] = np.nan
+        np.testing.assert_array_equal(grid.field(full, on="boundary"),
+                                      _node_values(grid)[grid.boundary_nodes])

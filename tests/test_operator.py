@@ -14,7 +14,7 @@ def interval_op(h=0.25, **kw):
 class TestAssemble1D:
     def test_three_point_stencil(self):
         grid, op = interval_op(h=0.25, zero_order_mode="c_zero")
-        m = op.matrix.toarray()
+        m = (-op.K).toarray()
         # interior nodes x = 0.25, 0.5, 0.75; stencil (1, -2, 1)/h^2
         assert m[1, 0] == pytest.approx(16.0)
         assert m[1, 1] == pytest.approx(-32.0)
@@ -40,7 +40,7 @@ class TestAssemble1D:
     def test_upwind_direction(self):
         # b > 0 puts the drift weight on the right neighbor
         grid, op = interval_op(h=0.25, b1=2.0, zero_order_mode="c_zero")
-        m = op.matrix.toarray()
+        m = (-op.K).toarray()
         assert m[1, 2] == pytest.approx(16.0 + 2.0 / 0.25)
         assert m[1, 0] == pytest.approx(16.0)
         # drift is exact on affine fields regardless of direction
@@ -64,7 +64,7 @@ class TestAssemble2D:
         assert op.m_matrix
         ones_i = np.ones(grid.n_interior)
         ones_b = np.ones(grid.n_nodes - grid.n_interior)
-        rowsums = -(op.matrix @ ones_i + op.boundary_coupling @ ones_b)
+        rowsums = -(-op.K @ ones_i + op.B @ ones_b)
         assert np.min(rowsums) >= -1e-12
 
     def test_harmonic_quadratic(self):
@@ -143,3 +143,16 @@ class TestCheckSuperharmonic:
         assert not rep.passed
         assert rep.max_residual == pytest.approx(2.0, abs=1e-9)
         assert 0 <= rep.worst_node < grid.n_nodes
+
+
+class TestApplyFullFieldsOnly:
+    def test_interior_only_field_rejected(self):
+        grid, op = interval_op()
+        with pytest.raises(ValueError, match="full node field"):
+            apply(op, np.ones(grid.n_interior))
+
+    def test_scalar_and_callable_forms(self):
+        grid, op = interval_op(c=-1.0)
+        np.testing.assert_array_equal(apply(op, 3.0), apply(op, np.full(grid.n_nodes, 3.0)))
+        np.testing.assert_array_equal(apply(op, lambda p: p[:, 0] ** 2),
+                                      apply(op, grid.nodes[:, 0] ** 2))
