@@ -120,7 +120,7 @@ def _cmd_criterion(args, cfg: RunConfig) -> int:
 
 def _cmd_green(args, cfg: RunConfig) -> int:
     grid = cfg.grid()
-    oracle = args.oracle or cfg.experiment_opts.get("oracle", "interval")
+    oracle = args.oracle or cfg.experiment_opts["oracle"]
     compare = args.compare
     gop = factorize(assemble(grid, cfg.coeffs))
     header = _position_header(grid.dim) + ["discrete"]
@@ -134,7 +134,7 @@ def _cmd_green(args, cfg: RunConfig) -> int:
     else:
         if grid.dim != 2:
             raise ConfigError("[experiment] oracle", "halfplane oracle needs a 2D grid")
-        source = cfg.experiment_opts.get("source") or (0.0, 1.0)
+        source = cfg.experiment_opts["source"] or (0.0, 1.0)
         try:
             j = grid.index_of(source)
         except ValueError as exc:
@@ -166,8 +166,7 @@ def _cmd_green(args, cfg: RunConfig) -> int:
 
 def _cmd_verify(args, cfg: RunConfig) -> int:
     opts = cfg.experiment_opts
-    results = run_suites(names=opts.get("suites"), seed=args.seed,
-                         trials=opts.get("trials", 25))
+    results = run_suites(names=opts["suites"], seed=args.seed, trials=opts["trials"])
     rows = [[r.name, str(r.trials), str(r.failures),
              "pass" if r.passed else "fail"] for r in results]
     _write_csv(_out(args, cfg, ".csv"), ["suite", "trials", "failures", "status"], rows)
@@ -215,10 +214,7 @@ def _build_parser():
 
 
 def _default_verify_config() -> RunConfig:
-    from .solver import Nonlinearity
-
     cfg = RunConfig(dim=1, spacing=0.125, bbox=((0.0, 1.0),),
-                    coeffs=None, phi=Nonlinearity(phi=lambda p, t: np.zeros(p.shape[0])),
                     experiment="verify", experiment_opts={"suites": None, "trials": 25})
     cfg.basename = "verify"
     return cfg
@@ -229,7 +225,7 @@ def main(argv=None) -> int:
     try:
         if args.config is not None:
             cfg = load_config(args.config)
-            if cfg.experiment != args.command and args.command != "verify":
+            if cfg.experiment != args.command:
                 raise ConfigError("[experiment] type",
                                   f"config declares {cfg.experiment!r} but the "
                                   f"{args.command!r} subcommand was invoked")

@@ -19,7 +19,7 @@ from .geometry import Exhaustion, Grid, build_box_grid, build_exhaustion, build_
 from .operator import EllipticCoefficients
 from .solver import SCHEMES, Nonlinearity
 
-__all__ = ["ConfigError", "RunConfig", "load_config", "field_function", "phi_function"]
+__all__ = ["ConfigError", "RunConfig", "load_config"]
 
 _SECTIONS = ("domain", "operator", "nonlinearity", "solver", "experiment", "output")
 _EXPERIMENTS = ("solve", "exhaust", "thin-check", "criterion", "green", "verify")
@@ -62,7 +62,7 @@ class RunConfig:
     def grid(self) -> Grid:
         if self.halfplane:
             return build_halfplane_truncation(self.radius, self.delta, self.spacing)
-        return build_box_grid(self.bbox if self.dim == 2 else self.bbox[0], self.spacing)
+        return build_box_grid(self.bbox, self.spacing)
 
     def build_exhaustion(self) -> Exhaustion:
         if self.exhaustion is None:
@@ -79,7 +79,10 @@ class RunConfig:
         return f"{value:.{self.precision}g}"
 
 
-def _parse_expr(raw: str, where: str, allowed: set) -> Expr:
+def _parse_expr(raw: str, where: str, dim: int, with_t: bool = False) -> Expr:
+    """Parse an expression over the space variables ("x", "y")[:dim], plus
+    t if with_t."""
+    allowed = set(("x", "y")[:dim]) | ({"t"} if with_t else set())
     try:
         e = parse(raw)
     except ParseError as exc:
@@ -90,29 +93,15 @@ def _parse_expr(raw: str, where: str, allowed: set) -> Expr:
     return e
 
 
-def field_function(e: Expr, dim: int):
-    """Expression over (x, y) -> callable(points) -> values."""
+def _bind(e: Expr):
+    """Expression -> callable(points, t=None) giving its raw value on an
+    (n, dim) point array: one value per point, or a scalar for a constant.
+    Grid.field and Nonlinearity shape and check it."""
 
-    def fn(pts):
-        pts = np.asarray(pts, dtype=float)
-        bind = {"x": pts[:, 0]}
-        if dim == 2:
-            bind["y"] = pts[:, 1]
-        return np.broadcast_to(np.asarray(e.eval(bind), dtype=float), (pts.shape[0],)).copy()
-
-    return fn
-
-
-def phi_function(e: Expr, dim: int):
-    """Expression over (x, y, t) -> callable(points, t) -> values."""
-
-    def fn(pts, t):
-        pts = np.asarray(pts, dtype=float)
-        bind = {"x": pts[:, 0], "t": t}
-        if dim == 2:
-            bind["y"] = pts[:, 1]
-        out = np.asarray(e.eval(bind), dtype=float)
-        return np.broadcast_to(out, (pts.shape[0],)).copy()
+    def fn(pts, t=None):
+        bind = dict(zip(("x", "y"), np.asarray(pts, dtype=float).T))
+        bind["t"] = t
+        return e.eval(bind)
 
     return fn
 
@@ -233,9 +222,9 @@ def _operator(cp, cfg_kw):
         if raw is None:
             kw[key] = _COEFF_DEFAULTS[key]
             continue
-        e = _parse_expr(raw, f"[operator] {key}", {"x", "y"} if dim == 2 else {"x"})
+        e = _parse_expr(raw, f"[operator] {key}", dim)
         if e.variables:
-            kw[key] = field_function(e, dim)
+            kw[key] = _bind(e)
         else:
             kw[key] = float(e.eval({}))
     cfg_kw["coeffs"] = EllipticCoefficients(**kw)
@@ -246,12 +235,10 @@ def _nonlinearity(cp, cfg_kw):
     raw = _get(cp, "nonlinearity", "phi")
     differentiable = _get_bool(cp, "nonlinearity", "differentiable", default=False)
     if raw is None:
-        cfg_kw["phi"] = Nonlinearity(phi=lambda p, t: np.zeros(p.shape[0]),
-                                     differentiable=True)
+        cfg_kw["phi"] = Nonlinearity(phi=lambda p, t: 0.0, differentiable=True)
         return
-    allowed = {"x", "y", "t"} if dim == 2 else {"x", "t"}
-    e = _parse_expr(raw, "[nonlinearity] phi", allowed)
-    cfg_kw["phi"] = Nonlinearity(phi=phi_function(e, dim), differentiable=differentiable)
+    e = _parse_expr(raw, "[nonlinearity] phi", dim, with_t=True)
+    cfg_kw["phi"] = Nonlinearity(phi=_bind(e), differentiable=differentiable)
 
 
 def _solver(cp, cfg_kw):
@@ -275,21 +262,19 @@ def _experiment(cp, cfg_kw):
         raise ConfigError("[experiment] type",
                           f"must be one of {_EXPERIMENTS}, got {kind!r}")
     opts = {}
-    fvars = {"x", "y"} if dim == 2 else {"x"}
 
     if kind == "solve":
         raw = _get(cp, "experiment", "boundary_f", required=True)
-        opts["boundary_f"] = field_function(_parse_expr(raw, "[experiment] boundary_f", fvars), dim)
+        opts["boundary_f"] = _bind(_parse_expr(raw, "[experiment] boundary_f", dim))
     elif kind == "exhaust":
         raw = _get(cp, "experiment", "super_s", required=True)
-        e = _parse_expr(raw, "[experiment] super_s", fvars)
-        opts["super_s"] = field_function(e, dim) if e.variables else float(e.eval({}))
+        e = _parse_expr(raw, "[experiment] super_s", dim)
+        opts["super_s"] = _bind(e) if e.variables else float(e.eval({}))
     elif kind == "thin-check":
         raw = _get(cp, "experiment", "witness_s", required=True)
-        opts["witness_s"] = field_function(_parse_expr(raw, "[experiment] witness_s", fvars), dim)
+        opts["witness_s"] = _bind(_parse_expr(raw, "[experiment] witness_s", dim))
         raw = _get(cp, "experiment", "set_A", required=True)
-        pred_fn = field_function(_parse_expr(raw, "[experiment] set_A", fvars), dim)
-        opts["set_A"] = lambda pts: np.asarray(pred_fn(pts)) != 0.0
+        opts["set_A"] = _bind(_parse_expr(raw, "[experiment] set_A", dim))
         margin = _get_float(cp, "experiment", "margin", required=True)
         if not margin > 0:
             raise ConfigError("[experiment] margin", f"must be positive, got {margin}")
@@ -315,10 +300,8 @@ def _experiment(cp, cfg_kw):
         opts["cell"] = _get_float(cp, "experiment", "cell", default=0.125)
         raw = _get(cp, "experiment", "set_A")
         if raw is not None:
-            avars = {"x", "y"} if kernel == "halfplane" else {"x"}
-            pred_fn = field_function(_parse_expr(raw, "[experiment] set_A", avars),
-                                     2 if kernel == "halfplane" else 1)
-            opts["set_A"] = lambda pts: np.asarray(pred_fn(pts)) != 0.0
+            e = _parse_expr(raw, "[experiment] set_A", 2 if kernel == "halfplane" else 1)
+            opts["set_A"] = _bind(e)
         else:
             opts["set_A"] = None
     elif kind == "green":

@@ -211,7 +211,7 @@ def correspondence_roundtrip(
     h = grid.field(h, name="h")
     if np.min(h) < 0:
         raise ValueError(f"h must be nonnegative; min = {np.min(h):.3e}")
-    harm_res = float(np.max(np.abs(apply_op(op, h)))) if grid.n_interior else 0.0
+    harm_res = float(np.max(np.abs(apply_op(op, h))))
     if harm_res > harmonicity_tol:
         raise ValueError(
             f"h fails the harmonicity check: residual {harm_res:.3e} "

@@ -238,10 +238,7 @@ def build_exhaustion(
             d = spacing if delta is None else delta
             g = build_halfplane_truncation(r0 * scale, d, h)
         else:
-            box = np.asarray(base_bbox, dtype=float)
-            if box.ndim == 1:
-                box = box[None, :]
-            g = build_box_grid(box * scale, h)
+            g = build_box_grid(np.asarray(base_bbox, dtype=float) * scale, h)
         stages.append(g)
 
     for a, b in zip(stages, stages[1:]):

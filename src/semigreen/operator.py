@@ -180,10 +180,10 @@ def assemble(grid: Grid, coeffs: EllipticCoefficients) -> DiscreteOperator:
 
     K = (-matrix).tocsc()
     diag = K.diagonal()
-    offdiag_max = (K - sp.diags(diag)).max() if K.nnz else 0.0
+    offdiag_max = (K - sp.diags(diag)).max()
     # row sums of -L over all columns (interior and boundary): discrete L1 <= 0
     rowsum = K @ np.ones(n_int) - coupling @ np.ones(n_bd)
-    scale = float(np.max(np.abs(diag))) if n_int else 1.0
+    scale = float(np.max(np.abs(diag)))
     m_matrix = bool(
         np.all(diag > 0)
         and offdiag_max <= _SIGN_TOL * scale
@@ -214,11 +214,11 @@ class SuperharmonicReport:
 def check_superharmonic(op: DiscreteOperator, s, tol: float = 1e-9) -> SuperharmonicReport:
     """Check Ls <= tol at interior nodes (discrete superharmonicity of s >= 0)."""
     vals = apply(op, s)
-    worst = int(np.argmax(vals)) if vals.size else 0
-    mx = float(vals[worst]) if vals.size else 0.0
+    worst = int(np.argmax(vals))
+    mx = float(vals[worst])
     return SuperharmonicReport(
         passed=bool(mx <= tol),
         max_residual=mx,
-        worst_node=int(op.grid.interior_nodes[worst]) if vals.size else -1,
+        worst_node=int(op.grid.interior_nodes[worst]),
         tol=tol,
     )

@@ -75,7 +75,8 @@ class Nonlinearity:
 
     phi : callable(points, t) -> values, vectorized over an (n, dim) point
         array with t scalar or length-n; must satisfy phi >= 0, phi
-        increasing in t, and phi(x, t) = 0 for t <= 0.
+        increasing in t, and phi(x, t) = 0 for t <= 0. Every call checks
+        the values are finite and nonnegative; validate probes the rest.
     differentiable : declared smoothness in t; gates the newton scheme.
     """
 
@@ -83,13 +84,22 @@ class Nonlinearity:
     differentiable: bool = False
 
     def __call__(self, points: np.ndarray, t) -> np.ndarray:
+        """phi(points, t) as one value per point; a scalar result is
+        broadcast. Every evaluation is checked: a non-finite or negative
+        value raises ValueError."""
         out = np.asarray(self.phi(points, t), dtype=float)
         if out.ndim == 0:
             out = np.full(points.shape[0], float(out))
+        lo, hi = out.min(), out.max()
+        if not -np.inf < lo <= hi < np.inf:  # a NaN fails every comparison
+            raise ValueError("phi must be finite; it returned a non-finite value")
+        if lo < 0:
+            raise ValueError(f"phi must be nonnegative (H1); it returned {lo:.3e}")
         return out
 
     def validate(self, points: np.ndarray, t_max: float = 1.0) -> None:
-        """Spot-check (H1)-(H3) on sampled nodes and a t probe range."""
+        """Spot-check the vanishing for t <= 0 and the monotonicity in t on
+        sampled nodes and a t probe range (each probe call checks the sign)."""
         m = MONOTONE_CHECK_SAMPLES
         idx = np.linspace(0, points.shape[0] - 1, min(m, points.shape[0])).astype(int)
         pts = points[idx]
@@ -97,10 +107,6 @@ class Nonlinearity:
         prev = None
         for t in probes:
             vals = self(pts, t)
-            if not np.all(np.isfinite(vals)):
-                raise ValueError(f"phi returned non-finite values at t={t}")
-            if np.any(vals < 0):
-                raise ValueError(f"phi must be nonnegative; got {vals.min():.3e} at t={t}")
             if t <= 0 and np.any(vals != 0):
                 raise ValueError(f"phi(x, t) must vanish for t <= 0; got {vals.max():.3e} at t={t}")
             if prev is not None and np.any(vals < prev - 1e-12 * max(1.0, float(np.max(prev)))):
@@ -132,17 +138,8 @@ def apply_T(gop: GreenOperator, f, u, phi: Nonlinearity) -> np.ndarray:
     hf = gop.solve(gop.op.B @ fb)
     out = np.empty(grid.n_nodes)
     out[grid.boundary_nodes] = fb
-    out[grid.interior_nodes] = hf - gop.solve(_phi_checked(phi, pts, ui))
+    out[grid.interior_nodes] = hf - gop.solve(phi(pts, ui))
     return out
-
-
-def _phi_checked(phi: Nonlinearity, pts, t) -> np.ndarray:
-    vals = phi(pts, t)
-    if not np.all(np.isfinite(vals)):
-        raise ValueError("phi returned non-finite values during iteration")
-    if np.any(vals < 0):
-        raise ValueError("phi returned negative values during iteration (H1 violated)")
-    return vals
 
 
 def solve_U(
@@ -171,7 +168,7 @@ def solve_U(
             "scheme=newton requires a nonlinearity declared differentiable"
         )
     pts = grid.nodes[grid.interior_nodes]
-    phi.validate(pts, t_max=float(np.max(fb)) if fb.size else 1.0)
+    phi.validate(pts, t_max=float(np.max(fb)))
 
     out = np.empty(grid.n_nodes)
     out[grid.boundary_nodes] = fb
@@ -205,7 +202,7 @@ def _solve_damped(gop, hf, pts, phi, tol, max_iter, omega):
     u = hf.copy()  # upper envelope start: T maps [0, Hf] downward
     residuals = []
     for it in range(max_iter):
-        tu = hf - gop.solve(_phi_checked(phi, pts, u))
+        tu = hf - gop.solve(phi(pts, u))
         res = float(np.max(np.abs(u - tu)))  # identity residual of u
         residuals.append(res)
         if not (np.isfinite(res) and res > tol):
@@ -222,7 +219,7 @@ def _solve_newton(gop, hf, fb, pts, phi, tol, max_iter):
     u = hf.copy()
     residuals, dead_sizes = [], []
     for it in range(max_iter + 1):
-        p = _phi_checked(phi, pts, u)
+        p = phi(pts, u)
         res = float(np.max(np.abs(u + gop.solve(p) - hf)))  # identity residual
         residuals.append(res)
         if not (np.isfinite(res) and res > tol) or it == max_iter:

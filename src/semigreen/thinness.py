@@ -38,7 +38,7 @@ class ThinnessCertificate:
     """A thinness claim: witness_s >= 1 on set_A, min over the grid
     <= 1 - margin, and witness_s superharmonic.
 
-    set_A: bool node mask or predicate(points) -> bool array.
+    set_A: node mask or predicate(points); nonzero means in A.
     witness_s: node field or callable(points) -> values.
     Both take any form Grid.field accepts on the nodes.
     """
@@ -169,14 +169,8 @@ def _trend(values) -> tuple:
 
 
 def _weight(phi, pts, c0, pred):
-    w = np.asarray(phi(pts, c0), dtype=float)
-    if w.ndim == 0:
-        w = np.full(pts.shape[0], float(w))
-    if np.any(w < 0):
-        raise ValueError("phi(., c0) must be nonnegative for the criterion integral")
-    if pred is not None:
-        w = np.where(pred(pts), 0.0, w)
-    return w
+    w = phi(pts, c0)
+    return w if pred is None else np.where(pred(pts), 0.0, w)
 
 
 def _cell_count(radius, h, what):
@@ -194,20 +188,19 @@ def criterion_integral(
     truncations,
     x0=(0.0, 2.0),
     cell: float = 0.125,
-    singular_correction: bool = True,
 ) -> CriterionReport:
     """Accumulate the kernel-weighted absorption mass outside A.
 
     kernel: "halfplane", ("interval", (a, b)), or callable(x0, pts).
-    phi: Nonlinearity or callable(points, t). set_A: predicate on points,
-    or None for the empty set. truncations: increasing radii; each shell
-    is a difference of cell-aligned regions, so values are nondecreasing
-    by construction.
+    phi: Nonlinearity or callable(points, t); a callable is wrapped in a
+    Nonlinearity, so a non-finite or negative weight raises. set_A:
+    predicate on points (nonzero means in A), or None for the empty set.
+    truncations: increasing radii; each shell is a difference of
+    cell-aligned regions, so values are nondecreasing by construction.
 
     The half-plane kernel's log singularity at x0 is handled by replacing
     the midpoint rule on cells touching x0 with the closed-form integral
-    of the log term; with singular_correction=False such cells raise
-    instead (only legitimate when x0 is separated from the region).
+    of the log term.
     """
     radii = [float(r) for r in truncations]
     if sorted(radii) != radii or len(set(radii)) != len(radii):
@@ -217,6 +210,8 @@ def criterion_integral(
     pred = set_A if (set_A is None or callable(set_A)) else None
     if pred is None and set_A is not None:
         raise ValueError("set_A must be a predicate callable or None")
+    if not isinstance(phi, Nonlinearity):
+        phi = Nonlinearity(phi)
     if isinstance(kernel, tuple) and kernel and kernel[0] == "interval":
         return _criterion_interval(kernel[1], phi, c0, pred, radii, x0, cell)
     if kernel == "halfplane":
@@ -235,8 +230,7 @@ def criterion_integral(
     for r in radii:
         _cell_count(r, cell, "truncation radius")
         for (xa, xb), (ya, yb) in _halfplane_shell_blocks(prev, r):
-            total += _block_sum(kern, phi, c0, pred, x0, cell,
-                               xa, xb, ya, yb, singular_correction)
+            total += _block_sum(kern, phi, c0, pred, x0, cell, xa, xb, ya, yb)
         prev = r
         values.append(total)
     increments, ratios, verdict = _trend(values)
@@ -255,7 +249,7 @@ def _halfplane_shell_blocks(r_in, r_out):
     ]
 
 
-def _block_sum(kern, phi, c0, pred, x0, h, xa, xb, ya, yb, singular_correction):
+def _block_sum(kern, phi, c0, pred, x0, h, xa, xb, ya, yb):
     nx = int(round((xb - xa) / h))
     ny = int(round((yb - ya) / h))
     cx = xa + (np.arange(nx) + 0.5) * h
@@ -277,10 +271,6 @@ def _block_sum(kern, phi, c0, pred, x0, h, xa, xb, ya, yb, singular_correction):
     for k in np.flatnonzero(sing):
         if w[k] == 0.0:
             continue
-        if not singular_correction:
-            raise ValueError(
-                "anchor lies in the closure of the integration region; "
-                "enable singular_correction")
         px, py = pts[k]
         rect = ((px - h / 2, px + h / 2), (py - h / 2, py + h / 2))
         mirror = 0.5 / np.pi * np.log(np.hypot(px - x0[0], py + x0[1])) * h * h

@@ -1,5 +1,6 @@
 import csv
 import filecmp
+import os
 import subprocess
 import sys
 from pathlib import Path
@@ -7,6 +8,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+import semigreen
 from semigreen.cli import main
 from semigreen.config import ConfigError, load_config
 
@@ -288,6 +290,43 @@ class TestCliExperiments:
         assert worst <= 1e-12
         assert "max_abs_error" in capsys.readouterr().out
 
+    @pytest.mark.parametrize("constant, expression", [("0", "y < -1"), ("1", "y > -1")])
+    def test_thin_check_constant_set(self, tmp_path, constant, expression):
+        # a constant expression evaluates to a scalar; it must mean the same
+        # set as an expression that takes that value on every node
+        text = (CONFIGS / "sqrt_witness.ini").read_text()
+        outs = []
+        for n, set_A in enumerate((constant, expression)):
+            cfg = write_ini(tmp_path, text.replace("set_A = y >= 1", f"set_A = {set_A}"),
+                            name=f"run{n}.ini")
+            out = tmp_path / f"out{n}"
+            assert main(["thin-check", "--config", cfg, "--out-dir", str(out)]) == 0
+            outs.append(out / "sqrt_witness.csv")
+        assert filecmp.cmp(*outs, shallow=False)
+        rows = dict(read_csv(outs[0])[1:])
+        assert rows["min_on_A"] == ("inf" if constant == "0" else rows["min_over_grid"])
+
+    @pytest.mark.parametrize("constant, expression", [("0", "y < -1"), ("1", "y > -1")])
+    def test_criterion_constant_set_and_phi(self, tmp_path, constant, expression):
+        # constant phi = 1 and max(t, 0) at c0 = 1 give the same weights
+        text = (CONFIGS / "strip_criterion.ini").read_text()
+        outs = []
+        for n, (phi, set_A) in enumerate((("1", constant), ("max(t, 0)", expression))):
+            body = text.replace("phi = (y < 1) * max(t, 0)", f"phi = {phi}")
+            body = body.replace("cell = 0.125", f"cell = 0.125\nset_A = {set_A}")
+            out = tmp_path / f"out{n}"
+            cfg = write_ini(tmp_path, body, name=f"run{n}.ini")
+            assert main(["criterion", "--config", cfg, "--out-dir", str(out)]) == 0
+            outs.append(out / "strip_criterion.csv")
+        assert filecmp.cmp(*outs, shallow=False)
+        values = [float(r[1]) for r in read_csv(outs[0])[1:]]
+        assert (max(values) == 0.0) == (constant == "1")
+
+    def test_verify_rejects_a_config_of_another_type(self, tmp_path, capsys):
+        assert main(["verify", "--config", str(CONFIGS / "sqrt_witness.ini"),
+                     "--out-dir", str(tmp_path)]) == 2
+        assert "'verify' subcommand" in capsys.readouterr().err
+
     def test_verify_without_config(self, tmp_path, capsys):
         assert main(["verify", "--out-dir", str(tmp_path)]) == 0
         rows = read_csv(tmp_path / "verify.csv")
@@ -299,10 +338,14 @@ class TestCliExperiments:
 
     def test_console_entry_point(self, tmp_path):
         cfg = write_ini(tmp_path, SOLVE_INI)
+        # the child imports the package from where this process found it
+        paths = [str(Path(semigreen.__file__).resolve().parents[1]),
+                 os.environ.get("PYTHONPATH")]
+        env = {**os.environ, "PYTHONPATH": os.pathsep.join(p for p in paths if p)}
         proc = subprocess.run(
             [sys.executable, "-m", "semigreen.cli", "solve",
              "--config", cfg, "--out-dir", str(tmp_path)],
-            capture_output=True, text=True,
+            capture_output=True, text=True, env=env,
         )
         assert proc.returncode == 0
         assert "status=converged" in proc.stdout

@@ -30,6 +30,11 @@ class TestBuildBoxGrid:
         with pytest.raises(ValueError, match="does not divide"):
             build_box_grid((0.0, 1.0), 0.3)
 
+    def test_single_cell_axis_rejected(self):
+        # every grid has at least one interior node
+        with pytest.raises(ValueError, match=">= 2"):
+            build_box_grid((0.0, 1.0), 1.0)
+
     def test_degenerate_box_rejected(self):
         with pytest.raises(ValueError, match="degenerate"):
             build_box_grid((1.0, 1.0), 0.25)

@@ -52,6 +52,19 @@ class TestNonlinearityValidation:
         vals = RAMP(np.zeros((3, 1)), 2.0)
         np.testing.assert_allclose(vals, 2.0)
 
+    def test_scalar_result_broadcasts(self):
+        np.testing.assert_array_equal(Nonlinearity(lambda p, t: 0.5)(np.zeros((3, 1)), 1.0),
+                                      [0.5, 0.5, 0.5])
+
+    @pytest.mark.parametrize("value, match", [(np.nan, "finite"), (np.inf, "finite"),
+                                              (-1.0, "nonnegative")])
+    def test_every_call_rejects_bad_values(self, value, match):
+        bad = Nonlinearity(lambda p, t: np.where(p[:, 0] > 0.5, value, 1.0))
+        with pytest.raises(ValueError, match=match):
+            bad(np.array([[0.25], [0.75]]), 1.0)
+        with pytest.raises(ValueError, match=match):
+            Nonlinearity(lambda p, t: value)(np.zeros((2, 1)), 1.0)
+
 
 class TestSolveBasics:
     def test_zero_data_short_circuit(self):
@@ -243,6 +256,14 @@ class TestComparisonChecks:
         u, _ = solve_U(self.gop, 1.0, RAMP, tol=1e-12)
         with pytest.raises(ValueError, match="full node fields"):
             check_comparison(self.gop, u[self.grid.interior_nodes], u, RAMP)
+
+    @pytest.mark.parametrize("value, match", [(np.nan, "finite"), (-1.0, "nonnegative")])
+    def test_bad_phi_raises(self, value, match):
+        # identical fields satisfy every inequality, so only the phi check can fail
+        u, _ = solve_U(self.gop, 1.0, RAMP, tol=1e-12)
+        bad = Nonlinearity(lambda p, t: np.full(p.shape[0], value))
+        with pytest.raises(ValueError, match=match):
+            check_comparison(self.gop, u, u, bad)
 
     def test_monotone_in_data(self):
         verdict = check_monotone_in_data(self.gop, 1.0, 2.0, RAMP, tol=1e-9)

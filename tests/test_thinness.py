@@ -121,17 +121,6 @@ class TestCriterionHalfplane:
         rep = criterion_integral(flat, one, 1.0, None, [4.0], x0=ANCHOR)
         assert rep.values[0] == pytest.approx(64.0, abs=1e-9)  # area of [-4,4]x(0,8]
 
-    def test_singular_correction_opt_out(self):
-        # fine when the anchor carries no weight, an error when it does
-        rep = criterion_integral("halfplane", strip_phi, 1.0, None, [4.0],
-                                 x0=ANCHOR, singular_correction=False)
-        ref = criterion_integral("halfplane", strip_phi, 1.0, None, [4.0], x0=ANCHOR)
-        assert rep.values == ref.values
-        one = lambda p, t: np.maximum(t, 0.0)
-        with pytest.raises(ValueError, match="singular_correction"):
-            criterion_integral("halfplane", one, 1.0, None, [4.0],
-                               x0=ANCHOR, singular_correction=False)
-
     def test_input_validation(self):
         one = lambda p, t: np.maximum(t, 0.0)
         with pytest.raises(ValueError, match="increasing"):
@@ -174,6 +163,18 @@ class TestCriterionInterval:
         one = lambda p, t: np.maximum(t, 0.0)
         with pytest.raises(ValueError, match="endpoints"):
             criterion_integral(("interval", (1.0, 0.0)), one, 1.0, None, [0.5], x0=(0.5,))
+
+
+@pytest.mark.parametrize("kernel, x0", [("halfplane", ANCHOR),
+                                        (("interval", (0.0, 1.0)), (0.5,))])
+@pytest.mark.parametrize("value, match", [(np.nan, "finite"), (np.inf, "finite"),
+                                          (-1.0, "nonnegative")])
+def test_criterion_rejects_bad_phi(kernel, x0, value, match):
+    # a bare callable is checked like a Nonlinearity
+    bad = lambda p, t: np.full(p.shape[0], value)
+    for phi in (bad, Nonlinearity(bad)):
+        with pytest.raises(ValueError, match=match):
+            criterion_integral(kernel, phi, 1.0, None, [0.5], x0=x0)
 
 
 class TestMaskPredicate:
