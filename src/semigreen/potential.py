@@ -3,21 +3,24 @@ closed-form kernels used as oracles: interval Green function, half-plane
 Green function, and the half-space Poisson kernel with its extension
 quadrature.
 
-Both discrete operations share one sparse LU factorization of K = -L
-restricted to interior nodes:
+Both discrete operations are one linear solve with K = -L restricted to
+interior nodes, through one GreenOperator per operator:
 
     harmonic extension   h = K^-1 B f   (Lh = 0 inside, h = f on the boundary)
     Green potential      g = K^-1 psi   (Lg = -psi inside, g = 0 on the boundary)
 
-Factorizations are immutable; concurrent solves are serialized behind a
-lock so the external contract (all operations callable concurrently)
-holds regardless of the SuperLU build.
+A GreenOperator picks its solve path once, from K. When K is the separable
+constant-coefficient stencil on the full box interior (one diagonal value
+and one neighbour coupling per axis, nothing else), the DST-I diagonalizes
+it exactly (Buzbee, Golub and Nielson, SIAM J. Numer. Anal. 7(4), 1970) and
+a solve is a forward transform, a division by the eigenvalues and an
+inverse transform. Every other K (drift, variable coefficients, a cross
+term) gets a sparse LU factorization, the only one in the package.
 """
 
 from __future__ import annotations
 
 import math
-import threading
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -37,29 +40,78 @@ __all__ = [
 ]
 
 
+def _separable_eigenvalues(op: DiscreteOperator) -> np.ndarray | None:
+    """Eigenvalues of K on the interior shape m when K is exactly the
+    separable stencil: one value d0 on the diagonal, one value -c_ax on every
+    pair of neighbours along axis ax, and no other entry (so no coupling
+    across an axis wrap). None otherwise.
+
+    The eigenvector of index k (1-based per axis) is the product of
+    sin(pi k_ax j_ax / (m_ax + 1)) over the axes, with eigenvalue
+    d0 - sum_ax 2 c_ax cos(pi k_ax / (m_ax + 1)).
+    """
+    K = op.K
+    m = tuple(n - 2 for n in op.grid.shape)
+    n = K.shape[0]
+    if n != math.prod(m):
+        return None
+    # lattice step from the row node to the column node of each stored entry
+    # (interior nodes are C-ordered over m)
+    col = np.repeat(np.arange(n), np.diff(K.indptr))
+    step = np.subtract(np.unravel_index(col, m), np.unravel_index(K.indices, m))
+    dist = np.abs(step)
+    if np.any(dist.sum(axis=0) > 1):
+        return None  # a cross term, or a coupling beyond the nearest neighbours
+    kind = np.where(dist.any(axis=0), 1 + dist.argmax(axis=0), 0)  # 0: diagonal, 1 + ax: along ax
+    # every position of the stencil is stored (K has no duplicate entries)
+    full = [n] + [2 * (n // m[ax]) * (m[ax] - 1) for ax in range(len(m))]
+    if np.bincount(kind, minlength=len(m) + 1).tolist() != full:
+        return None
+    value = np.zeros(len(m) + 1)
+    value[kind] = K.data  # one of the stored values of each kind ...
+    if not np.array_equal(K.data, value[kind]):  # ... which all the others must equal
+        return None
+    lam = value[0]
+    for ax in range(len(m)):
+        k = np.arange(1, m[ax] + 1).reshape((-1,) + (1,) * (len(m) - ax - 1))
+        lam = lam + 2.0 * value[1 + ax] * np.cos(math.pi * k / (m[ax] + 1))
+    return lam
+
+
 @dataclass
 class GreenOperator:
-    """Factorized solve handle over a DiscreteOperator's interior system.
+    """Solve handle over a DiscreteOperator's interior system.
 
     Sign convention: solves K v = rhs with K = -matrix, so Green data enters
-    with a plus sign and L(G psi) = -psi. Building one runs the only sparse
-    LU factorization in the package.
+    with a plus sign and L(G psi) = -psi. Building one picks the solve path:
+    the DST-I when K is the separable constant-coefficient stencil (see
+    _separable_eigenvalues), otherwise a sparse LU factorization, the only
+    one in the package.
     """
 
     op: DiscreteOperator
-    _lu: object = field(init=False, repr=False)
+    _lam: np.ndarray | None = field(default=None, init=False, repr=False)  # DST-I eigenvalues of K
+    _lu: object = field(default=None, init=False, repr=False)  # SuperLU when K is not separable
     _kappa: float | None = field(default=None, init=False, repr=False)  # cache of condition_factor
-    _lock: threading.Lock = field(default_factory=threading.Lock, repr=False)
 
     def __post_init__(self):
+        self._lam = _separable_eigenvalues(self.op)
+        if self._lam is not None:
+            return
         try:
             self._lu = spla.splu(self.op.K)
         except RuntimeError as e:
             raise RuntimeError(f"singular interior system: {e}") from e
 
     def solve(self, rhs: np.ndarray) -> np.ndarray:
-        with self._lock:
-            return self._lu.solve(np.asarray(rhs, dtype=float))
+        rhs = np.asarray(rhs, dtype=float)
+        if self._lu is not None:
+            return self._lu.solve(rhs)
+        import scipy.fft  # imported on first use: it adds to the CLI's start-up time
+
+        coef = scipy.fft.dstn(rhs.reshape(self._lam.shape), type=1)
+        coef /= self._lam
+        return scipy.fft.idstn(coef, type=1, overwrite_x=True).ravel()
 
     @property
     def grid(self):

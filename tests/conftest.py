@@ -2,7 +2,9 @@ import time
 from pathlib import Path
 
 import pytest
+import scipy.sparse.linalg as spla
 
+from semigreen import potential
 from semigreen.config import load_config
 from semigreen.exhaustion import run_exhaustion
 
@@ -18,6 +20,21 @@ def pytest_terminal_summary(terminalreporter):
         terminalreporter.section("acceptance criteria")
         for line in ACCEPTANCE_LINES:
             terminalreporter.write_line(line)
+
+
+@pytest.fixture
+def splu_calls(monkeypatch):
+    """One entry per spla.splu call that semigreen.potential makes while
+    the test runs."""
+    calls = []
+
+    class CountingLinalg:
+        def splu(self, *args, **kwargs):
+            calls.append(1)
+            return spla.splu(*args, **kwargs)
+
+    monkeypatch.setattr(potential, "spla", CountingLinalg())
+    return calls
 
 
 @pytest.fixture(scope="session")

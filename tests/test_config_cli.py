@@ -21,6 +21,13 @@ def write_ini(tmp_path, text, name="run.ini"):
     return str(p)
 
 
+def child_env():
+    # a child interpreter imports the package from where this process found it
+    paths = [str(Path(semigreen.__file__).resolve().parents[1]),
+             os.environ.get("PYTHONPATH")]
+    return {**os.environ, "PYTHONPATH": os.pathsep.join(p for p in paths if p)}
+
+
 SOLVE_INI = """\
 [domain]
 dim = 1
@@ -338,14 +345,20 @@ class TestCliExperiments:
 
     def test_console_entry_point(self, tmp_path):
         cfg = write_ini(tmp_path, SOLVE_INI)
-        # the child imports the package from where this process found it
-        paths = [str(Path(semigreen.__file__).resolve().parents[1]),
-                 os.environ.get("PYTHONPATH")]
-        env = {**os.environ, "PYTHONPATH": os.pathsep.join(p for p in paths if p)}
         proc = subprocess.run(
             [sys.executable, "-m", "semigreen.cli", "solve",
              "--config", cfg, "--out-dir", str(tmp_path)],
-            capture_output=True, text=True, env=env,
+            capture_output=True, text=True, env=child_env(),
         )
         assert proc.returncode == 0
         assert "status=converged" in proc.stdout
+
+    def test_import_leaves_fft_unloaded(self):
+        # scipy.fft is loaded by the first DST solve, not at start-up
+        proc = subprocess.run(
+            [sys.executable, "-c",
+             "import sys, semigreen.cli; print('scipy.fft' in sys.modules)"],
+            capture_output=True, text=True, env=child_env(),
+        )
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stdout.strip() == "False"

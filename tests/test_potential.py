@@ -1,10 +1,13 @@
 import math
+from pathlib import Path
 
 import numpy as np
 import pytest
+import scipy.sparse.linalg as spla
 from hypothesis import given, settings, strategies as st
 from scipy.integrate import quad
 
+from semigreen.config import load_config
 from semigreen.geometry import build_box_grid, build_halfplane_truncation
 from semigreen.operator import EllipticCoefficients, assemble
 from semigreen.potential import (
@@ -202,3 +205,53 @@ class TestFactorization:
         sol = gop.solve(rhs)
         np.testing.assert_allclose(op.K @ sol, rhs, atol=1e-11)
         assert gop.grid is grid
+
+
+CONFIGS = Path(__file__).resolve().parent.parent / "configs"
+
+# (bbox, spacing, coefficients) whose K is the separable constant stencil
+SEPARABLE = {
+    "1d": ((0.0, 1.0), 1 / 64, EllipticCoefficients(zero_order_mode="c_zero")),
+    "isotropic_2d": (((0.0, 1.0), (0.0, 1.0)), 1 / 16, EllipticCoefficients()),
+    # a11 != a22, hx != hy and a non-square box: a swapped axis order fails
+    "anisotropic_2d": (((0.0, 1.0), (0.0, 3.0)), (1 / 8, 1 / 4),
+                       EllipticCoefficients(a11=2.0, a22=0.5)),
+    "constant_c": (((-1.0, 1.0), (0.25, 2.25)), 0.125, EllipticCoefficients(c=-1.5)),
+}
+NOT_SEPARABLE = {
+    "drift": EllipticCoefficients(b1=0.5),
+    "variable_a11": EllipticCoefficients(a11=lambda p: 1.0 + p[:, 0]),
+    "cross_term": EllipticCoefficients(a12=0.2),
+}
+
+
+class TestSolvePath:
+    @pytest.mark.parametrize("case", sorted(SEPARABLE))
+    def test_separable_operator_skips_lu(self, case, splu_calls):
+        bbox, h, coeffs = SEPARABLE[case]
+        factorize(assemble(build_box_grid(bbox, h), coeffs))
+        assert splu_calls == []
+
+    @pytest.mark.parametrize("path", sorted(CONFIGS.glob("*.ini")), ids=lambda p: p.stem)
+    def test_shipped_configs_skip_lu(self, path, splu_calls):
+        cfg = load_config(str(path))
+        factorize(assemble(cfg.grid(), cfg.coeffs))
+        assert splu_calls == []
+
+    @pytest.mark.parametrize("case", sorted(NOT_SEPARABLE))
+    def test_other_operators_use_lu(self, case, splu_calls):
+        grid = build_box_grid(((0.0, 1.0), (0.0, 1.0)), 0.125)
+        factorize(assemble(grid, NOT_SEPARABLE[case]))
+        assert splu_calls == [1]
+
+    @pytest.mark.parametrize("case", sorted(SEPARABLE))
+    def test_dst_solve_agrees_with_lu(self, case):
+        bbox, h, coeffs = SEPARABLE[case]
+        op = assemble(build_box_grid(bbox, h), coeffs)
+        gop, lu = factorize(op), spla.splu(op.K)
+        rng = np.random.default_rng(5)
+        for _ in range(3):
+            rhs = rng.standard_normal(op.grid.n_interior)
+            x, ref = gop.solve(rhs), lu.solve(rhs)
+            assert np.max(np.abs(x - ref)) <= 1e-12 * np.max(np.abs(ref))
+            assert np.max(np.abs(op.K @ x - rhs)) <= 10.0 * np.max(np.abs(op.K @ ref - rhs))

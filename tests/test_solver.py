@@ -283,19 +283,11 @@ class TestComparisonChecks:
 
 
 class TestFactorizationCount:
-    def test_comparison_suite_factorizes_once_per_trial(self, monkeypatch):
+    def test_comparison_suite_factorizes_once_per_trial(self, splu_calls):
         # check_comparison reuses the caller's factorization
-        calls = []
-
-        class CountingLinalg:
-            def splu(self, *args, **kwargs):
-                calls.append(1)
-                return spla.splu(*args, **kwargs)
-
-        monkeypatch.setattr(potential, "spla", CountingLinalg())
         (result,) = run_suites(["comparison"], trials=5)
         assert result.passed
-        assert len(calls) == 5
+        assert len(splu_calls) == 5
 
     def test_comparison_suite_computes_kappa_once_per_trial(self, monkeypatch):
         # both check_comparison calls of a trial read one cached kappa
