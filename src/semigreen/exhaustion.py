@@ -82,7 +82,11 @@ def run_exhaustion(
     scalar skips the check when c vanishes identically: constants are then
     harmonic). The
     decrease u_{n+1} <= u_n + kappa*tol on shared nodes is enforced; a
-    violation means the discretization, not the math, is wrong.
+    violation means the discretization, not the math, is wrong. Each stage
+    after the first is warm-started (solve_U's start) from s with the
+    previous stage's solution written onto the shared nodes: by that
+    decrease it lies above the new solution, and on the new nodes
+    H f <= s leaves the start at H f.
     """
     fields, gops, anchors, tails, reports = [], [], [], [], []
     slack = -np.inf
@@ -100,7 +104,13 @@ def run_exhaustion(
                     f"stage {n}: supersolution data fails the superharmonic check "
                     f"(residual {rep.max_residual:.3e} at node {rep.worst_node})"
                 )
-        u, srep = solve_U(gop, sf, phi, tol=tol, max_iter=max_iter, scheme=scheme)
+        start = None
+        if prev_grid is not None:
+            own, prior = shared_node_indices(prev_grid, grid)
+            start = sf.copy()
+            start[prior] = fields[-1][own]
+        u, srep = solve_U(gop, sf, phi, tol=tol, max_iter=max_iter, scheme=scheme,
+                          start=start)
         if srep.status != "converged":
             last = ", ".join(f"{r:.3e}" for r in srep.residual_history[-3:])
             dead = (f"; final dead set {srep.dead_set_history[-1]} nodes"
@@ -109,7 +119,6 @@ def run_exhaustion(
                 f"stage {n}: solve ended with status {srep.status!r} "
                 f"(last identity residuals {last}{dead})", srep)
         if prev_grid is not None:
-            own, prior = shared_node_indices(prev_grid, grid)
             defect = float(np.max(u[prior] - fields[-1][own]))
             slack = max(slack, defect)
             bound = condition_factor(gops[-1]) * tol

@@ -15,7 +15,9 @@ and one neighbour coupling per axis, nothing else), the DST-I diagonalizes
 it exactly (Buzbee, Golub and Nielson, SIAM J. Numer. Anal. 7(4), 1970) and
 a solve is a forward transform, a division by the eigenvalues and an
 inverse transform. Every other K (drift, variable coefficients, a cross
-term) gets a sparse LU factorization, the only one in the package.
+term) gets a sparse LU factorization. That is the only sparse LU of a Green
+solve; the newton scheme of solver.py still factorizes its Jacobian with
+spla.spsolve on every iteration (ROADMAP item 2 routes it through here).
 """
 
 from __future__ import annotations
@@ -86,7 +88,7 @@ class GreenOperator:
     with a plus sign and L(G psi) = -psi. Building one picks the solve path:
     the DST-I when K is the separable constant-coefficient stencil (see
     _separable_eigenvalues), otherwise a sparse LU factorization, the only
-    one in the package.
+    one of a Green solve (newton's Jacobian solves do not come here yet).
     """
 
     op: DiscreteOperator

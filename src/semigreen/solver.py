@@ -28,7 +28,12 @@ schemes, run by two loops:
   larger of an absolute-step and a relative-step secant; for concave phi
   this is tangent-quality, which keeps the descent monotone even on
   degenerate dead-core problems where an absolute step alone chatters.
+  The Jacobian is structurally symmetric, so its sparse LU orders columns
+  by minimum degree on A^T + A (ORDERING) rather than COLAMD's A^T A.
 
+Every scheme starts from min(H f, start); a start above the solution, such
+as the solution on a smaller domain with the same data, keeps the envelopes
+bracketing and lets newton predict the dead set from its first step.
 Convergence is declared on the identity residual ||u + G phi(u) - H f||_inf.
 """
 
@@ -59,6 +64,7 @@ __all__ = [
 SCHEMES = ("sandwich", "damped_picard", "newton")
 MONOTONE_CHECK_SAMPLES = 16  # probe count of Nonlinearity.validate
 THETA = 0.03  # newton: a node whose new value would be <= 0 shrinks to THETA * u
+ORDERING = "MMD_AT_PLUS_A"  # newton: the Jacobian K + diag(phi') is structurally symmetric
 
 
 class NonConvergence(RuntimeError):
@@ -150,8 +156,16 @@ def solve_U(
     max_iter: int = 200,
     scheme: str = "sandwich",
     omega: float = 0.5,
+    start=None,
 ) -> tuple:
     """Solve u = H_D f - G_D phi(., u) for boundary data f >= 0.
+
+    Every scheme starts from min(H_D f, start) on the interior (H_D f when
+    start is None); start takes any form Grid.field accepts on the
+    interior. It should lie above the solution for the sandwich envelopes
+    to bracket it: a solution on a smaller domain with the same
+    superharmonic data does, which is how run_exhaustion warm-starts each
+    stage.
 
     Returns (u, SolveReport); u is a full node field with u = f on the
     boundary. Non-convergence is reported in SolveReport.status, not
@@ -161,6 +175,8 @@ def solve_U(
         raise ValueError(f"unknown scheme {scheme!r}; expected one of {SCHEMES}")
     grid = gop.grid
     fb = grid.field(f, on="boundary", name="boundary data")
+    if start is not None:
+        start = grid.field(start, on="interior", name="start")
     if np.min(fb) < 0:
         raise ValueError(f"boundary data must be nonnegative; min f = {np.min(fb):.3e}")
     if scheme == "newton" and not phi.differentiable:
@@ -180,10 +196,11 @@ def solve_U(
         return out, report
 
     hf = gop.solve(gop.op.B @ fb)
+    u0 = hf if start is None else np.minimum(hf, start)
     if scheme == "newton":
-        ui, report = _solve_newton(gop, hf, fb, pts, phi, tol, max_iter)
+        ui, report = _solve_newton(gop, hf, u0, fb, pts, phi, tol, max_iter)
     else:
-        ui, report = _solve_damped(gop, hf, pts, phi, tol, max_iter,
+        ui, report = _solve_damped(gop, hf, u0, pts, phi, tol, max_iter,
                                    1.0 if scheme == "sandwich" else omega)
     report.scheme = scheme
     out[grid.interior_nodes] = ui
@@ -196,10 +213,10 @@ def _status(res_hist, tol):
     return "converged" if res_hist[-1] <= tol else "max_iter"
 
 
-def _solve_damped(gop, hf, pts, phi, tol, max_iter, omega):
+def _solve_damped(gop, hf, u0, pts, phi, tol, max_iter, omega):
     if not (0 < omega <= 1):
         raise ValueError(f"omega must be in (0, 1], got {omega}")
-    u = hf.copy()  # upper envelope start: T maps [0, Hf] downward
+    u = u0  # upper envelope start when u0 lies above the fixed point, as Hf does
     residuals = []
     for it in range(max_iter):
         tu = hf - gop.solve(phi(pts, u))
@@ -211,12 +228,12 @@ def _solve_damped(gop, hf, pts, phi, tol, max_iter, omega):
     return u, SolveReport(max_iter, residuals, _status(residuals, tol))
 
 
-def _solve_newton(gop, hf, fb, pts, phi, tol, max_iter):
+def _solve_newton(gop, hf, u0, fb, pts, phi, tol, max_iter):
     K = gop.op.K
     kdiag = K.diagonal()
     bf = gop.op.B @ fb
 
-    u = hf.copy()
+    u = u0
     residuals, dead_sizes = [], []
     for it in range(max_iter + 1):
         p = phi(pts, u)
@@ -234,12 +251,13 @@ def _solve_newton(gop, hf, fb, pts, phi, tol, max_iter):
         dead = u <= direct / kdiag
         dead_sizes.append(int(np.count_nonzero(dead)))
         if not dead_sizes[-1]:
-            new = u + spla.spsolve(K + sp.diags(d), -direct)
+            new = u + spla.spsolve(K + sp.diags(d), -direct, permc_spec=ORDERING)
         else:
             free = np.flatnonzero(~dead)
             rhs = (K @ np.where(dead, u, 0.0))[free] - direct[free]  # K_IA u_A - F_I
             new = np.zeros_like(u)
-            new[free] = u[free] + spla.spsolve(K[free][:, free] + sp.diags(d[free]), rhs)
+            new[free] = u[free] + spla.spsolve(K[free][:, free] + sp.diags(d[free]), rhs,
+                                               permc_spec=ORDERING)
         u = np.where(new <= 0.0, THETA * u, new)
 
 

@@ -16,7 +16,7 @@ from semigreen.geometry import (
 )
 from semigreen.operator import EllipticCoefficients, assemble
 from semigreen.potential import factorize
-from semigreen.solver import NonConvergence, Nonlinearity, condition_factor
+from semigreen.solver import NonConvergence, Nonlinearity, condition_factor, solve_U
 
 LAPLACE = EllipticCoefficients(zero_order_mode="c_zero")
 RAMP = Nonlinearity(lambda p, t: np.maximum(t, 0.0), differentiable=True)
@@ -102,6 +102,21 @@ class TestRunExhaustion:
             own, prior = shared_node_indices(g1, g2)
             worst = max(worst, float(np.max(u2[prior] - u1[own])))
         assert worst == pytest.approx(run.monotone_slack, abs=1e-14)
+
+
+class TestWarmStart:
+    def test_stages_start_from_the_previous_solution(self):
+        # the base stage is wide enough to hold a dead core
+        exh = build_exhaustion(8.0, 2.0, 3, spacing=0.5, halfplane=True, delta=0.5)
+        tol = 1e-10
+        run = run_exhaustion(exh, LAPLACE, SQRT_N, 1.0, tol=tol, scheme="newton",
+                             track_majorants=False)
+        assert all(rep.dead_set_history[0] > 0 for rep in run.reports[1:])
+        for (grid, u, _), rep in zip(run.stages, run.reports):
+            gop = factorize(assemble(grid, LAPLACE))
+            cold, cold_rep = solve_U(gop, 1.0, SQRT_N, tol=tol, scheme="newton")
+            assert rep.iterations == cold_rep.iterations
+            assert np.max(np.abs(u - cold)) <= condition_factor(gop) * tol
 
 
 class TestTrendClassifier:

@@ -100,6 +100,14 @@ class TestSolveBasics:
         assert rep.status == "max_iter"
         assert np.all(np.isfinite(u))
 
+    @pytest.mark.parametrize("start, match", [(np.ones(3), "start must be a scalar"),
+                                              (np.nan, "start must be finite")])
+    def test_bad_start_rejected(self, start, match):
+        grid, op, gop = laplace((0.0, 1.0), 0.125)
+        for scheme in ("sandwich", "newton"):
+            with pytest.raises(ValueError, match=match):
+                solve_U(gop, 1.0, RAMP, scheme=scheme, start=start)
+
 
 class TestBenchmark:
     """u'' = u on (0,1), u(0) = u(1) = 1: solution cosh(x - 1/2)/cosh(1/2)."""
@@ -326,9 +334,9 @@ class TestFreeSetNewton:
         sizes = []
 
         class RecordingLinalg:
-            def spsolve(self, A, b):
+            def spsolve(self, A, b, **kw):
                 sizes.append(A.shape[0])
-                return spla.spsolve(A, b)
+                return spla.spsolve(A, b, **kw)
 
         monkeypatch.setattr(solver, "spla", RecordingLinalg())
         grid, gop = halfplane_sqrt(0.25, radius=4.0)
@@ -337,6 +345,29 @@ class TestFreeSetNewton:
         assert len(rep.dead_set_history) == rep.iterations
         assert max(rep.dead_set_history) > 0
         assert sizes == [grid.n_interior - a for a in rep.dead_set_history]
+
+    def test_every_linear_solve_uses_the_symmetric_ordering(self, monkeypatch):
+        orderings = []
+
+        class RecordingLinalg:
+            def spsolve(self, A, b, **kw):
+                orderings.append(kw.get("permc_spec"))
+                return spla.spsolve(A, b, **kw)
+
+        monkeypatch.setattr(solver, "spla", RecordingLinalg())
+        _, gop = halfplane_sqrt(0.25, radius=4.0)
+        _, rep = solve_U(gop, 1.0, SQRT_N, tol=1e-10, scheme="newton")
+        # both the full-size step and the free-block step ran
+        assert 0 in rep.dead_set_history and max(rep.dead_set_history) > 0
+        assert orderings == [solver.ORDERING] * rep.iterations
+
+    def test_ordering_leaves_the_solution_unchanged(self, monkeypatch):
+        _, gop = halfplane_sqrt(0.25, radius=4.0)
+        u, rep = solve_U(gop, 1.0, SQRT_N, tol=1e-10, scheme="newton")
+        monkeypatch.setattr(solver, "ORDERING", "COLAMD")
+        ref, ref_rep = solve_U(gop, 1.0, SQRT_N, tol=1e-10, scheme="newton")
+        assert rep.dead_set_history == ref_rep.dead_set_history
+        assert np.max(np.abs(u - ref)) <= 1e-12 * np.max(np.abs(ref))
 
     def test_picard_schemes_record_no_dead_set(self):
         _, gop = halfplane_sqrt(0.25, radius=2.0)
