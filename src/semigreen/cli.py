@@ -9,7 +9,6 @@ failure, 3 numerical non-convergence.
 from __future__ import annotations
 
 import argparse
-import csv
 import os
 import sys
 
@@ -26,11 +25,18 @@ from .verification import run_suites
 __all__ = ["main"]
 
 
-def _write_csv(path: str, header, rows):
+def _write_columns(path: str, cfg: RunConfig, header, columns):
+    """Write a CSV file from equal-length columns. A numpy array column is
+    written with cfg.float_format; any other column is a list of ready-made
+    strings (stage numbers, statuses, empty cells), written as they are.
+    Numbers and the program's own strings hold no comma, quote or newline,
+    so no cell is quoted."""
+    row = ",".join(cfg.float_format if isinstance(c, np.ndarray) else "%s"
+                   for c in columns) + "\n"
+    cells = [c.tolist() if isinstance(c, np.ndarray) else c for c in columns]
     with open(path, "w", encoding="utf-8", newline="") as fh:
-        w = csv.writer(fh, lineterminator="\n")
-        w.writerow(header)
-        w.writerows(rows)
+        fh.write(",".join(header) + "\n")
+        fh.writelines(map(row.__mod__, zip(*cells, strict=True)))
 
 
 def _out(args, cfg: RunConfig, suffix: str) -> str:
@@ -52,16 +58,15 @@ def _cmd_solve(args, cfg: RunConfig) -> int:
     u, rep = solve_U(gop, f, cfg.phi, tol=tol, max_iter=max_iter,
                      scheme=scheme, omega=cfg.omega)
 
-    rows = [[cfg.fmt(c) for c in pt] + [cfg.fmt(v)] for pt, v in zip(grid.nodes, u)]
-    _write_csv(_out(args, cfg, ".csv"), _position_header(grid.dim) + ["u"], rows)
+    _write_columns(_out(args, cfg, ".csv"), cfg, _position_header(grid.dim) + ["u"],
+                   list(grid.nodes.T) + [u])
+    residuals = np.array(rep.residual_history, dtype=float)
+    n = len(residuals)
     # under sandwich the step gap of each iterate is the envelope gap
-    sandwich = rep.scheme == "sandwich"
-    log_rows = [
-        [str(i), cfg.fmt(r) if sandwich else "", cfg.fmt(r)]
-        for i, r in enumerate(rep.residual_history)
-    ]
-    _write_csv(_out(args, cfg, "_log.csv"),
-               ["iteration", "envelope_gap", "identity_residual"], log_rows)
+    gaps = residuals if rep.scheme == "sandwich" else [""] * n
+    _write_columns(_out(args, cfg, "_log.csv"), cfg,
+                   ["iteration", "envelope_gap", "identity_residual"],
+                   [[str(i) for i in range(n)], gaps, residuals])
     print(f"status={rep.status} iterations={rep.iterations} "
           f"identity_residual={cfg.fmt(rep.final_identity_residual)}")
     return 0 if rep.status == "converged" else 3
@@ -71,13 +76,14 @@ def _cmd_exhaust(args, cfg: RunConfig) -> int:
     exh = cfg.build_exhaustion()
     run = run_exhaustion(exh, cfg.coeffs, cfg.phi, cfg.experiment_opts["super_s"],
                          tol=cfg.tol, max_iter=cfg.max_iter, scheme=cfg.scheme)
-    rows = [
-        [str(n), cfg.fmt(run.anchor_values[n]), cfg.fmt(run.tail_metrics[n]),
-         cfg.fmt(float(np.min(u))), cfg.fmt(float(np.max(u)))]
-        for n, (_, u, _) in enumerate(run.stages)
-    ]
-    _write_csv(_out(args, cfg, ".csv"),
-               ["stage", "anchor_value", "identity_residual", "min_u", "max_u"], rows)
+    fields = [u for _, u, _ in run.stages]
+    _write_columns(_out(args, cfg, ".csv"), cfg,
+                   ["stage", "anchor_value", "identity_residual", "min_u", "max_u"],
+                   [[str(n) for n in range(len(fields))],
+                    np.array(run.anchor_values, dtype=float),
+                    np.array(run.tail_metrics, dtype=float),
+                    np.array([np.min(u) for u in fields]),
+                    np.array([np.max(u) for u in fields])])
     verdict = f"verdict={run.triviality_verdict}"
     with open(_out(args, cfg, "_verdict.txt"), "w", encoding="utf-8") as fh:
         fh.write(verdict + "\n")
@@ -91,14 +97,11 @@ def _cmd_thin_check(args, cfg: RunConfig) -> int:
     cert = ThinnessCertificate(set_A=opts["set_A"], witness_s=opts["witness_s"],
                                margin=opts["margin"])
     verdict = verify_certificate(grid, cfg.coeffs, cert)
-    rows = [
-        ["passed", str(verdict.passed).lower()],
-        ["margin", cfg.fmt(opts["margin"])],
-        ["min_over_grid", cfg.fmt(verdict.min_over_grid)],
-        ["min_on_A", cfg.fmt(verdict.min_on_A)],
-        ["superharmonic_residual", cfg.fmt(verdict.superharmonic_residual)],
-    ]
-    _write_csv(_out(args, cfg, ".csv"), ["field", "value"], rows)
+    _write_columns(_out(args, cfg, ".csv"), cfg, ["field", "value"], [
+        ["passed", "margin", "min_over_grid", "min_on_A", "superharmonic_residual"],
+        [str(verdict.passed).lower(), cfg.fmt(opts["margin"]), cfg.fmt(verdict.min_over_grid),
+         cfg.fmt(verdict.min_on_A), cfg.fmt(verdict.superharmonic_residual)],
+    ])
     tail = "" if verdict.passed else " " + "; ".join(verdict.reasons)
     print(f"verdict={'pass' if verdict.passed else 'fail'}{tail}")
     return 0
@@ -108,12 +111,13 @@ def _cmd_criterion(args, cfg: RunConfig) -> int:
     opts = cfg.experiment_opts
     rep = criterion_integral(opts["kernel"], cfg.phi, opts["c0"], opts["set_A"],
                              opts["truncations"], x0=opts["x0"], cell=opts["cell"])
-    rows = []
-    for k, (r, v) in enumerate(zip(rep.radii, rep.values)):
-        inc = cfg.fmt(rep.increments[k - 1]) if k >= 1 else ""
-        rat = cfg.fmt(rep.ratios[k - 2]) if k >= 2 else ""
-        rows.append([cfg.fmt(r), cfg.fmt(v), inc, rat])
-    _write_csv(_out(args, cfg, ".csv"), ["radius", "value", "increment", "ratio"], rows)
+    n = len(rep.radii)
+    # increments start on the second row, ratios on the third
+    increments = [""] * min(n, 1) + [cfg.fmt(x) for x in rep.increments]
+    ratios = [""] * min(n, 2) + [cfg.fmt(x) for x in rep.ratios]
+    _write_columns(_out(args, cfg, ".csv"), cfg, ["radius", "value", "increment", "ratio"],
+                   [np.array(rep.radii, dtype=float), np.array(rep.values, dtype=float),
+                    increments, ratios])
     print(f"verdict={rep.verdict}")
     return 0
 
@@ -144,22 +148,16 @@ def _cmd_green(args, cfg: RunConfig) -> int:
         e = np.zeros(grid.n_interior)
         e[np.searchsorted(grid.interior_nodes, j)] = 1.0 / (grid.spacing[0] * grid.spacing[1])
         g = green_potential(gop, e)
-        analytic = np.array([
-            halfplane_green(tuple(z), source) if k != j else np.nan
-            for k, z in enumerate(grid.nodes)
-        ])
         keep = np.flatnonzero(np.arange(grid.n_nodes) != j)  # kernel is singular at the source
-    rows = []
-    for k in keep:
-        row = [cfg.fmt(c) for c in grid.nodes[k]] + [cfg.fmt(g[k])]
-        if compare:
-            row += [cfg.fmt(analytic[k]), cfg.fmt(abs(g[k] - analytic[k]))]
-        rows.append(row)
-    if compare:
-        header += ["analytic", "abs_error"]
-    _write_csv(_out(args, cfg, ".csv"), header, rows)
+        analytic = np.full(grid.n_nodes, np.nan)
+        analytic[keep] = halfplane_green(grid.nodes[keep], source)
+    columns = list(grid.nodes[keep].T) + [g[keep]]
     if compare:
         errs = np.abs(g[keep] - analytic[keep])
+        header += ["analytic", "abs_error"]
+        columns += [analytic[keep], errs]
+    _write_columns(_out(args, cfg, ".csv"), cfg, header, columns)
+    if compare:
         print(f"max_abs_error={cfg.fmt(float(np.max(errs)))}")
     return 0
 
@@ -167,9 +165,10 @@ def _cmd_green(args, cfg: RunConfig) -> int:
 def _cmd_verify(args, cfg: RunConfig) -> int:
     opts = cfg.experiment_opts
     results = run_suites(names=opts["suites"], seed=args.seed, trials=opts["trials"])
-    rows = [[r.name, str(r.trials), str(r.failures),
-             "pass" if r.passed else "fail"] for r in results]
-    _write_csv(_out(args, cfg, ".csv"), ["suite", "trials", "failures", "status"], rows)
+    _write_columns(_out(args, cfg, ".csv"), cfg, ["suite", "trials", "failures", "status"], [
+        [r.name for r in results], [str(r.trials) for r in results],
+        [str(r.failures) for r in results], ["pass" if r.passed else "fail" for r in results],
+    ])
     width = max(len(r.name) for r in results)
     for r in results:
         line = f"{r.name:<{width}}  {'pass' if r.passed else 'FAIL'} ({r.failures}/{r.trials} failures)"

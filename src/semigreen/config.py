@@ -75,8 +75,14 @@ class RunConfig:
             anchor=self.anchor, halfplane=self.halfplane, delta=self.delta,
         )
 
+    @property
+    def float_format(self) -> str:
+        """printf template of every float the CLI writes: `%.{precision}g`,
+        which round-trips a float at precision 17"""
+        return f"%.{self.precision}g"
+
     def fmt(self, value: float) -> str:
-        return f"{value:.{self.precision}g}"
+        return self.float_format % value
 
 
 def _parse_expr(raw: str, where: str, dim: int, with_t: bool = False) -> Expr:

@@ -170,18 +170,23 @@ def interval_green(x: float, y: float, endpoints=(0.0, 1.0)) -> float:
     return (lo - a) * (b - hi) / (b - a)
 
 
-def halfplane_green(z, w) -> float:
+def halfplane_green(z, w):
     """Green function of the Laplacian on the upper half-plane:
-    G(z,w) = ln(|z - conj(w)| / |z - w|) / (2 pi). Points as (x,y) pairs."""
-    zx, zy = float(z[0]), float(z[1])
+    G(z,w) = ln(|z - conj(w)| / |z - w|) / (2 pi). Points as (x,y) pairs;
+    z may also be an (n, 2) array of points, giving an (n,) array."""
+    pts = np.asarray(z, dtype=float)
+    single = pts.ndim == 1
+    zx, zy = np.atleast_2d(pts).T
     wx, wy = float(w[0]), float(w[1])
-    if zy <= 0 or wy <= 0:
+    if wy <= 0 or np.any(zy <= 0):
         raise ValueError("points must lie in the open upper half-plane")
     d2 = (zx - wx) ** 2 + (zy - wy) ** 2
-    if d2 == 0.0:
+    if np.any(d2 == 0.0):
         raise ValueError("coincident points")
     m2 = (zx - wx) ** 2 + (zy + wy) ** 2
-    return 0.25 * math.log(m2 / d2) / math.pi
+    # math.log, not np.log: the two differ in the last bit on some points
+    g = 0.25 * np.array([math.log(q) for q in (m2 / d2).tolist()]) / math.pi
+    return float(g[0]) if single else g
 
 
 def poisson_kernel_halfspace(x, y: float, n: int = 1) -> float:

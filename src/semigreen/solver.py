@@ -43,7 +43,6 @@ from dataclasses import dataclass, field
 from typing import Callable
 
 import numpy as np
-import scipy.sparse as sp
 import scipy.sparse.linalg as spla
 
 from .operator import apply as apply_op
@@ -231,6 +230,9 @@ def _solve_damped(gop, hf, u0, pts, phi, tol, max_iter, omega):
 def _solve_newton(gop, hf, u0, fb, pts, phi, tol, max_iter):
     K = gop.op.K
     kdiag = K.diagonal()
+    # positions of the diagonal in K.data: a Jacobian is K with d added there
+    diag_pos = np.flatnonzero(K.indices == np.repeat(np.arange(K.shape[1]), np.diff(K.indptr)))
+    assert diag_pos.size == K.shape[0], "K must store each diagonal entry once"
     bf = gop.op.B @ fb
 
     u = u0
@@ -251,13 +253,16 @@ def _solve_newton(gop, hf, u0, fb, pts, phi, tol, max_iter):
         dead = u <= direct / kdiag
         dead_sizes.append(int(np.count_nonzero(dead)))
         if not dead_sizes[-1]:
-            new = u + spla.spsolve(K + sp.diags(d), -direct, permc_spec=ORDERING)
+            J = K.copy()
+            J.data[diag_pos] += d
+            new = u + spla.spsolve(J, -direct, permc_spec=ORDERING)
         else:
             free = np.flatnonzero(~dead)
             rhs = (K @ np.where(dead, u, 0.0))[free] - direct[free]  # K_IA u_A - F_I
+            J = K[free][:, free]
+            J.setdiag(J.diagonal() + d[free])
             new = np.zeros_like(u)
-            new[free] = u[free] + spla.spsolve(K[free][:, free] + sp.diags(d[free]), rhs,
-                                               permc_spec=ORDERING)
+            new[free] = u[free] + spla.spsolve(J, rhs, permc_spec=ORDERING)
         u = np.where(new <= 0.0, THETA * u, new)
 
 

@@ -1,5 +1,6 @@
 import csv
 import filecmp
+import importlib.util
 import os
 import subprocess
 import sys
@@ -9,8 +10,8 @@ import numpy as np
 import pytest
 
 import semigreen
-from semigreen.cli import main
-from semigreen.config import ConfigError, load_config
+from semigreen.cli import _write_columns, main
+from semigreen.config import ConfigError, RunConfig, load_config
 
 CONFIGS = Path(__file__).resolve().parent.parent / "configs"
 
@@ -362,3 +363,79 @@ class TestCliExperiments:
         )
         assert proc.returncode == 0, proc.stderr
         assert proc.stdout.strip() == "False"
+
+
+# every float form the CLI writes: signed zero, subnormal, huge, integral,
+# numpy scalars, non-finite values and a value that needs all 17 digits
+EDGE_VALUES = [-0.0, 0.0, 5e-324, 2.2250738585072014e-308, 1e300, -1e300, 3, 10, 123456789,
+               np.float64(0.1), np.float64(-2.5), 1 / 3, 2 / 3 * 1e-5, 0.30000000000000004,
+               float("nan"), float("inf"), float("-inf")]
+
+
+def output_config(precision=17):
+    return RunConfig(dim=1, spacing=0.5, precision=precision)
+
+
+def csv_writer_reference(path, header, rows):
+    # the former row-by-row output: csv.writer fed strings made by
+    # format(value, f".{precision}g") one value at a time
+    with open(path, "w", encoding="utf-8", newline="") as fh:
+        w = csv.writer(fh, lineterminator="\n")
+        w.writerow(header)
+        w.writerows(rows)
+
+
+class TestColumnWriter:
+    @pytest.mark.parametrize("precision", [1, 4, 17])
+    def test_bytes_match_the_csv_writer(self, tmp_path, precision):
+        cfg = output_config(precision)
+        n = len(EDGE_VALUES)
+        labels = [str(k) for k in range(n)]
+        gaps = [""] * n
+        columns = [labels, np.array(EDGE_VALUES, dtype=float), gaps,
+                   np.array(EDGE_VALUES[::-1], dtype=float), np.arange(n) * 7]
+        _write_columns(str(tmp_path / "new.csv"), cfg, ["k", "a", "gap", "b", "m"], columns)
+        fmt = f".{precision}g"
+        rows = [[labels[k], format(EDGE_VALUES[k], fmt), "", format(EDGE_VALUES[n - 1 - k], fmt),
+                 format(7 * k, fmt)] for k in range(n)]
+        csv_writer_reference(str(tmp_path / "old.csv"), ["k", "a", "gap", "b", "m"], rows)
+        assert (tmp_path / "new.csv").read_bytes() == (tmp_path / "old.csv").read_bytes()
+        assert [cfg.fmt(v) for v in EDGE_VALUES] == [format(v, fmt) for v in EDGE_VALUES]
+
+    def test_precision_17_round_trips(self, tmp_path):
+        values = np.concatenate([np.array(EDGE_VALUES, dtype=float),
+                                 np.random.default_rng(5).standard_normal(200) * 1e5])
+        _write_columns(str(tmp_path / "v.csv"), output_config(), ["v"], [values])
+        read = np.array([float(r[0]) for r in read_csv(tmp_path / "v.csv")[1:]])
+        assert np.array_equal(read, values, equal_nan=True)
+        assert np.array_equal(np.signbit(read), np.signbit(values))
+
+    def test_columns_of_unequal_length_rejected(self, tmp_path):
+        with pytest.raises(ValueError):
+            _write_columns(str(tmp_path / "v.csv"), output_config(), ["a", "b"],
+                           [np.zeros(3), ["x", "y"]])
+
+
+def load_script(name):
+    path = Path(__file__).resolve().parent.parent / "scripts" / f"{name}.py"
+    spec = importlib.util.spec_from_file_location(name, path)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+class TestOutputDigests:
+    def test_mismatches_name_every_file(self):
+        digests = load_script("output_digests")
+        saved = {"a.csv": "1", "b.csv": "2", "gone.csv": "3"}
+        current = {"a.csv": "1", "b.csv": "9", "added.csv": "4"}
+        assert digests.mismatches(saved, current) == [
+            "added.csv: new", "b.csv: differs", "gone.csv: missing"]
+        assert digests.mismatches(saved, dict(saved)) == []
+
+    def test_saved_list_reads_its_own_output(self, tmp_path):
+        digests = load_script("output_digests")
+        lines = "aa11  cosh_benchmark.csv\nbb22  verify.csv\n"
+        (tmp_path / "d.txt").write_text(lines)
+        assert digests.read_saved(str(tmp_path / "d.txt")) == {
+            "cosh_benchmark.csv": "aa11", "verify.csv": "bb22"}

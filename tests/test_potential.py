@@ -154,6 +154,38 @@ class TestHalfplaneGreen:
         with pytest.raises(ValueError):
             halfplane_green((0.0, 1.0), (0.0, 1.0))
 
+    def test_array_matches_scalar_bit_for_bit(self):
+        # the green subcommand evaluates every node in one call; its column
+        # must equal point-by-point evaluation
+        def former(z, w):  # the scalar formula in Python floats
+            d2 = (z[0] - w[0]) ** 2 + (z[1] - w[1]) ** 2
+            m2 = (z[0] - w[0]) ** 2 + (z[1] + w[1]) ** 2
+            return 0.25 * math.log(m2 / d2) / math.pi
+
+        w = (0.0, 1.0)
+        nodes = build_halfplane_truncation(8.0, 0.125, 0.125).nodes
+        nodes = nodes[np.any(nodes != w, axis=1)]
+        scattered = np.random.default_rng(2).uniform([-5, 1e-3], [5, 5], (500, 2))
+        for pts in (nodes, scattered):
+            column = halfplane_green(pts, w)
+            assert column.shape == (len(pts),)
+            assert np.array_equal(column, [halfplane_green(tuple(z), w) for z in pts])
+        # on lattice nodes the squares are exact, so the column also equals the
+        # Python-float formula; elsewhere float ** 2 goes through libm pow,
+        # which can differ from numpy's x * x in the last bit
+        assert np.array_equal(halfplane_green(nodes, w), [former(z, w) for z in nodes.tolist()])
+        np.testing.assert_allclose(halfplane_green(scattered, w),
+                                   [former(z, w) for z in scattered.tolist()],
+                                   rtol=1e-13, atol=0)
+        assert isinstance(halfplane_green((0.5, 2.0), w), float)
+
+    def test_array_rejects_any_bad_point(self):
+        good = np.array([[0.0, 2.0], [1.0, 1.0]])
+        with pytest.raises(ValueError, match="upper half-plane"):
+            halfplane_green(np.vstack([good, [[3.0, 0.0]]]), (0.0, 1.0))
+        with pytest.raises(ValueError, match="coincident"):
+            halfplane_green(np.vstack([good, [[0.0, 1.0]]]), (0.0, 1.0))
+
 
 class TestPoissonKernel:
     def test_normalizing_constant(self):

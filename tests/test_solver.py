@@ -2,6 +2,7 @@ import math
 
 import numpy as np
 import pytest
+import scipy.sparse as sp
 import scipy.sparse.linalg as spla
 from hypothesis import given, settings, strategies as st
 from scipy import optimize
@@ -360,6 +361,42 @@ class TestFreeSetNewton:
         # both the full-size step and the free-block step ran
         assert 0 in rep.dead_set_history and max(rep.dead_set_history) > 0
         assert orderings == [solver.ORDERING] * rep.iterations
+
+    def test_jacobian_is_K_plus_the_slope_diagonal(self, monkeypatch):
+        # reference: each step's system built as the sparse sum K_II + diag(d_I)
+        # from the three phi evaluations the step makes (at u, u + s_abs, u + s_rel)
+        evals, systems = [], []
+
+        def recording(p, t):
+            out = SQRT_N(p, t)
+            if np.ndim(t):  # skip validate's scalar probes
+                evals.append((np.array(t), out))
+            return out
+
+        class RecordingLinalg:
+            def spsolve(self, A, b, **kw):
+                systems.append(A.copy())
+                return spla.spsolve(A, b, **kw)
+
+        monkeypatch.setattr(solver, "spla", RecordingLinalg())
+        grid, gop = halfplane_sqrt(0.25, radius=4.0)
+        phi = Nonlinearity(recording, differentiable=True)
+        _, rep = solve_U(gop, 1.0, phi, tol=1e-10, scheme="newton")
+        assert rep.status == "converged"
+        assert 0 in rep.dead_set_history and max(rep.dead_set_history) > 0
+        assert len(systems) == rep.iterations
+        K = gop.op.K
+        bf = gop.op.B @ np.ones(grid.n_nodes - grid.n_interior)
+        for k, A in enumerate(systems):
+            (u, p), (_, p_abs), (_, p_rel) = evals[3 * k:3 * k + 3]
+            s_abs, s_rel = 1e-6 * (1.0 + np.abs(u)), 1e-6 * np.abs(u) + 1e-300
+            d = np.maximum(np.maximum((p_abs - p) / s_abs, (p_rel - p) / s_rel), 0.0)
+            free = np.flatnonzero(u > (K @ u + p - bf) / K.diagonal())
+            expected = K[free][:, free] + sp.diags(d[free])
+            assert A.shape == expected.shape
+            assert np.array_equal(A.indptr, expected.indptr)
+            assert np.array_equal(A.indices, expected.indices)
+            assert np.array_equal(A.data, expected.data)
 
     def test_ordering_leaves_the_solution_unchanged(self, monkeypatch):
         _, gop = halfplane_sqrt(0.25, radius=4.0)

@@ -1,8 +1,11 @@
+from pathlib import Path
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 from scipy.integrate import dblquad
 
+from semigreen.config import load_config
 from semigreen.exhaustion import run_exhaustion
 from semigreen.geometry import build_exhaustion, build_halfplane_truncation
 from semigreen.operator import EllipticCoefficients
@@ -16,6 +19,7 @@ from semigreen.thinness import (
     verify_certificate,
 )
 
+CONFIGS = Path(__file__).resolve().parent.parent / "configs"
 LAPLACE = EllipticCoefficients(zero_order_mode="c_zero")
 ANCHOR = (0.0, 2.0)  # separated from the strip {0 < y < 1}
 
@@ -101,6 +105,14 @@ class TestCriterionHalfplane:
         rep = criterion_integral("halfplane", one, 1.0, None, [4, 8, 16, 32], x0=ANCHOR)
         assert rep.verdict == "diverging_trend"
         assert all(r >= 0.9 for r in rep.ratios)
+
+    def test_shipped_thin_support_strip_is_not_thin(self):
+        # configs/thin_support.ini absorbs on {y > 1}; its criterion
+        # integral grows like R, so the strip is not thin at infinity
+        phi = load_config(str(CONFIGS / "thin_support.ini")).phi
+        rep = criterion_integral("halfplane", phi, 1.0, None, [4, 8, 16, 32], x0=ANCHOR)
+        np.testing.assert_allclose(rep.values, [6.63, 15.30, 32.87, 68.11], atol=0.005)
+        assert rep.verdict == "diverging_trend"
 
     def test_compact_support_saturates(self):
         box = lambda p, t: ((np.abs(p[:, 0]) < 2) & (p[:, 1] < 1)) * np.maximum(t, 0.0)
