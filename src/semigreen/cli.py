@@ -44,10 +44,6 @@ def _out(args, cfg: RunConfig, suffix: str) -> str:
     return os.path.join(args.out_dir, f"{cfg.basename}{suffix}")
 
 
-def _position_header(dim: int):
-    return ["x"] if dim == 1 else ["x", "y"]
-
-
 def _cmd_solve(args, cfg: RunConfig) -> int:
     grid = cfg.grid()
     gop = factorize(assemble(grid, cfg.coeffs))
@@ -58,7 +54,7 @@ def _cmd_solve(args, cfg: RunConfig) -> int:
     u, rep = solve_U(gop, f, cfg.phi, tol=tol, max_iter=max_iter,
                      scheme=scheme, omega=cfg.omega)
 
-    _write_columns(_out(args, cfg, ".csv"), cfg, _position_header(grid.dim) + ["u"],
+    _write_columns(_out(args, cfg, ".csv"), cfg, ["x", "y"][:grid.dim] + ["u"],
                    list(grid.nodes.T) + [u])
     residuals = np.array(rep.residual_history, dtype=float)
     n = len(residuals)
@@ -127,7 +123,7 @@ def _cmd_green(args, cfg: RunConfig) -> int:
     oracle = args.oracle or cfg.experiment_opts["oracle"]
     compare = args.compare
     gop = factorize(assemble(grid, cfg.coeffs))
-    header = _position_header(grid.dim) + ["discrete"]
+    header = ["x", "y"][:grid.dim] + ["discrete"]
     if oracle == "interval":
         if grid.dim != 1:
             raise ConfigError("[experiment] oracle", "interval oracle needs a 1D grid")
@@ -143,7 +139,7 @@ def _cmd_green(args, cfg: RunConfig) -> int:
             j = grid.index_of(source)
         except ValueError as exc:
             raise ConfigError("[experiment] source", str(exc)) from exc
-        if not grid.interior_mask[j]:
+        if j in grid.boundary_nodes:
             raise ConfigError("[experiment] source", f"source {source} is not interior")
         e = np.zeros(grid.n_interior)
         e[np.searchsorted(grid.interior_nodes, j)] = 1.0 / (grid.spacing[0] * grid.spacing[1])

@@ -16,7 +16,7 @@ import numpy as np
 
 from .expr import Expr, ParseError, parse
 from .geometry import Exhaustion, Grid, build_box_grid, build_exhaustion, build_halfplane_truncation
-from .operator import EllipticCoefficients
+from .operator import EllipticCoefficients, _coefficient_names
 from .solver import SCHEMES, Nonlinearity
 
 __all__ = ["ConfigError", "RunConfig", "load_config"]
@@ -43,7 +43,7 @@ class RunConfig:
     radius: float = None
     delta: float = None
     anchor: tuple = None
-    exhaustion: dict = None  # factor, stages, spacing_rule
+    exhaustion: dict = None  # factor, stages, spacing_rule; exhaust only
 
     coeffs: EllipticCoefficients = None
     phi: Nonlinearity = None
@@ -65,8 +65,6 @@ class RunConfig:
         return build_box_grid(self.bbox, self.spacing)
 
     def build_exhaustion(self) -> Exhaustion:
-        if self.exhaustion is None:
-            raise ConfigError("[domain] exhaustion.stages", "exhaust experiments need an exhaustion block")
         ex = self.exhaustion
         base = self.radius if self.halfplane else self.bbox
         return build_exhaustion(
@@ -181,18 +179,6 @@ def _domain(cp, cfg_kw):
     halfplane = _get_bool(cp, "domain", "halfplane", default=False)
     cfg_kw.update(dim=dim, spacing=spacing, halfplane=halfplane)
 
-    exh = None
-    if cp.has_option("domain", "exhaustion.stages"):
-        exh = {
-            "factor": _get_float(cp, "domain", "exhaustion.factor", default=2.0),
-            "stages": _get_int(cp, "domain", "exhaustion.stages", required=True),
-            "spacing_rule": _get(cp, "domain", "exhaustion.spacing_rule", default="fixed"),
-        }
-        if exh["spacing_rule"] not in ("fixed", "halve"):
-            raise ConfigError("[domain] exhaustion.spacing_rule",
-                              f"must be fixed or halve, got {exh['spacing_rule']!r}")
-    cfg_kw["exhaustion"] = exh
-
     if halfplane:
         if dim != 2:
             raise ConfigError("[domain] halfplane", "halfplane mode needs dim = 2")
@@ -208,12 +194,18 @@ def _domain(cp, cfg_kw):
                 raise ConfigError("[domain] bbox", f"axis [{lo}, {hi}] is degenerate")
         cfg_kw["bbox"] = bbox
 
-    raw_anchor = _get(cp, "domain", "anchor")
-    cfg_kw["anchor"] = tuple(_floats(raw_anchor, "[domain] anchor", dim)) if raw_anchor else None
-
-
-_COEFF_KEYS = ("a11", "a12", "a22", "b1", "b2", "c")
-_COEFF_DEFAULTS = {"a11": 1.0, "a12": 0.0, "a22": 1.0, "b1": 0.0, "b2": 0.0, "c": 0.0}
+    if cfg_kw["experiment"] == "exhaust":
+        exh = {
+            "factor": _get_float(cp, "domain", "exhaustion.factor", default=2.0),
+            "stages": _get_int(cp, "domain", "exhaustion.stages", required=True),
+            "spacing_rule": _get(cp, "domain", "exhaustion.spacing_rule", default="fixed"),
+        }
+        if exh["spacing_rule"] not in ("fixed", "halve"):
+            raise ConfigError("[domain] exhaustion.spacing_rule",
+                              f"must be fixed or halve, got {exh['spacing_rule']!r}")
+        raw_anchor = _get(cp, "domain", "anchor")
+        anchor = tuple(_floats(raw_anchor, "[domain] anchor", dim)) if raw_anchor else None
+        cfg_kw.update(exhaustion=exh, anchor=anchor)
 
 
 def _operator(cp, cfg_kw):
@@ -223,16 +215,11 @@ def _operator(cp, cfg_kw):
         raise ConfigError("[operator] zero_order_mode",
                           f"must be c_nonpos or c_zero, got {mode!r}")
     kw = {"zero_order_mode": mode}
-    for key in _COEFF_KEYS:
+    for key in _coefficient_names(dim):  # a key this dim does not use stays unread
         raw = _get(cp, "operator", key)
-        if raw is None:
-            kw[key] = _COEFF_DEFAULTS[key]
-            continue
-        e = _parse_expr(raw, f"[operator] {key}", dim)
-        if e.variables:
-            kw[key] = _bind(e)
-        else:
-            kw[key] = float(e.eval({}))
+        if raw is not None:
+            e = _parse_expr(raw, f"[operator] {key}", dim)
+            kw[key] = _bind(e) if e.variables else float(e.eval({}))
     cfg_kw["coeffs"] = EllipticCoefficients(**kw)
 
 
@@ -261,12 +248,16 @@ def _solver(cp, cfg_kw):
     cfg_kw.update(scheme=scheme, tol=tol, max_iter=max_iter, omega=omega)
 
 
-def _experiment(cp, cfg_kw):
-    dim = cfg_kw["dim"]
+def _experiment_type(cp, cfg_kw):
     kind = _get(cp, "experiment", "type", required=True)
     if kind not in _EXPERIMENTS:
         raise ConfigError("[experiment] type",
                           f"must be one of {_EXPERIMENTS}, got {kind!r}")
+    cfg_kw["experiment"] = kind
+
+
+def _experiment(cp, cfg_kw):
+    dim, kind = cfg_kw["dim"], cfg_kw["experiment"]
     opts = {}
 
     if kind == "solve":
@@ -323,7 +314,7 @@ def _experiment(cp, cfg_kw):
         opts["suites"] = [s.strip() for s in raw.split(",")] if raw else None
         opts["trials"] = _get_int(cp, "experiment", "trials", default=25)
 
-    cfg_kw.update(experiment=kind, experiment_opts=opts)
+    cfg_kw["experiment_opts"] = opts
 
 
 def _output(cp, cfg_kw):
@@ -351,6 +342,7 @@ def load_config(path: str) -> RunConfig:
             raise ConfigError(f"[{need}]", "required section is missing")
 
     kw = {}
+    _experiment_type(cp, kw)  # [domain] reads the exhaustion keys for exhaust only
     _domain(cp, kw)
     _operator(cp, kw)
     _nonlinearity(cp, kw)

@@ -1,8 +1,10 @@
-"""Rectilinear grids in 1D/2D with interior/boundary classification and
-nested exhaustion sequences.
+"""Rectilinear grids with interior/boundary classification and nested
+exhaustion sequences.
 
-Grids are axis-aligned boxes sampled on a uniform lattice. A node is a
-boundary node iff it lies on a box face; everything else is interior.
+Grids are axis-aligned boxes sampled on a uniform lattice. The lattice
+code is written per axis, so the dimension is a loop bound; boxes of
+dimension 1 and 2 are accepted. A node is a boundary node iff it lies
+on a box face; everything else is interior.
 Unbounded domains (the upper half-plane) are represented by growing box
 truncations kept a fixed offset ``delta`` above the axis.
 
@@ -33,24 +35,28 @@ class Grid:
 
     Attributes
     ----------
-    dim : int
-        1 or 2.
+    dim : int, len(shape) (a property).
     bbox : tuple of (lo, hi) pairs, one per axis.
     spacing : tuple of floats, one per axis.
-    nodes : (n_nodes, dim) array of node positions, x fastest in axis
-        order, flattened C-style over axis index tuples.
-    interior_mask : (n_nodes,) bool array.
-    boundary_nodes : (n_boundary,) int array of node indices.
+    shape : tuple of node counts, one per axis.
+    nodes : (n_nodes, dim) array of node positions in C order over the
+        axis index tuples: the last axis (y in 2D) varies fastest.
+    boundary_nodes : (n_boundary,) sorted int array of the node indices
+        on a box face.
+    interior_nodes : (n_interior,) sorted int array of the other node
+        indices.
     """
 
-    dim: int
     bbox: tuple
     spacing: tuple
     shape: tuple
     nodes: np.ndarray = field(repr=False)
-    interior_mask: np.ndarray = field(repr=False)
     boundary_nodes: np.ndarray = field(repr=False)
     interior_nodes: np.ndarray = field(repr=False)
+
+    @property
+    def dim(self) -> int:
+        return len(self.shape)
 
     @property
     def n_nodes(self) -> int:
@@ -72,10 +78,7 @@ class Grid:
             if not (0 <= ki < self.shape[ax]) or abs(k - ki) > 1e-6:
                 raise ValueError(f"point {tuple(pt)} is not a lattice node of this grid")
             idx.append(ki)
-        flat = idx[0]
-        for ax in range(1, self.dim):
-            flat = flat * self.shape[ax] + idx[ax]
-        return flat
+        return int(np.ravel_multi_index(idx, self.shape))
 
     def field(self, value, on: str = "nodes", name: str = "field") -> np.ndarray:
         """The one node-field format: values of `value` on the nodes `on`
@@ -160,26 +163,17 @@ def build_box_grid(bbox, spacing) -> Grid:
     for ax in range(dim):
         axes[ax][-1] = box[ax, 1]
 
-    if dim == 1:
-        nodes = axes[0][:, None]
-        on_face = np.zeros(shape[0], dtype=bool)
-        on_face[0] = on_face[-1] = True
-    else:
-        X, Y = np.meshgrid(axes[0], axes[1], indexing="ij")
-        nodes = np.column_stack([X.ravel(), Y.ravel()])
-        I, J = np.meshgrid(np.arange(shape[0]), np.arange(shape[1]), indexing="ij")
-        on_face = ((I == 0) | (I == shape[0] - 1) | (J == 0) | (J == shape[1] - 1)).ravel()
-
-    interior_mask = ~on_face
+    nodes = np.column_stack([c.ravel() for c in np.meshgrid(*axes, indexing="ij")])
+    on_face = np.zeros(shape, dtype=bool)
+    for ax in range(dim):
+        np.moveaxis(on_face, ax, 0)[[0, -1]] = True  # the two faces normal to axis ax
     return Grid(
-        dim=dim,
         bbox=tuple((float(a), float(b)) for a, b in box),
         spacing=tuple(float(h) for h in hs),
         shape=shape,
         nodes=nodes,
-        interior_mask=interior_mask,
         boundary_nodes=np.flatnonzero(on_face),
-        interior_nodes=np.flatnonzero(interior_mask),
+        interior_nodes=np.flatnonzero(~on_face),
     )
 
 
@@ -284,13 +278,9 @@ def shared_node_indices(inner: Grid, outer: Grid):
         int(round((inner.bbox[ax][0] - outer.bbox[ax][0]) / outer.spacing[ax]))
         for ax in range(inner.dim)
     ]
-    if inner.dim == 1:
-        ii = np.arange(inner.shape[0])
-        oi = offs[0] + ratios[0] * ii
-        return ii, oi
-    ii = np.arange(inner.shape[0] * inner.shape[1])
-    i0, j0 = np.divmod(ii, inner.shape[1])
-    oi = (offs[0] + ratios[0] * i0) * outer.shape[1] + (offs[1] + ratios[1] * j0)
+    ii = np.arange(inner.n_nodes)
+    pos = np.unravel_index(ii, inner.shape)
+    oi = np.ravel_multi_index(tuple(o + r * p for o, r, p in zip(offs, ratios, pos)), outer.shape)
     return ii, oi
 
 

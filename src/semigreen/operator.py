@@ -17,6 +17,7 @@ and the solvers elsewhere use H f = K^-1 B f, G psi = K^-1 psi.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -40,8 +41,8 @@ _SIGN_TOL = 1e-12
 @dataclass(frozen=True)
 class EllipticCoefficients:
     """Coefficient fields of L, each in a form Grid.field accepts (a
-    scalar, a callable on (n, dim) points, or a node field). 1D uses a11,
-    b1, c only.
+    scalar, a callable on (n, dim) points, or a node field). A 1D grid
+    uses a11, b1 and c only; a 2D grid uses all six.
 
     zero_order_mode: "c_nonpos" allows c <= 0; "c_zero" requires c == 0.
     """
@@ -59,15 +60,20 @@ class EllipticCoefficients:
             raise ValueError(f"unknown zero_order_mode {self.zero_order_mode!r}")
 
 
-def _validate_coefficients(vals: dict, pts: np.ndarray, dim: int, mode: str) -> None:
-    a11, a22, a12, c = vals["a11"], vals["a22"], vals["a12"], vals["c"]
-    if dim == 1:
-        lam = a11
-    else:
-        # eigenvalues of [[a11,a12],[a12,a22]]
-        tr = a11 + a22
+def _coefficient_names(dim: int) -> list:
+    """The coefficients L uses on a dim-dimensional grid: those whose
+    axis digits are all <= dim (a11, b1, c in 1D; all six in 2D)."""
+    return [name for name in ("a11", "a22", "a12", "b1", "b2", "c")
+            if all(int(ax) <= dim for ax in name[1:])]
+
+
+def _validate_coefficients(vals: dict, pts: np.ndarray, mode: str) -> None:
+    lam, c = vals["a11"], vals["c"]
+    if "a12" in vals:
+        # smaller eigenvalue of [[a11,a12],[a12,a22]]
+        a11, a22, a12 = vals["a11"], vals["a22"], vals["a12"]
         disc = np.sqrt(((a11 - a22) / 2.0) ** 2 + a12**2)
-        lam = tr / 2.0 - disc
+        lam = (a11 + a22) / 2.0 - disc
     worst = int(np.argmin(lam))
     if lam[worst] <= EPS_ELL:
         raise ValueError(
@@ -102,51 +108,38 @@ def assemble(grid: Grid, coeffs: EllipticCoefficients) -> DiscreteOperator:
     A broken M-matrix sign structure from cross derivatives is reported
     via m_matrix=False, not an error.
     """
+    dim = grid.dim
     vals = {name: grid.field(getattr(coeffs, name), name=name)
-            for name in ("a11", "a22", "a12", "b1", "b2", "c")}
-    _validate_coefficients(vals, grid.nodes, grid.dim, coeffs.zero_order_mode)
+            for name in _coefficient_names(dim)}
+    _validate_coefficients(vals, grid.nodes, coeffs.zero_order_mode)
 
     n_int = grid.n_interior
     nodes = grid.interior_nodes
     rows = np.arange(n_int)
-    pieces = []  # (row indices, target node indices, values)
+    at = {name: v[nodes] for name, v in vals.items()}
+    h = grid.spacing
+    a = [at[f"a{ax + 1}{ax + 1}"] for ax in range(dim)]
+    b = [at[f"b{ax + 1}"] for ax in range(dim)]
+    stride = [math.prod(grid.shape[ax + 1:]) for ax in range(dim)]  # C order
 
-    def sample_at(name):
-        return vals[name][nodes]
-
-    if grid.dim == 1:
-        h = grid.spacing[0]
-        a, b, c = sample_at("a11"), sample_at("b1"), sample_at("c")
-        up, dn = np.maximum(b, 0.0), np.minimum(b, 0.0)
-        pieces.append((rows, nodes, -2.0 * a / h**2 + c - np.abs(b) / h))
-        pieces.append((rows, nodes + 1, a / h**2 + up / h))
-        pieces.append((rows, nodes - 1, a / h**2 - dn / h))
-    else:
-        hx, hy = grid.spacing
-        ny = grid.shape[1]
-        a11, a22, a12 = sample_at("a11"), sample_at("a22"), sample_at("a12")
-        b1, b2, c = sample_at("b1"), sample_at("b2"), sample_at("c")
-        up1, dn1 = np.maximum(b1, 0.0), np.minimum(b1, 0.0)
-        up2, dn2 = np.maximum(b2, 0.0), np.minimum(b2, 0.0)
-        diag = (
-            -2.0 * a11 / hx**2
-            - 2.0 * a22 / hy**2
-            + c
-            - np.abs(b1) / hx
-            - np.abs(b2) / hy
-        )
-        pieces.append((rows, nodes, diag))
-        pieces.append((rows, nodes + ny, a11 / hx**2 + up1 / hx))  # east
-        pieces.append((rows, nodes - ny, a11 / hx**2 - dn1 / hx))  # west
-        pieces.append((rows, nodes + 1, a22 / hy**2 + up2 / hy))  # north
-        pieces.append((rows, nodes - 1, a22 / hy**2 - dn2 / hy))  # south
-        if np.any(a12 != 0.0):
-            # 2*a12 * d2u/dxdy on the 4-point cross stencil
-            q = 2.0 * a12 / (4.0 * hx * hy)
-            pieces.append((rows, nodes + ny + 1, q))
-            pieces.append((rows, nodes - ny - 1, q))
-            pieces.append((rows, nodes + ny - 1, -q))
-            pieces.append((rows, nodes - ny + 1, -q))
+    # the Kronecker sum of the 3-point stencils of the axes. The diagonal
+    # adds all -2a/h^2, then c, then all -|b|/h: floating-point addition
+    # is not associative, and this order fixes the bits of K.
+    diag = sum(-2.0 * a[ax] / h[ax]**2 for ax in range(dim)) + at["c"]
+    for ax in range(dim):
+        diag -= np.abs(b[ax]) / h[ax]
+    pieces = [(rows, nodes, diag)]  # (row indices, target node indices, values)
+    for ax in range(dim):
+        pieces.append((rows, nodes + stride[ax], a[ax] / h[ax]**2 + np.maximum(b[ax], 0.0) / h[ax]))
+        pieces.append((rows, nodes - stride[ax], a[ax] / h[ax]**2 - np.minimum(b[ax], 0.0) / h[ax]))
+    if "a12" in at and np.any(at["a12"] != 0.0):
+        # 2*a12 * d2u/dxdy on the 4-point cross stencil
+        q = 2.0 * at["a12"] / (4.0 * h[0] * h[1])
+        sx, sy = stride
+        pieces.append((rows, nodes + sx + sy, q))
+        pieces.append((rows, nodes - sx - sy, q))
+        pieces.append((rows, nodes + sx - sy, -q))
+        pieces.append((rows, nodes - sx + sy, -q))
 
     int_of_node = -np.ones(grid.n_nodes, dtype=np.int64)
     int_of_node[nodes] = np.arange(n_int)

@@ -175,6 +175,12 @@ class TestLoadConfig:
         assert walls == [0.25, 0.25]
         assert cfg.grid().bbox[1][0] == 0.25
 
+    def test_2d_config_reads_every_operator_key(self, tmp_path):
+        ini = EXHAUST_INI.replace("[experiment]", "[operator]\na11 = 2\na22 = 3\n"
+                                  "a12 = 0.5\nb1 = 1\nb2 = -1\nc = -2\n\n[experiment]")
+        co = load_config(write_ini(tmp_path, ini)).coeffs
+        assert (co.a11, co.a22, co.a12, co.b1, co.b2, co.c) == (2, 3, 0.5, 1, -1, -2)
+
     def test_degenerate_bbox(self, tmp_path):
         bad = SOLVE_INI.replace("bbox = 0, 1", "bbox = 1, 1")
         with pytest.raises(ConfigError, match="degenerate"):
@@ -262,6 +268,30 @@ super_s = min(1, y^0.5)
 """
 
 
+def shipped_with(tmp_path, name, section, lines):
+    """configs/<name>.ini with `lines` added at the top of [section]."""
+    text = (CONFIGS / f"{name}.ini").read_text()
+    header = f"[{section}]\n"
+    assert header in text
+    return write_ini(tmp_path, text.replace(header, header + lines))
+
+
+class TestKeysOfAnotherDomain:
+    @pytest.mark.parametrize("key", ["a22", "a12", "b2"])
+    def test_1d_config_rejects_2d_operator_keys(self, tmp_path, capsys, key):
+        cfg = shipped_with(tmp_path, "green_interval", "operator", f"{key} = 3\n")
+        assert main(["green", "--config", cfg, "--out-dir", str(tmp_path)]) == 2
+        assert f"[operator] {key}: unknown key" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("line", ["anchor = 0.5", "exhaustion.stages = 3",
+                                      "exhaustion.factor = 2", "exhaustion.spacing_rule = fixed"])
+    def test_exhaustion_keys_rejected_outside_exhaust(self, tmp_path, capsys, line):
+        cfg = shipped_with(tmp_path, "cosh_benchmark", "domain", line + "\n")
+        assert main(["solve", "--config", cfg, "--out-dir", str(tmp_path)]) == 2
+        key = line.split(" = ")[0]
+        assert f"[domain] {key}: unknown key" in capsys.readouterr().err
+
+
 class TestCliExperiments:
     def test_exhaust_outputs(self, tmp_path, capsys):
         cfg = write_ini(tmp_path, EXHAUST_INI)
@@ -298,6 +328,13 @@ class TestCliExperiments:
         assert worst <= 1e-12
         assert "max_abs_error" in capsys.readouterr().out
 
+
+    def test_green_source_on_the_wall_rejected(self, tmp_path, capsys):
+        text = (CONFIGS / "green_halfplane.ini").read_text()
+        assert "source = 0, 1\n" in text
+        cfg = write_ini(tmp_path, text.replace("source = 0, 1\n", "source = 0, 0.125\n"))
+        assert main(["green", "--config", cfg, "--out-dir", str(tmp_path)]) == 2
+        assert "not interior" in capsys.readouterr().err
     @pytest.mark.parametrize("constant, expression", [("0", "y < -1"), ("1", "y > -1")])
     def test_thin_check_constant_set(self, tmp_path, constant, expression):
         # a constant expression evaluates to a scalar; it must mean the same

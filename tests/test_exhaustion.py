@@ -253,3 +253,26 @@ class TestShippedNewtonRuns:
         assert np.all(np.abs(run.anchor_values - before) <= kappa * cfg.tol)
         assert run.triviality_verdict == "nontrivial"
         assert max(rep.iterations for rep in run.reports) <= 20
+
+
+class TestWallProfile:
+    """Both shipped exhaust runs read a 1D wall profile (ROADMAP item 1):
+    far from the side walls the stage-3 solution does not depend on x, so
+    its anchor equals the 1D solve of the same phi across [delta, delta +
+    2 R_3] with data 1 at both ends, read one cell above the wall."""
+
+    @pytest.mark.parametrize("name", ["thin_support", "sqrt_decay"])
+    def test_stage_three_anchor_is_the_1d_profile(self, shipped_run, name):
+        cfg, run, _ = shipped_run(name)
+        grid, _, _ = run.stages[3]
+        (lo, hi), wall_spacing = grid.bbox[1], grid.spacing[1]
+        assert (lo, hi, wall_spacing) == (0.25, 64.25, 0.25)
+        # the 1D coordinate plays y
+        on_y = Nonlinearity(lambda p, t: cfg.phi(np.column_stack([0.0 * p[:, 0], p[:, 0]]), t),
+                            differentiable=True)
+        line = build_box_grid((lo, hi), wall_spacing)
+        u, rep = solve_U(factorize(assemble(line, cfg.coeffs)), 1.0, on_y, tol=cfg.tol,
+                         max_iter=cfg.max_iter, scheme=cfg.scheme)
+        assert rep.status == "converged"
+        assert cfg.anchor == (0.0, 0.5)
+        assert abs(run.anchor_values[3] - u[line.index_of((0.5,))]) <= 1e-12

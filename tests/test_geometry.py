@@ -66,6 +66,26 @@ class TestBuildBoxGrid:
             for ii, jj in ((i - 1, j), (i + 1, j), (i, j - 1), (i, j + 1)):
                 assert 0 <= ii < nx and 0 <= jj < ny
 
+    def test_nodes_in_c_order(self):
+        # the last axis varies fastest
+        g = build_box_grid(((0, 1), (0, 2)), 0.5)
+        np.testing.assert_array_equal(g.nodes[:3], [[0, 0], [0, 0.5], [0, 1]])
+        np.testing.assert_array_equal(g.nodes[5], [0.5, 0])
+
+
+class TestIndexOf:
+    @pytest.mark.parametrize("bbox, h", [((-1.0, 2.0), 0.25),
+                                         (((0, 1), (-1, 2)), (0.25, 0.5))])
+    def test_every_node_finds_itself(self, bbox, h):
+        g = build_box_grid(bbox, h)
+        assert [g.index_of(p) for p in g.nodes] == list(range(g.n_nodes))
+
+    @pytest.mark.parametrize("point", [(0.1, 0.0), (0.0, 2.5), (-0.25, 0.0)])
+    def test_point_off_the_lattice_rejected(self, point):
+        g = build_box_grid(((0, 1), (-1, 2)), (0.25, 0.5))
+        with pytest.raises(ValueError, match="lattice node"):
+            g.index_of(point)
+
 
 class TestExhaustion:
     def test_boxes_grow_geometrically(self):
@@ -105,6 +125,14 @@ class TestExhaustion:
             exh.stages[0].nodes[ii, 0], exh.stages[1].nodes[oi, 0]
         )
 
+
+    def test_shared_nodes_2d_halve_rule(self):
+        exh = build_exhaustion(((-1, 1), (-0.5, 1.5)), 2.0, 3, spacing_rule="halve",
+                               spacing=0.5, anchor=(0.0, 0.5))
+        for inner, outer in zip(exh.stages, exh.stages[1:]):
+            ii, oi = shared_node_indices(inner, outer)
+            np.testing.assert_array_equal(ii, np.arange(inner.n_nodes))
+            np.testing.assert_array_equal(inner.nodes[ii], outer.nodes[oi])
 
 class TestRestrict:
     def test_constant_restricts_to_constant(self):

@@ -91,6 +91,74 @@ class TestAssemble2D:
         assert 3.5 <= errs[0] / errs[1] <= 4.5
 
 
+def reference_stencil(grid, coeffs):
+    """Dense K and B of L, built one interior node at a time from the
+    documented formulas: central second differences, upwind drift (toward
+    the neighbour on the side of sign(b_i)), c on the diagonal and, in 2D,
+    2 a12 d_x d_y on the 4-point cross stencil. Neighbours are found by
+    their lattice coordinates, not by the grid's node order."""
+    lo = np.array([a for a, _ in grid.bbox])
+    h = np.array(grid.spacing)
+    lattice = np.rint((grid.nodes - lo) / h).astype(int)
+    node_at = {tuple(k): n for n, k in enumerate(lattice)}
+    column = {n: ("K", k) for k, n in enumerate(grid.interior_nodes)}
+    column.update({n: ("B", k) for k, n in enumerate(grid.boundary_nodes)})
+    val = lambda name: grid.field(getattr(coeffs, name))  # noqa: E731
+    K = np.zeros((grid.n_interior, grid.n_interior))
+    B = np.zeros((grid.n_interior, len(grid.boundary_nodes)))
+    for row, n in enumerate(grid.interior_nodes):
+        center = np.zeros(grid.dim, dtype=int)
+        weights = [(center, val("c")[n])]  # (lattice offset, weight in Lu)
+        for ax in range(grid.dim):
+            a, b = val(f"a{ax + 1}{ax + 1}")[n], val(f"b{ax + 1}")[n]
+            e = np.eye(grid.dim, dtype=int)[ax]
+            weights += [(e, a / h[ax] ** 2 + max(b, 0.0) / h[ax]),
+                        (-e, a / h[ax] ** 2 - min(b, 0.0) / h[ax]),
+                        (center, -2.0 * a / h[ax] ** 2 - abs(b) / h[ax])]
+        if grid.dim == 2:
+            q = 2.0 * val("a12")[n] / (4.0 * h[0] * h[1])
+            weights += [((1, 1), q), ((-1, -1), q), ((1, -1), -q), ((-1, 1), -q)]
+        for offset, w in weights:
+            which, k = column[node_at[tuple(lattice[n] + offset)]]
+            if which == "K":
+                K[row, k] -= w
+            else:
+                B[row, k] += w
+    return K, B
+
+
+class TestAssembleAgainstReference:
+    """assemble against reference_stencil, on operators no shipped config
+    uses: variable a_ii, drift of both signs, c < 0 and a cross term."""
+
+    @pytest.mark.parametrize("bbox, h, coeffs", [
+        ((-1.0, 2.0), 0.125, EllipticCoefficients(
+            a11=lambda p: 1.0 + 0.5 * np.sin(3.0 * p[:, 0]),
+            b1=lambda p: 3.0 * np.cos(2.0 * p[:, 0]),
+            c=lambda p: -1.0 - p[:, 0] ** 2)),
+        (((0.0, 1.0), (-1.0, 1.0)), (0.125, 0.25), EllipticCoefficients(
+            a11=lambda p: 1.0 + 0.3 * p[:, 0] * p[:, 1],
+            a22=lambda p: 2.0 + np.cos(p[:, 0]),
+            b1=lambda p: 4.0 * np.sin(5.0 * p[:, 1]),
+            b2=lambda p: p[:, 0] - 0.5,
+            c=lambda p: -0.7 * (1.0 + p[:, 1] ** 2))),
+        (((0.0, 1.0), (0.0, 1.5)), 0.125, EllipticCoefficients(
+            a11=lambda p: 1.5 + p[:, 0], a22=1.2,
+            a12=lambda p: 0.3 * np.sin(4.0 * p[:, 1]),
+            b1=-0.8, b2=lambda p: 2.0 * p[:, 1] - 1.0, c=-0.25)),
+    ], ids=["1d", "2d", "2d_cross"])
+    def test_matches_the_per_node_stencil(self, bbox, h, coeffs):
+        grid = build_box_grid(bbox, h)
+        op = assemble(grid, coeffs)
+        K, B = reference_stencil(grid, coeffs)
+        np.testing.assert_allclose(op.K.toarray(), K, rtol=1e-14, atol=0)
+        np.testing.assert_allclose(op.B.toarray(), B, rtol=1e-14, atol=0)
+        inner = grid.interior_nodes
+        b = np.concatenate([grid.field(getattr(coeffs, f"b{ax + 1}"))[inner]
+                            for ax in range(grid.dim)])
+        assert b.min() < 0.0 < b.max() and grid.field(coeffs.c)[inner].max() < 0.0
+
+
 class TestCoefficientValidation:
     def test_ellipticity_violation_names_node(self):
         grid = build_box_grid((0.0, 1.0), 0.25)
