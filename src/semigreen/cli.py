@@ -59,7 +59,7 @@ def _cmd_solve(args, cfg: RunConfig) -> int:
     residuals = np.array(rep.residual_history, dtype=float)
     n = len(residuals)
     # under sandwich the step gap of each iterate is the envelope gap
-    gaps = residuals if rep.scheme == "sandwich" else [""] * n
+    gaps = residuals if scheme == "sandwich" else [""] * n
     _write_columns(_out(args, cfg, "_log.csv"), cfg,
                    ["iteration", "envelope_gap", "identity_residual"],
                    [[str(i) for i in range(n)], gaps, residuals])
@@ -72,11 +72,11 @@ def _cmd_exhaust(args, cfg: RunConfig) -> int:
     exh = cfg.build_exhaustion()
     run = run_exhaustion(exh, cfg.coeffs, cfg.phi, cfg.experiment_opts["super_s"],
                          tol=cfg.tol, max_iter=cfg.max_iter, scheme=cfg.scheme)
-    fields = [u for _, u, _ in run.stages]
+    fields = [u for _, u in run.stages]
     _write_columns(_out(args, cfg, ".csv"), cfg,
                    ["stage", "anchor_value", "identity_residual", "min_u", "max_u"],
                    [[str(n) for n in range(len(fields))],
-                    np.array(run.anchor_values, dtype=float),
+                    run.anchor_values,
                     np.array(run.tail_metrics, dtype=float),
                     np.array([np.min(u) for u in fields]),
                     np.array([np.max(u) for u in fields])])

@@ -235,17 +235,23 @@ def _nonlinearity(cp, cfg_kw):
 
 
 def _solver(cp, cfg_kw):
+    if cfg_kw["experiment"] not in ("solve", "exhaust"):
+        return  # only solve and exhaust run the solver: its keys stay unread
     scheme = _get(cp, "solver", "scheme", default="sandwich")
     if scheme not in SCHEMES:
         raise ConfigError("[solver] scheme", f"must be one of {SCHEMES}, got {scheme!r}")
     tol = _get_float(cp, "solver", "tol", default=1e-10)
     max_iter = _get_int(cp, "solver", "max_iter", default=200)
-    omega = _get_float(cp, "solver", "omega", default=0.5)
     if not tol > 0:
         raise ConfigError("[solver] tol", f"must be positive, got {tol}")
     if max_iter < 1:
         raise ConfigError("[solver] max_iter", f"must be >= 1, got {max_iter}")
-    cfg_kw.update(scheme=scheme, tol=tol, max_iter=max_iter, omega=omega)
+    cfg_kw.update(scheme=scheme, tol=tol, max_iter=max_iter)
+    if cfg_kw["experiment"] == "solve":  # run_exhaustion takes no omega
+        omega = _get_float(cp, "solver", "omega", default=0.5)
+        if not 0 < omega <= 1:
+            raise ConfigError("[solver] omega", f"must be in (0, 1], got {omega}")
+        cfg_kw["omega"] = omega
 
 
 def _experiment_type(cp, cfg_kw):

@@ -1,9 +1,9 @@
 """Exhaustion-limit constructions on increasing domain families.
 
 Solves the absorption problem stage by stage with the same supersolution
-data, enforces the monotone-decrease law between consecutive stages, tracks
-the harmonic-majorant family of the limiting field, and classifies the
-anchor trace as nontrivial / trivial_trend / undecided.
+data, enforces the monotone-decrease law between consecutive stages, and
+classifies the anchor trace as nontrivial / trivial_trend / undecided.
+harmonic_majorant builds the harmonic-majorant family of a field on demand.
 """
 
 from __future__ import annotations
@@ -15,7 +15,7 @@ import numpy as np
 from .geometry import Exhaustion, Grid, restrict, shared_node_indices
 from .operator import EllipticCoefficients, apply as apply_op, assemble, check_superharmonic
 from .potential import factorize, harmonic_extension
-from .solver import NonConvergence, Nonlinearity, condition_factor, solve_U
+from .solver import Nonlinearity, condition_factor, solve_U
 
 __all__ = [
     "ExhaustionRun",
@@ -33,24 +33,38 @@ DECAY_FRACTION = 1e-3
 NONTRIVIAL_FRACTION = 0.05
 STALL_FRACTION = 0.1
 WINDOW = 3
-# check tolerances: superharmonicity of s, increase of the majorant family
+# check tolerance of the superharmonicity of s
 SUPERHARMONIC_TOL = 1e-9
-MAJORANT_TOL = 1e-9
 
 
 @dataclass
 class ExhaustionRun:
-    stages: tuple  # (grid, u_n, h_n) per stage; h_n may be None if untracked
+    stages: tuple  # (grid, u_n) per stage
     anchor: tuple
-    anchor_values: np.ndarray
-    limit_estimate: np.ndarray  # u_N on the final stage
-    triviality_verdict: str  # nontrivial | trivial_trend | undecided
-    tail_metrics: tuple  # per-stage identity residuals
     sup_s: float
     coeffs: EllipticCoefficients
     phi: Nonlinearity
-    reports: tuple = ()
+    reports: tuple = ()  # SolveReport per stage
     monotone_slack: float = 0.0  # worst observed u_{n+1} - u_n on shared nodes
+
+    @property
+    def anchor_values(self) -> np.ndarray:
+        return np.array([u[grid.index_of(self.anchor)] for grid, u in self.stages])
+
+    @property
+    def limit_estimate(self) -> np.ndarray:
+        """u_N on the final stage."""
+        return self.stages[-1][1]
+
+    @property
+    def tail_metrics(self) -> tuple:
+        """Per-stage identity residuals."""
+        return tuple(rep.final_identity_residual for rep in self.reports)
+
+    @property
+    def triviality_verdict(self) -> str:
+        """nontrivial | trivial_trend | undecided"""
+        return _classify(self.anchor_values, self.sup_s)
 
 
 def _classify(anchor_values: np.ndarray, sup_s: float) -> str:
@@ -73,25 +87,22 @@ def run_exhaustion(
     tol: float = 1e-10,
     max_iter: int = 200,
     scheme: str = "sandwich",
-    track_majorants: bool = True,
 ) -> ExhaustionRun:
     """Solve the absorption problem on every stage with data s|boundary.
 
     s is a scalar or a callable on points (any form Grid.field accepts on
     every stage) and must be discretely superharmonic on each stage (a
     scalar skips the check when c vanishes identically: constants are then
-    harmonic). The
-    decrease u_{n+1} <= u_n + kappa*tol on shared nodes is enforced; a
-    violation means the discretization, not the math, is wrong. Each stage
-    after the first is warm-started (solve_U's start) from s with the
-    previous stage's solution written onto the shared nodes: by that
-    decrease it lies above the new solution, and on the new nodes
-    H f <= s leaves the start at H f.
+    harmonic). The decrease u_{n+1} <= u_n + kappa*tol on shared nodes is
+    enforced; a violation means the discretization, not the math, is wrong.
+    Each stage after the first is warm-started (solve_U's start) from s with
+    the previous stage's solution written onto the shared nodes: by that
+    decrease it lies above the new solution, and on the new nodes H f <= s
+    leaves the start at H f.
     """
-    fields, gops, anchors, tails, reports = [], [], [], [], []
-    slack = -np.inf
-    sup_s = -np.inf
-    prev_grid = None
+    fields, reports = [], []
+    slack = sup_s = -np.inf
+    prev_grid = prev_gop = None
     for n, grid in enumerate(exh.stages):
         op = assemble(grid, coeffs)
         gop = factorize(op)
@@ -111,62 +122,28 @@ def run_exhaustion(
             start[prior] = fields[-1][own]
         u, srep = solve_U(gop, sf, phi, tol=tol, max_iter=max_iter, scheme=scheme,
                           start=start)
-        if srep.status != "converged":
-            last = ", ".join(f"{r:.3e}" for r in srep.residual_history[-3:])
-            dead = (f"; final dead set {srep.dead_set_history[-1]} nodes"
-                    if srep.dead_set_history else "")
-            raise NonConvergence(
-                f"stage {n}: solve ended with status {srep.status!r} "
-                f"(last identity residuals {last}{dead})", srep)
+        srep.require_converged(f"stage {n}: solve")
         if prev_grid is not None:
             defect = float(np.max(u[prior] - fields[-1][own]))
             slack = max(slack, defect)
-            bound = condition_factor(gops[-1]) * tol
+            bound = condition_factor(prev_gop) * tol
             if defect > bound:
                 raise RuntimeError(
                     f"stage {n}: monotone decrease violated by {defect:.3e} "
                     f"(allowed {bound:.3e}); discretization problem")
         fields.append(u)
-        gops.append(gop)
-        anchors.append(float(u[grid.index_of(exh.anchor)]))
-        tails.append(srep.final_identity_residual)
         reports.append(srep)
-        prev_grid = grid
+        prev_grid, prev_gop = grid, gop
 
-    majorants = [None] * len(fields)
-    if track_majorants:
-        w_family = [restrict(fields[-1], exh.stages[-1], g) for g in exh.stages]
-        majorants, _ = _majorant_family(exh.stages, gops, w_family, MAJORANT_TOL)
-
-    anchor_values = np.asarray(anchors)
     return ExhaustionRun(
-        stages=tuple(zip(exh.stages, fields, majorants)),
+        stages=tuple(zip(exh.stages, fields)),
         anchor=exh.anchor,
-        anchor_values=anchor_values,
-        limit_estimate=fields[-1],
-        triviality_verdict=_classify(anchor_values, sup_s),
-        tail_metrics=tuple(tails),
         sup_s=sup_s,
         coeffs=coeffs,
         phi=phi,
         reports=tuple(reports),
         monotone_slack=float(slack) if np.isfinite(slack) else 0.0,
     )
-
-
-def _majorant_family(grids, gops, w_family, tol):
-    family = []
-    for n, (grid, gop, w) in enumerate(zip(grids, gops, w_family)):
-        h = harmonic_extension(gop, w)
-        if family:
-            own, prior = shared_node_indices(grids[n - 1], grid)
-            defect = float(np.min(h[prior] - family[-1][own]))
-            if defect < -tol:
-                raise RuntimeError(
-                    f"stage {n}: majorant family not increasing "
-                    f"(drop {defect:.3e} beyond {tol:.1e})")
-        family.append(h)
-    return family, family[-1]
 
 
 def harmonic_majorant(exh: Exhaustion, coeffs: EllipticCoefficients, w, tol: float = 1e-9):
@@ -177,14 +154,21 @@ def harmonic_majorant(exh: Exhaustion, coeffs: EllipticCoefficients, w, tol: flo
     to be increasing in n on shared nodes.
     """
     if isinstance(w, np.ndarray):
-        w_family = [restrict(w, exh.stages[-1], g) for g in exh.stages]
-    else:
-        w_family = list(w)
-        if len(w_family) != len(exh.stages):
-            raise ValueError(
-                f"expected {len(exh.stages)} stage fields, got {len(w_family)}")
-    gops = [factorize(assemble(g, coeffs)) for g in exh.stages]
-    return _majorant_family(exh.stages, gops, w_family, tol)
+        w = [restrict(w, exh.stages[-1], g) for g in exh.stages]
+    elif len(w) != len(exh.stages):
+        raise ValueError(f"expected {len(exh.stages)} stage fields, got {len(w)}")
+    family = []
+    for n, (grid, wn) in enumerate(zip(exh.stages, w)):
+        h = harmonic_extension(factorize(assemble(grid, coeffs)), wn)
+        if family:
+            own, prior = shared_node_indices(exh.stages[n - 1], grid)
+            defect = float(np.min(h[prior] - family[-1][own]))
+            if defect < -tol:
+                raise RuntimeError(
+                    f"stage {n}: majorant family not increasing "
+                    f"(drop {defect:.3e} beyond {tol:.1e})")
+        family.append(h)
+    return family, family[-1]
 
 
 @dataclass(frozen=True)
@@ -228,16 +212,14 @@ def correspondence_roundtrip(
 
     kappa = condition_factor(gop)
     u, rep = solve_U(gop, h, phi, tol=tol, **solve_kw)
-    if rep.status != "converged":
-        raise NonConvergence("roundtrip solve did not converge", rep)
+    rep.require_converged("roundtrip solve")
     pts = grid.nodes[grid.interior_nodes]
     gphi = gop.solve(phi(pts, u[grid.interior_nodes]))
     recon = float(np.max(np.abs(u[grid.interior_nodes] + gphi - h[grid.interior_nodes])))
 
     bump = harmonic_extension(gop, 1.0)
     u2, rep2 = solve_U(gop, h + 1.0, phi, tol=tol, **solve_kw)
-    if rep2.status != "converged":
-        raise NonConvergence("roundtrip probe solve did not converge", rep2)
+    rep2.require_converged("roundtrip probe solve")
     monotone_ok = bool(np.min(u2 - u) >= -tol * kappa)
     gap = float(np.max(u2 - u))
     passed = recon <= kappa * tol and monotone_ok and gap > 0 and np.min(bump) > 0
@@ -286,7 +268,7 @@ def split_experiment(
         r2 = run_exhaustion(exh, coeffs, phi2, s, **run_kw)
         worst = max(
             float(np.max(u2 - u1))
-            for (_, u1, _), (_, u2, _) in zip(r1.stages, r2.stages)
+            for (_, u1), (_, u2) in zip(r1.stages, r2.stages)
         )
         return SplitReport("domination", worst <= tol, worst,
                            r2.triviality_verdict, {"phi1": r1, "phi2": r2})
@@ -300,7 +282,7 @@ def split_experiment(
     rs = run_exhaustion(exh, coeffs, phi_sum, s, **run_kw)
     worst = max(
         float(np.max(us - np.minimum(u1, u2)))
-        for (_, u1, _), (_, u2, _), (_, us, _) in zip(r1.stages, r2.stages, rs.stages)
+        for (_, u1), (_, u2), (_, us) in zip(r1.stages, r2.stages, rs.stages)
     )
     return SplitReport("sum", worst <= tol, worst, rs.triviality_verdict,
                        {"phi1": r1, "phi2": r2, "sum": rs})

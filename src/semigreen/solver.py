@@ -2,7 +2,7 @@
 
 Every entry point takes the factorized operator (a GreenOperator); nothing
 here factorizes. T u = H_D f - G_D phi(.,u) costs one Green solve. Three
-schemes, run by two loops:
+schemes share one loop and differ only in the step it takes:
 
 * ``damped_picard``: u <- (1-omega) u + omega T u, for nonlinearities
   where the pure alternation cycles. The step gap ||u - T u||_inf is the
@@ -33,12 +33,17 @@ schemes, run by two loops:
 
 Every scheme starts from min(H f, start); a start above the solution, such
 as the solution on a smaller domain with the same data, keeps the envelopes
-bracketing and lets newton predict the dead set from its first step.
-Convergence is declared on the identity residual ||u + G phi(u) - H f||_inf.
+bracketing and lets newton predict the dead set from its first step. Each
+pass of the loop evaluates phi(u) and G phi(u), records the identity
+residual ||u + G phi(u) - H f||_inf of u, and stops when it is <= tol or
+not finite, or after max_iter steps; otherwise it takes the scheme's step.
+So the returned field is always the one the last recorded residual
+describes, and SolveReport.iterations counts steps.
 """
 
 from __future__ import annotations
 
+import ctypes
 from dataclasses import dataclass, field
 from typing import Callable
 
@@ -64,6 +69,14 @@ SCHEMES = ("sandwich", "damped_picard", "newton")
 MONOTONE_CHECK_SAMPLES = 16  # probe count of Nonlinearity.validate
 THETA = 0.03  # newton: a node whose new value would be <= 0 shrinks to THETA * u
 ORDERING = "MMD_AT_PLUS_A"  # newton: the Jacobian K + diag(phi') is structurally symmetric
+# newton: an LU of at least RELEASE_MIN_UNKNOWNS unknowns first returns the heap's free pages to
+# the OS, else its scratch reuses more or fewer resident pages by the heap's layout and a run's
+# peak memory varies (11 MB on configs/sqrt_decay.ini); smaller ones skip it, as reuse refaults.
+RELEASE_MIN_UNKNOWNS = 1 << 14
+try:  # glibc only; elsewhere freed heap pages stay as the allocator keeps them
+    _malloc_trim = ctypes.CDLL(None).malloc_trim
+except (AttributeError, OSError, TypeError):
+    _malloc_trim = None
 
 
 class NonConvergence(RuntimeError):
@@ -121,15 +134,29 @@ class Nonlinearity:
 
 @dataclass
 class SolveReport:
-    iterations: int
-    residual_history: list  # identity residual per iterate
+    residual_history: list  # identity residual of every iterate, the returned one last
     status: str  # converged | max_iter | diverged
-    scheme: str = ""
     dead_set_history: list = field(default_factory=list)  # newton: |A| per step
+
+    @property
+    def iterations(self) -> int:
+        """Steps taken: one fewer than the iterates whose residual was recorded."""
+        return len(self.residual_history) - 1
 
     @property
     def final_identity_residual(self) -> float:
         return self.residual_history[-1]
+
+    def require_converged(self, what: str) -> None:
+        """Raise NonConvergence naming `what`, the last residuals and, under
+        newton, the final dead set, unless the solve converged."""
+        if self.status == "converged":
+            return
+        last = ", ".join(f"{r:.3e}" for r in self.residual_history[-3:])
+        dead = (f"; final dead set {self.dead_set_history[-1]} nodes"
+                if self.dead_set_history else "")
+        raise NonConvergence(f"{what} ended with status {self.status!r} "
+                             f"(last identity residuals {last}{dead})", self)
 
 
 def apply_T(gop: GreenOperator, f, u, phi: Nonlinearity) -> np.ndarray:
@@ -140,10 +167,9 @@ def apply_T(gop: GreenOperator, f, u, phi: Nonlinearity) -> np.ndarray:
     fb = grid.field(f, on="boundary", name="boundary data")
     ui = grid.field(u, on="interior", name="u")
     pts = grid.nodes[grid.interior_nodes]
-    hf = gop.solve(gop.op.B @ fb)
     out = np.empty(grid.n_nodes)
     out[grid.boundary_nodes] = fb
-    out[grid.interior_nodes] = hf - gop.solve(phi(pts, ui))
+    out[grid.interior_nodes] = gop.solve(gop.op.B @ fb) - gop.solve(phi(pts, ui))
     return out
 
 
@@ -182,52 +208,41 @@ def solve_U(
         raise ValueError(
             "scheme=newton requires a nonlinearity declared differentiable"
         )
+    if not 0 < omega <= 1:
+        raise ValueError(f"omega must be in (0, 1], got {omega}")
     pts = grid.nodes[grid.interior_nodes]
     phi.validate(pts, t_max=float(np.max(fb)))
 
+    hf = gop.solve(gop.op.B @ fb)
+    u = hf if start is None else np.minimum(hf, start)
+    residuals, dead_sizes = [], []
+    if scheme == "newton":
+        step = _newton_step(gop, fb, pts, phi, dead_sizes)
+    else:
+        w = 1.0 if scheme == "sandwich" else omega
+
+        def step(u, p, tu):  # damped Picard: u <- (1 - w) u + w T u
+            return (1.0 - w) * u + w * tu
+
+    for it in range(max_iter + 1):
+        p = phi(pts, u)
+        g = gop.solve(p)
+        res = float(np.max(np.abs(u + g - hf)))  # identity residual of u
+        residuals.append(res)
+        if not (np.isfinite(res) and res > tol) or it == max_iter:
+            break
+        u = step(u, p, hf - g)  # hf - g is T u
+
+    status = "diverged" if not np.isfinite(res) else "converged" if res <= tol else "max_iter"
     out = np.empty(grid.n_nodes)
     out[grid.boundary_nodes] = fb
-
-    if np.max(fb, initial=0.0) == 0.0:
-        # zero data: zero is the (trivial) solution, one step
-        out[grid.interior_nodes] = 0.0
-        report = SolveReport(0, [0.0], "converged", scheme=scheme)
-        return out, report
-
-    hf = gop.solve(gop.op.B @ fb)
-    u0 = hf if start is None else np.minimum(hf, start)
-    if scheme == "newton":
-        ui, report = _solve_newton(gop, hf, u0, fb, pts, phi, tol, max_iter)
-    else:
-        ui, report = _solve_damped(gop, hf, u0, pts, phi, tol, max_iter,
-                                   1.0 if scheme == "sandwich" else omega)
-    report.scheme = scheme
-    out[grid.interior_nodes] = ui
-    return out, report
+    out[grid.interior_nodes] = u
+    return out, SolveReport(residuals, status, dead_sizes)
 
 
-def _status(res_hist, tol):
-    if not np.isfinite(res_hist[-1]):
-        return "diverged"
-    return "converged" if res_hist[-1] <= tol else "max_iter"
-
-
-def _solve_damped(gop, hf, u0, pts, phi, tol, max_iter, omega):
-    if not (0 < omega <= 1):
-        raise ValueError(f"omega must be in (0, 1], got {omega}")
-    u = u0  # upper envelope start when u0 lies above the fixed point, as Hf does
-    residuals = []
-    for it in range(max_iter):
-        tu = hf - gop.solve(phi(pts, u))
-        res = float(np.max(np.abs(u - tu)))  # identity residual of u
-        residuals.append(res)
-        if not (np.isfinite(res) and res > tol):
-            return u, SolveReport(it + 1, residuals, _status(residuals, tol))
-        u = (1.0 - omega) * u + omega * tu
-    return u, SolveReport(max_iter, residuals, _status(residuals, tol))
-
-
-def _solve_newton(gop, hf, u0, fb, pts, phi, tol, max_iter):
+def _newton_step(gop, fb, pts, phi, dead_sizes):
+    """The free-set step of the module doc (tu is unused); appends the dead
+    set size |A| of every step to dead_sizes."""
     K = gop.op.K
     kdiag = K.diagonal()
     # positions of the diagonal in K.data: a Jacobian is K with d added there
@@ -235,15 +250,7 @@ def _solve_newton(gop, hf, u0, fb, pts, phi, tol, max_iter):
     assert diag_pos.size == K.shape[0], "K must store each diagonal entry once"
     bf = gop.op.B @ fb
 
-    u = u0
-    residuals, dead_sizes = [], []
-    for it in range(max_iter + 1):
-        p = phi(pts, u)
-        res = float(np.max(np.abs(u + gop.solve(p) - hf)))  # identity residual
-        residuals.append(res)
-        if not (np.isfinite(res) and res > tol) or it == max_iter:
-            return u, SolveReport(it, residuals, _status(residuals, tol),
-                                  dead_set_history=dead_sizes)
+    def step(u, p, tu):
         # slope: max of absolute-step and relative-step secants (see module doc)
         s_abs = 1e-6 * (1.0 + np.abs(u))
         s_rel = 1e-6 * np.abs(u) + 1e-300
@@ -253,17 +260,21 @@ def _solve_newton(gop, hf, u0, fb, pts, phi, tol, max_iter):
         dead = u <= direct / kdiag
         dead_sizes.append(int(np.count_nonzero(dead)))
         if not dead_sizes[-1]:
+            free, rhs = slice(None), -direct
             J = K.copy()
             J.data[diag_pos] += d
-            new = u + spla.spsolve(J, -direct, permc_spec=ORDERING)
         else:
             free = np.flatnonzero(~dead)
             rhs = (K @ np.where(dead, u, 0.0))[free] - direct[free]  # K_IA u_A - F_I
             J = K[free][:, free]
             J.setdiag(J.diagonal() + d[free])
-            new = np.zeros_like(u)
-            new[free] = u[free] + spla.spsolve(J, rhs, permc_spec=ORDERING)
-        u = np.where(new <= 0.0, THETA * u, new)
+        if _malloc_trim is not None and J.shape[0] >= RELEASE_MIN_UNKNOWNS:
+            _malloc_trim(0)
+        new = np.zeros_like(u)
+        new[free] = u[free] + spla.spsolve(J, rhs, permc_spec=ORDERING)
+        return np.where(new <= 0.0, THETA * u, new)
+
+    return step
 
 
 @dataclass(frozen=True)
@@ -337,10 +348,9 @@ def check_monotone_in_data(gop: GreenOperator, f, g, phi: Nonlinearity, tol: flo
     if np.any(fb > gb):
         raise ValueError("pre-condition f <= g on the boundary is violated")
     uf, rf = solve_U(gop, fb, phi, **solve_kw)
+    rf.require_converged("solve for data f")
     ug, rg = solve_U(gop, gb, phi, **solve_kw)
-    for name, rep in (("f", rf), ("g", rg)):
-        if rep.status != "converged":
-            raise NonConvergence(f"solve for data {name} did not converge", rep)
+    rg.require_converged("solve for data g")
     diff = uf - ug
     k = int(np.argmax(diff))
     return CheckVerdict(

@@ -209,12 +209,13 @@ def suite_exhaustion_nesting(rng, trials: int) -> SuiteResult:
     failures = 0
     worst = ""
     exh = build_exhaustion(2.0, 2.0, 3, spacing=0.25, halfplane=True, delta=0.25)
-    from .exhaustion import run_exhaustion
+    from .exhaustion import harmonic_majorant, run_exhaustion
 
+    coeffs = EllipticCoefficients(zero_order_mode="c_zero")
     phi0 = Nonlinearity(phi=lambda p, t: np.zeros(p.shape[0]), differentiable=True)
-    run = run_exhaustion(exh, EllipticCoefficients(zero_order_mode="c_zero"),
-                         phi0, 1.0, tol=1e-11)
-    for _, u, h in run.stages:
+    run = run_exhaustion(exh, coeffs, phi0, 1.0, tol=1e-11)
+    family, _ = harmonic_majorant(exh, coeffs, run.limit_estimate)
+    for (_, u), h in zip(run.stages, family):
         if np.max(np.abs(u - 1.0)) > TOL or np.max(np.abs(h - 1.0)) > TOL:
             failures += 1
             worst = "phi=0 run must reproduce the harmonic data"

@@ -88,9 +88,9 @@ def test_criterion_5_exhaustion_monotone(shipped_run):
     radii_ok = True
     for name in ("thin_support", "sqrt_decay"):
         _, run, _ = shipped_run(name)
-        radii = [g.bbox[0][1] for g, _, _ in run.stages]
+        radii = [g.bbox[0][1] for g, _ in run.stages]
         radii_ok &= radii == [4.0, 8.0, 16.0, 32.0]
-        for (g1, u1, _), (g2, u2, _) in zip(run.stages, run.stages[1:]):
+        for (g1, u1), (g2, u2) in zip(run.stages, run.stages[1:]):
             own, prior = shared_node_indices(g1, g2)
             worst = max(worst, float(np.max(u2[prior] - u1[own])))
     record(5, worst <= 1e-9 and radii_ok,

@@ -44,7 +44,8 @@ type = solve
 boundary_f = 1
 """
 
-EXHAUST_INI = """\
+# spacing differs from delta, so a wall placed at either one shows
+EXHAUST_WALL_INI = """\
 [domain]
 dim = 2
 halfplane = true
@@ -170,7 +171,7 @@ class TestLoadConfig:
             load_config(write_ini(tmp_path, ini))
 
     def test_exhaust_wall_sits_at_domain_delta(self, tmp_path):
-        cfg = load_config(write_ini(tmp_path, EXHAUST_INI))
+        cfg = load_config(write_ini(tmp_path, EXHAUST_WALL_INI))
         walls = [g.bbox[1][0] for g in cfg.build_exhaustion().stages]
         assert walls == [0.25, 0.25]
         assert cfg.grid().bbox[1][0] == 0.25
@@ -290,6 +291,32 @@ class TestKeysOfAnotherDomain:
         assert main(["solve", "--config", cfg, "--out-dir", str(tmp_path)]) == 2
         key = line.split(" = ")[0]
         assert f"[domain] {key}: unknown key" in capsys.readouterr().err
+
+
+class TestSolverSection:
+    @pytest.mark.parametrize("name, kind", [("strip_criterion", "criterion"),
+                                            ("green_interval", "green"),
+                                            ("sqrt_witness", "thin-check")])
+    @pytest.mark.parametrize("line", ["tol = 1e-3", "scheme = newton", "omega = 7",
+                                      "max_iter = 0"])
+    def test_read_by_solve_and_exhaust_only(self, tmp_path, capsys, name, kind, line):
+        text = (CONFIGS / f"{name}.ini").read_text() + f"\n[solver]\n{line}\n"
+        cfg = write_ini(tmp_path, text)
+        assert main([kind, "--config", cfg, "--out-dir", str(tmp_path)]) == 2
+        key = line.split(" = ")[0]
+        assert f"[solver] {key}: unknown key" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("omega", ["0", "-0.5", "7"])
+    def test_omega_range_checked_at_load(self, tmp_path, capsys, omega):
+        cfg = write_ini(tmp_path, SOLVE_INI + f"\n[solver]\nomega = {omega}\n")
+        assert main(["solve", "--config", cfg, "--out-dir", str(tmp_path)]) == 2
+        assert "[solver] omega: must be in (0, 1]" in capsys.readouterr().err
+
+    def test_exhaust_rejects_omega(self, tmp_path, capsys):
+        # run_exhaustion takes no damping weight, so exhaust leaves omega unread
+        cfg = shipped_with(tmp_path, "thin_support", "solver", "omega = 0.25\n")
+        assert main(["exhaust", "--config", cfg, "--out-dir", str(tmp_path)]) == 2
+        assert "[solver] omega: unknown key" in capsys.readouterr().err
 
 
 class TestCliExperiments:

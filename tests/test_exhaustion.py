@@ -41,22 +41,25 @@ def sqrt_cap(pts):
 
 class TestRunExhaustion:
     def test_zero_absorption_reproduces_harmonic_data(self):
-        run = run_exhaustion(halfplane_exh(), LAPLACE, ZERO, 1.0)
+        exh = halfplane_exh()
+        run = run_exhaustion(exh, LAPLACE, ZERO, 1.0)
         np.testing.assert_allclose(run.anchor_values, 1.0, atol=1e-12)
-        for grid, u, h in run.stages:
+        family, _ = harmonic_majorant(exh, LAPLACE, run.limit_estimate)
+        for (grid, u), h in zip(run.stages, family):
             np.testing.assert_allclose(u, 1.0, atol=1e-12)
             np.testing.assert_allclose(h, 1.0, atol=1e-12)
         assert run.triviality_verdict == "nontrivial"
         assert run.monotone_slack <= 1e-12
 
     def test_confined_absorption_run(self):
-        run = run_exhaustion(halfplane_exh(), LAPLACE, STRIP_OFF, sqrt_cap,
-                             tol=1e-10, scheme="newton")
+        exh = halfplane_exh()
+        run = run_exhaustion(exh, LAPLACE, STRIP_OFF, sqrt_cap, tol=1e-10, scheme="newton")
         a = run.anchor_values
         assert np.all(np.diff(a) < 0)  # larger domain, more absorption seen
         assert run.sup_s == pytest.approx(1.0)
         final_grid = run.stages[-1][0]
-        for grid, u, h in run.stages:
+        family, _ = harmonic_majorant(exh, LAPLACE, run.limit_estimate)
+        for (grid, u), h in zip(run.stages, family):
             assert np.min(u) >= -1e-12
             assert np.max(u) <= run.sup_s + 1e-12
             # each majorant dominates the limit field on its own stage
@@ -69,10 +72,6 @@ class TestRunExhaustion:
         run = run_exhaustion(exh, LAPLACE, SQRT_N, 1.0, scheme="newton")
         assert np.all(np.diff(run.anchor_values) < 0)
         assert run.limit_estimate.shape == (run.stages[-1][0].n_nodes,)
-
-    def test_majorants_can_be_skipped(self):
-        run = run_exhaustion(halfplane_exh(), LAPLACE, ZERO, 1.0, track_majorants=False)
-        assert all(h is None for _, _, h in run.stages)
 
     def test_rejects_non_superharmonic_witness(self):
         with pytest.raises(ValueError, match="superharmonic"):
@@ -98,7 +97,7 @@ class TestRunExhaustion:
         assert run.monotone_slack <= 1e-9
         # recompute the worst defect independently of the run bookkeeping
         worst = -np.inf
-        for (g1, u1, _), (g2, u2, _) in zip(run.stages, run.stages[1:]):
+        for (g1, u1), (g2, u2) in zip(run.stages, run.stages[1:]):
             own, prior = shared_node_indices(g1, g2)
             worst = max(worst, float(np.max(u2[prior] - u1[own])))
         assert worst == pytest.approx(run.monotone_slack, abs=1e-14)
@@ -109,10 +108,9 @@ class TestWarmStart:
         # the base stage is wide enough to hold a dead core
         exh = build_exhaustion(8.0, 2.0, 3, spacing=0.5, halfplane=True, delta=0.5)
         tol = 1e-10
-        run = run_exhaustion(exh, LAPLACE, SQRT_N, 1.0, tol=tol, scheme="newton",
-                             track_majorants=False)
+        run = run_exhaustion(exh, LAPLACE, SQRT_N, 1.0, tol=tol, scheme="newton")
         assert all(rep.dead_set_history[0] > 0 for rep in run.reports[1:])
-        for (grid, u, _), rep in zip(run.stages, run.reports):
+        for (grid, u), rep in zip(run.stages, run.reports):
             gop = factorize(assemble(grid, LAPLACE))
             cold, cold_rep = solve_U(gop, 1.0, SQRT_N, tol=tol, scheme="newton")
             assert rep.iterations == cold_rep.iterations
@@ -249,7 +247,7 @@ class TestShippedNewtonRuns:
                            0.74126032843477718, 0.74126032842973255])
         cfg, run, _ = shipped_run("sqrt_decay")
         kappa = np.array([condition_factor(factorize(assemble(grid, cfg.coeffs)))
-                          for grid, _, _ in run.stages])
+                          for grid, _ in run.stages])
         assert np.all(np.abs(run.anchor_values - before) <= kappa * cfg.tol)
         assert run.triviality_verdict == "nontrivial"
         assert max(rep.iterations for rep in run.reports) <= 20
@@ -264,7 +262,7 @@ class TestWallProfile:
     @pytest.mark.parametrize("name", ["thin_support", "sqrt_decay"])
     def test_stage_three_anchor_is_the_1d_profile(self, shipped_run, name):
         cfg, run, _ = shipped_run(name)
-        grid, _, _ = run.stages[3]
+        grid, _ = run.stages[3]
         (lo, hi), wall_spacing = grid.bbox[1], grid.spacing[1]
         assert (lo, hi, wall_spacing) == (0.25, 64.25, 0.25)
         # the 1D coordinate plays y

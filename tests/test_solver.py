@@ -152,6 +152,19 @@ class TestBenchmark:
         assert np.max(np.abs(u - tu)) == pytest.approx(rep.final_identity_residual, abs=1e-15)
         assert rep.final_identity_residual <= 1e-12
 
+    @pytest.mark.parametrize("scheme", solver.SCHEMES)
+    def test_report_residual_matches_recomputation_at_max_iter(self, scheme):
+        # the Picard schemes stop at max_iter here; every scheme must return
+        # the field its last recorded residual describes
+        grid = build_box_grid(((0.0, 4.0), (0.0, 4.0)), 0.125)
+        gop = factorize(assemble(grid, EllipticCoefficients(zero_order_mode="c_zero")))
+        phi = Nonlinearity(lambda p, t: 5.0 * np.maximum(t, 0.0), differentiable=True)
+        u, rep = solve_U(gop, 1.0, phi, tol=1e-10, max_iter=3, scheme=scheme)
+        assert rep.status == ("converged" if scheme == "newton" else "max_iter")
+        assert rep.iterations == len(rep.residual_history) - 1 <= 3
+        tu = apply_T(gop, 1.0, u, phi)
+        assert np.max(np.abs(u - tu)) == pytest.approx(rep.final_identity_residual, abs=1e-12)
+
 
 class TestNonsmoothCrossValidation:
     def test_sqrt_problem_matches_root_finder(self):
@@ -283,7 +296,8 @@ class TestComparisonChecks:
             check_monotone_in_data(self.gop, 2.0, 1.0, RAMP)
 
     def test_monotone_propagates_nonconvergence(self):
-        with pytest.raises(NonConvergence):
+        match = r"solve for data f ended with status 'max_iter' \(last identity residuals "
+        with pytest.raises(NonConvergence, match=match):
             check_monotone_in_data(self.gop, 1.0, 2.0, SQRT, max_iter=2)
 
     def test_condition_factor_interval(self):
@@ -405,6 +419,25 @@ class TestFreeSetNewton:
         ref, ref_rep = solve_U(gop, 1.0, SQRT_N, tol=1e-10, scheme="newton")
         assert rep.dead_set_history == ref_rep.dead_set_history
         assert np.max(np.abs(u - ref)) <= 1e-12 * np.max(np.abs(ref))
+
+    def test_heap_is_released_before_large_lus_only(self, monkeypatch):
+        grid, gop = halfplane_sqrt(0.25, radius=4.0)
+        ref, _ = solve_U(gop, 1.0, SQRT_N, tol=1e-10, scheme="newton")
+        sizes, released = [], []
+
+        class RecordingLinalg:
+            def spsolve(self, A, b, **kw):
+                sizes.append(A.shape[0])
+                return spla.spsolve(A, b, **kw)
+
+        monkeypatch.setattr(solver, "spla", RecordingLinalg())
+        monkeypatch.setattr(solver, "_malloc_trim", lambda pad: released.append(len(sizes)))
+        monkeypatch.setattr(solver, "RELEASE_MIN_UNKNOWNS", grid.n_interior)
+        u, _ = solve_U(gop, 1.0, SQRT_N, tol=1e-10, scheme="newton")
+        # only the full-size steps (empty dead set) release, each right before its LU
+        assert released == [k for k, n in enumerate(sizes) if n == grid.n_interior]
+        assert 0 < len(released) < len(sizes)
+        assert np.array_equal(u, ref)
 
     def test_picard_schemes_record_no_dead_set(self):
         _, gop = halfplane_sqrt(0.25, radius=2.0)
