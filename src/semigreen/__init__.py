@@ -23,7 +23,6 @@ from .potential import (
     green_potential,
     interval_green,
     halfplane_green,
-    poisson_kernel_halfspace,
     poisson_extension,
 )
 from .solver import (
@@ -41,7 +40,6 @@ from .exhaustion import (
     run_exhaustion,
     harmonic_majorant,
     correspondence_roundtrip,
-    split_experiment,
 )
 from .thinness import (
     ThinnessCertificate,

@@ -8,7 +8,7 @@ harmonic_majorant builds the harmonic-majorant family of a field on demand.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -23,8 +23,6 @@ __all__ = [
     "harmonic_majorant",
     "correspondence_roundtrip",
     "RoundtripReport",
-    "split_experiment",
-    "SplitReport",
 ]
 
 # verdict thresholds: fractions of the initial anchor value / sup s,
@@ -35,6 +33,8 @@ STALL_FRACTION = 0.1
 WINDOW = 3
 # check tolerance of the superharmonicity of s
 SUPERHARMONIC_TOL = 1e-9
+# check tolerance of the harmonicity of correspondence_roundtrip's h
+HARMONICITY_TOL = 1e-8
 
 
 @dataclass
@@ -117,14 +117,14 @@ def run_exhaustion(
                 )
         start = None
         if prev_grid is not None:
-            own, prior = shared_node_indices(prev_grid, grid)
+            shared = shared_node_indices(prev_grid, grid)
             start = sf.copy()
-            start[prior] = fields[-1][own]
+            start[shared] = fields[-1]
         u, srep = solve_U(gop, sf, phi, tol=tol, max_iter=max_iter, scheme=scheme,
                           start=start)
         srep.require_converged(f"stage {n}: solve")
         if prev_grid is not None:
-            defect = float(np.max(u[prior] - fields[-1][own]))
+            defect = float(np.max(u[shared] - fields[-1]))
             slack = max(slack, defect)
             bound = condition_factor(prev_gop) * tol
             if defect > bound:
@@ -161,8 +161,8 @@ def harmonic_majorant(exh: Exhaustion, coeffs: EllipticCoefficients, w, tol: flo
     for n, (grid, wn) in enumerate(zip(exh.stages, w)):
         h = harmonic_extension(factorize(assemble(grid, coeffs)), wn)
         if family:
-            own, prior = shared_node_indices(exh.stages[n - 1], grid)
-            defect = float(np.min(h[prior] - family[-1][own]))
+            shared = shared_node_indices(exh.stages[n - 1], grid)
+            defect = float(np.min(h[shared] - family[-1]))
             if defect < -tol:
                 raise RuntimeError(
                     f"stage {n}: majorant family not increasing "
@@ -187,7 +187,6 @@ def correspondence_roundtrip(
     phi: Nonlinearity,
     h,
     tol: float = 1e-10,
-    harmonicity_tol: float = 1e-8,
     **solve_kw,
 ) -> tuple:
     """Check the pairing between a nonnegative harmonic field h and the
@@ -205,10 +204,10 @@ def correspondence_roundtrip(
     if np.min(h) < 0:
         raise ValueError(f"h must be nonnegative; min = {np.min(h):.3e}")
     harm_res = float(np.max(np.abs(apply_op(op, h))))
-    if harm_res > harmonicity_tol:
+    if harm_res > HARMONICITY_TOL:
         raise ValueError(
             f"h fails the harmonicity check: residual {harm_res:.3e} "
-            f"> {harmonicity_tol:.1e}")
+            f"> {HARMONICITY_TOL:.1e}")
 
     kappa = condition_factor(gop)
     u, rep = solve_U(gop, h, phi, tol=tol, **solve_kw)
@@ -224,65 +223,3 @@ def correspondence_roundtrip(
     gap = float(np.max(u2 - u))
     passed = recon <= kappa * tol and monotone_ok and gap > 0 and np.min(bump) > 0
     return u, RoundtripReport(passed, harm_res, recon, kappa, monotone_ok, gap)
-
-
-@dataclass(frozen=True)
-class SplitReport:
-    mode: str
-    passed: bool
-    max_violation: float
-    verdict: str  # nontriviality verdict of the relevant run
-    runs: dict = field(default_factory=dict, repr=False)
-
-
-def split_experiment(
-    exh: Exhaustion,
-    coeffs: EllipticCoefficients,
-    phi1: Nonlinearity,
-    phi2: Nonlinearity,
-    mode: str,
-    s,
-    tol: float = 1e-9,
-    **run_kw,
-) -> SplitReport:
-    """Compare absorption runs under ordered or summed nonlinearities.
-
-    domination: requires phi1 <= phi2 (sampled); solutions then satisfy
-    u1 >= u2 - tol stagewise. sum: u(phi1+phi2) <= min(u1, u2) + tol and
-    the sum run's verdict is reported.
-    """
-    if mode not in ("domination", "sum"):
-        raise ValueError(f"unknown split mode {mode!r}")
-    final = exh.stages[-1]
-    sup_s = float(np.max(final.field(s, name="supersolution s")))
-    probes = np.linspace(0.0, max(sup_s, 1.0), 9)
-    pts = final.nodes
-    if mode == "domination":
-        for t in probes:
-            gap = phi1(pts, t) - phi2(pts, t)
-            if np.max(gap) > 1e-12:
-                raise ValueError(
-                    f"sampled domination violated: phi1 > phi2 by "
-                    f"{np.max(gap):.3e} at t={t}")
-        r1 = run_exhaustion(exh, coeffs, phi1, s, **run_kw)
-        r2 = run_exhaustion(exh, coeffs, phi2, s, **run_kw)
-        worst = max(
-            float(np.max(u2 - u1))
-            for (_, u1), (_, u2) in zip(r1.stages, r2.stages)
-        )
-        return SplitReport("domination", worst <= tol, worst,
-                           r2.triviality_verdict, {"phi1": r1, "phi2": r2})
-
-    phi_sum = Nonlinearity(
-        phi=lambda p, t: phi1(p, t) + phi2(p, t),
-        differentiable=phi1.differentiable and phi2.differentiable,
-    )
-    r1 = run_exhaustion(exh, coeffs, phi1, s, **run_kw)
-    r2 = run_exhaustion(exh, coeffs, phi2, s, **run_kw)
-    rs = run_exhaustion(exh, coeffs, phi_sum, s, **run_kw)
-    worst = max(
-        float(np.max(us - np.minimum(u1, u2)))
-        for (_, u1), (_, u2), (_, us) in zip(r1.stages, r2.stages, rs.stages)
-    )
-    return SplitReport("sum", worst <= tol, worst, rs.triviality_verdict,
-                       {"phi1": r1, "phi2": r2, "sum": rs})

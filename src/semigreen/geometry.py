@@ -115,9 +115,6 @@ class Exhaustion:
     stages: tuple
     anchor: tuple
 
-    def __len__(self) -> int:
-        return len(self.stages)
-
 
 def _axis_count(lo: float, hi: float, h: float) -> int:
     """Number of intervals along one axis; errors if h is not commensurate."""
@@ -267,8 +264,9 @@ def _check_nested(inner: Grid, outer: Grid) -> None:
             raise ValueError("inner stage box is not contained in the outer stage box")
 
 
-def shared_node_indices(inner: Grid, outer: Grid):
-    """Index arrays (idx_inner, idx_outer) of nodes common to both grids.
+def shared_node_indices(inner: Grid, outer: Grid) -> np.ndarray:
+    """Outer node index of every inner node, in inner node order, so
+    outer_field[shared_node_indices(inner, outer)] is a field on inner.
 
     Requires exact nesting; every inner node must be an outer node.
     """
@@ -278,10 +276,8 @@ def shared_node_indices(inner: Grid, outer: Grid):
         int(round((inner.bbox[ax][0] - outer.bbox[ax][0]) / outer.spacing[ax]))
         for ax in range(inner.dim)
     ]
-    ii = np.arange(inner.n_nodes)
-    pos = np.unravel_index(ii, inner.shape)
-    oi = np.ravel_multi_index(tuple(o + r * p for o, r, p in zip(offs, ratios, pos)), outer.shape)
-    return ii, oi
+    pos = np.unravel_index(np.arange(inner.n_nodes), inner.shape)
+    return np.ravel_multi_index(tuple(o + r * p for o, r, p in zip(offs, ratios, pos)), outer.shape)
 
 
 def restrict(values: np.ndarray, frm: Grid, to: Grid) -> np.ndarray:
@@ -294,7 +290,4 @@ def restrict(values: np.ndarray, frm: Grid, to: Grid) -> np.ndarray:
         raise ValueError(
             f"field has {values.shape[0]} values, grid has {frm.n_nodes} nodes"
         )
-    idx_to, idx_frm = shared_node_indices(to, frm)
-    out = np.empty(to.n_nodes, dtype=values.dtype)
-    out[idx_to] = values[idx_frm]
-    return out
+    return values[shared_node_indices(to, frm)]

@@ -201,7 +201,6 @@ class SuperharmonicReport:
     passed: bool
     max_residual: float
     worst_node: int
-    tol: float
 
 
 def check_superharmonic(op: DiscreteOperator, s, tol: float = 1e-9) -> SuperharmonicReport:
@@ -213,5 +212,4 @@ def check_superharmonic(op: DiscreteOperator, s, tol: float = 1e-9) -> Superharm
         passed=bool(mx <= tol),
         max_residual=mx,
         worst_node=int(op.grid.interior_nodes[worst]),
-        tol=tol,
     )

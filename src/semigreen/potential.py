@@ -1,7 +1,6 @@
 """Discrete Dirichlet solves (harmonic extension, Green potential) plus the
 closed-form kernels used as oracles: interval Green function, half-plane
-Green function, and the half-space Poisson kernel with its extension
-quadrature.
+Green function, and the Poisson extension quadrature of the half-plane.
 
 Both discrete operations are one linear solve with K = -L restricted to
 interior nodes, through one GreenOperator per operator:
@@ -17,7 +16,7 @@ a solve is a forward transform, a division by the eigenvalues and an
 inverse transform. Every other K (drift, variable coefficients, a cross
 term) gets a sparse LU factorization. That is the only sparse LU of a Green
 solve; the newton scheme of solver.py still factorizes its Jacobian with
-spla.spsolve on every iteration (ROADMAP item 2 routes it through here).
+spla.spsolve on every iteration (ROADMAP item 3 routes it through here).
 """
 
 from __future__ import annotations
@@ -37,7 +36,6 @@ __all__ = [
     "green_potential",
     "interval_green",
     "halfplane_green",
-    "poisson_kernel_halfspace",
     "poisson_extension",
 ]
 
@@ -160,14 +158,16 @@ def green_potential(gop: GreenOperator, psi) -> np.ndarray:
     return g
 
 
-def interval_green(x: float, y: float, endpoints=(0.0, 1.0)) -> float:
+def interval_green(x: float, y, endpoints=(0.0, 1.0)):
     """Green function of d^2/dx^2 on an interval: G(x,y) = (x-a)(b-y)/(b-a)
-    for x <= y, symmetric otherwise. Arguments must lie strictly inside."""
+    for x <= y, symmetric otherwise. Arguments must lie strictly inside;
+    y may also be an array of points, giving an array."""
     a, b = float(endpoints[0]), float(endpoints[1])
-    if not (a < x < b and a < y < b):
+    ys = np.asarray(y, dtype=float)
+    if not (a < x < b and np.all((a < ys) & (ys < b))):
         raise ValueError(f"points must lie strictly inside ({a}, {b})")
-    lo, hi = (x, y) if x <= y else (y, x)
-    return (lo - a) * (b - hi) / (b - a)
+    g = (np.minimum(x, ys) - a) * (b - np.maximum(x, ys)) / (b - a)
+    return float(g) if g.ndim == 0 else g
 
 
 def halfplane_green(z, w):
@@ -189,21 +189,6 @@ def halfplane_green(z, w):
     return float(g[0]) if single else g
 
 
-def poisson_kernel_halfspace(x, y: float, n: int = 1) -> float:
-    """Poisson kernel of the upper half-space over R^n, normalized to unit
-    mass: P(x,y) = c_n * y / (|x|^2 + y^2)^((n+1)/2), c_1 = 1/pi."""
-    if y <= 0:
-        raise ValueError("y must be positive")
-    if n < 1:
-        raise ValueError("n must be >= 1")
-    xv = np.atleast_1d(np.asarray(x, dtype=float))
-    if xv.shape[0] != n:
-        raise ValueError(f"x must have {n} components")
-    c_n = math.gamma((n + 1) / 2.0) / math.pi ** ((n + 1) / 2.0)
-    r2 = float(np.dot(xv, xv)) + y * y
-    return c_n * y / r2 ** ((n + 1) / 2.0)
-
-
 def _simpson_panel(func, lo: float, hi: float, n_sub: int) -> float:
     # composite Simpson with n_sub even subintervals on [lo, hi]
     xs = np.linspace(lo, hi, n_sub + 1)
@@ -212,14 +197,7 @@ def _simpson_panel(func, lo: float, hi: float, n_sub: int) -> float:
     return h / 3.0 * (ys[0] + ys[-1] + 4.0 * ys[1:-1:2].sum() + 2.0 * ys[2:-2:2].sum())
 
 
-def poisson_extension(
-    f,
-    eval_points,
-    radius: float = 100.0,
-    breakpoints=(),
-    n_sub: int = 512,
-    tail_correction: bool = True,
-) -> np.ndarray:
+def poisson_extension(f, eval_points, radius: float = 100.0, breakpoints=()) -> np.ndarray:
     """Harmonic extension of bounded data on the real line into the upper
     half-plane: h(x,y) = integral of P(x - s, y) f(s) ds.
 
@@ -243,10 +221,9 @@ def poisson_extension(
     for k, (x0, y0) in enumerate(pts):
         total = 0.0
         for lo, hi in zip(edges, edges[1:]):
-            # resolve the kernel peak near s = x0: refine panels by width
-            width = max(2, int(math.ceil((hi - lo) / y0)))
-            nn = min(8192, n_sub * max(1, min(width, 16)))
-            nn += nn % 2
+            # resolve the kernel peak near s = x0: 512 subintervals per y0
+            # of panel width, counting between 2 and 16 widths
+            nn = 512 * min(max(2, int(math.ceil((hi - lo) / y0))), 16)
             # data samples stay strictly inside the panel so a jump placed
             # exactly at a breakpoint contributes its one-sided limits
             nudge = 1e-9 * max(1.0, abs(lo), abs(hi))
@@ -256,10 +233,9 @@ def poisson_extension(
                 return f(inside) / math.pi * y0 / ((x0 - s) ** 2 + y0 * y0)
 
             total += _simpson_panel(integrand, lo, hi, nn)
-        if tail_correction:
-            f_hi = float(np.asarray(f(np.array([radius]))).ravel()[0])
-            f_lo = float(np.asarray(f(np.array([-radius]))).ravel()[0])
-            total += f_hi * (0.5 - math.atan((radius - x0) / y0) / math.pi)
-            total += f_lo * (0.5 - math.atan((radius + x0) / y0) / math.pi)
+        f_hi = float(np.asarray(f(np.array([radius]))).ravel()[0])
+        f_lo = float(np.asarray(f(np.array([-radius]))).ravel()[0])
+        total += f_hi * (0.5 - math.atan((radius - x0) / y0) / math.pi)
+        total += f_lo * (0.5 - math.atan((radius + x0) / y0) / math.pi)
         out[k] = total
     return out

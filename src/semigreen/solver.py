@@ -303,12 +303,11 @@ def check_comparison(gop: GreenOperator, u, v, phi: Nonlinearity, boundary_gap: 
       residual premise   (Lu - phi(u)) <= (Lv - phi(v)) + tol at interior nodes,
       boundary premise   u >= v - boundary_gap on the boundary,
       conclusion         u >= v - boundary_gap - kappa*tol in the interior.
+    u and v take any form Grid.field accepts on the nodes.
     """
     grid = gop.grid
-    u = np.asarray(u, dtype=float)
-    v = np.asarray(v, dtype=float)
-    if u.shape[0] != grid.n_nodes or v.shape[0] != grid.n_nodes:
-        raise ValueError("check_comparison needs full node fields for u and v")
+    u = grid.field(u, name="u")
+    v = grid.field(v, name="v")
     pts = grid.nodes[grid.interior_nodes]
     ru = apply_op(gop.op, u) - phi(pts, u[grid.interior_nodes])
     rv = apply_op(gop.op, v) - phi(pts, v[grid.interior_nodes])

@@ -191,7 +191,7 @@ def criterion_integral(
 ) -> CriterionReport:
     """Accumulate the kernel-weighted absorption mass outside A.
 
-    kernel: "halfplane", ("interval", (a, b)), or callable(x0, pts).
+    kernel: "halfplane" or ("interval", (a, b)).
     phi: Nonlinearity or callable(points, t); a callable is wrapped in a
     Nonlinearity, so a non-finite or negative weight raises. set_A:
     predicate on points (nonzero means in A), or None for the empty set.
@@ -207,18 +207,13 @@ def criterion_integral(
         raise ValueError("truncation radii must be strictly increasing")
     if not radii:
         raise ValueError("need at least one truncation radius")
-    pred = set_A if (set_A is None or callable(set_A)) else None
-    if pred is None and set_A is not None:
+    if set_A is not None and not callable(set_A):
         raise ValueError("set_A must be a predicate callable or None")
     if not isinstance(phi, Nonlinearity):
         phi = Nonlinearity(phi)
     if isinstance(kernel, tuple) and kernel and kernel[0] == "interval":
-        return _criterion_interval(kernel[1], phi, c0, pred, radii, x0, cell)
-    if kernel == "halfplane":
-        kern = None
-    elif callable(kernel):
-        kern = kernel
-    else:
+        return _criterion_interval(kernel[1], phi, c0, set_A, radii, x0, cell)
+    if kernel != "halfplane":
         raise ValueError(f"unknown kernel {kernel!r}")
     x0 = (float(x0[0]), float(x0[1]))
     if x0[1] <= 0:
@@ -230,7 +225,7 @@ def criterion_integral(
     for r in radii:
         _cell_count(r, cell, "truncation radius")
         for (xa, xb), (ya, yb) in _halfplane_shell_blocks(prev, r):
-            total += _block_sum(kern, phi, c0, pred, x0, cell, xa, xb, ya, yb)
+            total += _block_sum(phi, c0, set_A, x0, cell, xa, xb, ya, yb)
         prev = r
         values.append(total)
     increments, ratios, verdict = _trend(values)
@@ -249,7 +244,7 @@ def _halfplane_shell_blocks(r_in, r_out):
     ]
 
 
-def _block_sum(kern, phi, c0, pred, x0, h, xa, xb, ya, yb):
+def _block_sum(phi, c0, pred, x0, h, xa, xb, ya, yb):
     nx = int(round((xb - xa) / h))
     ny = int(round((yb - ya) / h))
     cx = xa + (np.arange(nx) + 0.5) * h
@@ -257,10 +252,6 @@ def _block_sum(kern, phi, c0, pred, x0, h, xa, xb, ya, yb):
     gx, gy = np.meshgrid(cx, cy, indexing="ij")
     pts = np.column_stack([gx.ravel(), gy.ravel()])
     w = _weight(phi, pts, c0, pred)
-    if kern is not None:
-        g = np.asarray(kern(x0, pts), dtype=float)
-        return float(np.sum(w * g) * h * h)
-
     # cells whose closed square contains x0 need the exact log integral
     sing = ((np.abs(pts[:, 0] - x0[0]) <= h / 2 + 1e-12)
             & (np.abs(pts[:, 1] - x0[1]) <= h / 2 + 1e-12))
@@ -289,10 +280,7 @@ def _criterion_interval(endpoints, phi, c0, pred, radii, x0, cell):
     centers = a + (np.arange(n) + 0.5) * cell
     pts = centers[:, None]
     w = _weight(phi, pts, c0, pred)
-    g = np.array([
-        interval_green(x0s, c, endpoints=(a, b)) if a < c < b else 0.0
-        for c in centers
-    ])
+    g = interval_green(x0s, centers, endpoints=(a, b))
     lo_edges = centers - cell / 2
     hi_edges = centers + cell / 2
     values = []

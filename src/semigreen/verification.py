@@ -137,13 +137,13 @@ def suite_monotone_data(rng, trials: int) -> SuiteResult:
     return SuiteResult("monotone_data", trials, failures, worst)
 
 
-def suite_sandwich_interleaving(rng, trials: int, n_iter: int = 8) -> SuiteResult:
+def suite_sandwich_interleaving(rng, trials: int) -> SuiteResult:
     failures = 0
     worst = ""
     for _ in range(trials):
         gop, phi, f, _, _ = _solve_pair(rng)
         it = [harmonic_extension(gop, f)]
-        for _ in range(n_iter - 1):
+        for _ in range(7):  # eight iterates: H f and seven applications of T
             it.append(apply_T(gop, f, it[-1], phi))
         even = it[0::2]
         odd = it[1::2]

@@ -6,7 +6,6 @@ from semigreen.exhaustion import (
     correspondence_roundtrip,
     harmonic_majorant,
     run_exhaustion,
-    split_experiment,
 )
 from semigreen.geometry import (
     build_box_grid,
@@ -20,7 +19,6 @@ from semigreen.solver import NonConvergence, Nonlinearity, condition_factor, sol
 
 LAPLACE = EllipticCoefficients(zero_order_mode="c_zero")
 RAMP = Nonlinearity(lambda p, t: np.maximum(t, 0.0), differentiable=True)
-HALF_RAMP = Nonlinearity(lambda p, t: 0.5 * np.maximum(t, 0.0), differentiable=True)
 SQRT = Nonlinearity(lambda p, t: np.sqrt(np.maximum(t, 0.0)))
 # free-set tangent steps tolerate the dead-core kink
 SQRT_N = Nonlinearity(lambda p, t: np.sqrt(np.maximum(t, 0.0)), differentiable=True)
@@ -98,8 +96,8 @@ class TestRunExhaustion:
         # recompute the worst defect independently of the run bookkeeping
         worst = -np.inf
         for (g1, u1), (g2, u2) in zip(run.stages, run.stages[1:]):
-            own, prior = shared_node_indices(g1, g2)
-            worst = max(worst, float(np.max(u2[prior] - u1[own])))
+            shared = shared_node_indices(g1, g2)
+            worst = max(worst, float(np.max(u2[shared] - u1)))
         assert worst == pytest.approx(run.monotone_slack, abs=1e-14)
 
 
@@ -143,8 +141,8 @@ class TestHarmonicMajorant:
         np.testing.assert_allclose(family[-1], h_final)
         assert np.all(h_final >= run.limit_estimate - 1e-9)
         for (g1, h1), (g2, h2) in zip(zip(exh.stages, family), zip(exh.stages[1:], family[1:])):
-            own, prior = shared_node_indices(g1, g2)
-            assert np.min(h2[prior] - h1[own]) >= -1e-9
+            shared = shared_node_indices(g1, g2)
+            assert np.min(h2[shared] - h1) >= -1e-9
 
     def test_harmonic_input_is_its_own_majorant(self):
         exh = halfplane_exh()
@@ -209,31 +207,6 @@ class TestCorrespondenceRoundtrip:
         grid = build_box_grid((0.0, 1.0), 1 / 16)
         with pytest.raises(ValueError, match="full node field"):
             correspondence_roundtrip(grid, LAPLACE, RAMP, np.ones(3))
-
-
-class TestSplitExperiment:
-    def test_domination(self):
-        rep = split_experiment(halfplane_exh(), LAPLACE, HALF_RAMP, RAMP,
-                               "domination", 1.0, scheme="newton")
-        assert rep.passed
-        assert rep.max_violation <= 1e-9
-        assert set(rep.runs) == {"phi1", "phi2"}
-
-    def test_domination_premise_checked(self):
-        with pytest.raises(ValueError, match="domination"):
-            split_experiment(halfplane_exh(), LAPLACE, RAMP, HALF_RAMP,
-                             "domination", 1.0)
-
-    def test_sum_mode(self):
-        rep = split_experiment(halfplane_exh(), LAPLACE, RAMP, STRIP_OFF, "sum", 1.0,
-                               scheme="newton")
-        assert rep.passed
-        assert rep.mode == "sum"
-        assert rep.verdict in ("nontrivial", "trivial_trend", "undecided")
-
-    def test_unknown_mode(self):
-        with pytest.raises(ValueError, match="mode"):
-            split_experiment(halfplane_exh(), LAPLACE, RAMP, RAMP, "ratio", 1.0)
 
 
 class TestShippedNewtonRuns:

@@ -120,19 +120,16 @@ class TestExhaustion:
         exh = build_exhaustion((0.0, 1.0), 2.0, 3, spacing_rule="halve", spacing=0.25, anchor=(0.5,))
         hs = [g.spacing[0] for g in exh.stages]
         assert hs == [0.25, 0.125, 0.0625]
-        ii, oi = shared_node_indices(exh.stages[0], exh.stages[1])
-        np.testing.assert_allclose(
-            exh.stages[0].nodes[ii, 0], exh.stages[1].nodes[oi, 0]
-        )
+        oi = shared_node_indices(exh.stages[0], exh.stages[1])
+        np.testing.assert_allclose(exh.stages[0].nodes[:, 0], exh.stages[1].nodes[oi, 0])
 
 
     def test_shared_nodes_2d_halve_rule(self):
         exh = build_exhaustion(((-1, 1), (-0.5, 1.5)), 2.0, 3, spacing_rule="halve",
                                spacing=0.5, anchor=(0.0, 0.5))
         for inner, outer in zip(exh.stages, exh.stages[1:]):
-            ii, oi = shared_node_indices(inner, outer)
-            np.testing.assert_array_equal(ii, np.arange(inner.n_nodes))
-            np.testing.assert_array_equal(inner.nodes[ii], outer.nodes[oi])
+            oi = shared_node_indices(inner, outer)
+            np.testing.assert_array_equal(inner.nodes, outer.nodes[oi])
 
 class TestRestrict:
     def test_constant_restricts_to_constant(self):

@@ -5,7 +5,6 @@ import numpy as np
 import pytest
 import scipy.sparse.linalg as spla
 from hypothesis import given, settings, strategies as st
-from scipy.integrate import quad
 
 from semigreen.config import load_config
 from semigreen.geometry import build_box_grid, build_halfplane_truncation
@@ -17,7 +16,6 @@ from semigreen.potential import (
     harmonic_extension,
     interval_green,
     poisson_extension,
-    poisson_kernel_halfspace,
 )
 
 
@@ -187,23 +185,6 @@ class TestHalfplaneGreen:
             halfplane_green(np.vstack([good, [[0.0, 1.0]]]), (0.0, 1.0))
 
 
-class TestPoissonKernel:
-    def test_normalizing_constant(self):
-        assert poisson_kernel_halfspace(0.0, 1.0) == pytest.approx(1.0 / math.pi)
-        assert poisson_kernel_halfspace((0.0, 0.0), 1.0, n=2) == pytest.approx(1.0 / (2 * math.pi))
-
-    def test_unit_mass_quadrature(self):
-        total, err = quad(lambda s: poisson_kernel_halfspace(s, 0.7), -np.inf, np.inf)
-        assert total == pytest.approx(1.0, abs=1e-9)
-        assert err < 1e-8
-
-    def test_argument_validation(self):
-        with pytest.raises(ValueError):
-            poisson_kernel_halfspace(0.0, -1.0)
-        with pytest.raises(ValueError):
-            poisson_kernel_halfspace((0.0, 0.0), 1.0, n=1)
-
-
 class TestPoissonExtension:
     def test_constant_data(self):
         vals = poisson_extension(lambda s: np.ones_like(s), [(0.0, 1.0), (3.0, 0.5)])
@@ -219,9 +200,7 @@ class TestPoissonExtension:
     def test_tail_correction_matters(self):
         ones = lambda s: np.ones_like(s)
         with_tail = poisson_extension(ones, [(0.0, 5.0)], radius=50.0)[0]
-        without = poisson_extension(ones, [(0.0, 5.0)], radius=50.0, tail_correction=False)[0]
         assert abs(with_tail - 1.0) < 1e-6
-        assert abs(without - 1.0) > 1e-2
 
     def test_rejects_boundary_evaluation(self):
         with pytest.raises(ValueError):

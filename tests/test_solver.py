@@ -276,8 +276,17 @@ class TestComparisonChecks:
 
     def test_needs_full_fields(self):
         u, _ = solve_U(self.gop, 1.0, RAMP, tol=1e-12)
-        with pytest.raises(ValueError, match="full node fields"):
+        with pytest.raises(ValueError, match="full node field"):
             check_comparison(self.gop, u[self.grid.interior_nodes], u, RAMP)
+
+    @pytest.mark.parametrize("arg", ["u", "v"])
+    def test_non_finite_field_raises_naming_it(self, arg):
+        u, _ = solve_U(self.gop, 1.0, RAMP, tol=1e-12)
+        bad = u.copy()
+        bad[self.grid.interior_nodes[3]] = np.nan
+        fields = {"u": u, "v": u, arg: bad}
+        with pytest.raises(ValueError, match=f"{arg} must be finite"):
+            check_comparison(self.gop, fields["u"], fields["v"], RAMP)
 
     @pytest.mark.parametrize("value, match", [(np.nan, "finite"), (-1.0, "nonnegative")])
     def test_bad_phi_raises(self, value, match):

@@ -9,6 +9,7 @@ from semigreen.config import load_config
 from semigreen.exhaustion import run_exhaustion
 from semigreen.geometry import build_exhaustion, build_halfplane_truncation
 from semigreen.operator import EllipticCoefficients
+from semigreen.potential import interval_green
 from semigreen.solver import Nonlinearity
 from semigreen.thinness import (
     ThinnessCertificate,
@@ -127,12 +128,6 @@ class TestCriterionHalfplane:
         half = criterion_integral("halfplane", strip_phi, 1.0, pred, [4.0], x0=ANCHOR)
         assert half.values[0] == pytest.approx(0.5 * full.values[0], abs=1e-12)
 
-    def test_custom_kernel(self):
-        flat = lambda x0, pts: np.ones(pts.shape[0])
-        one = lambda p, t: np.ones(p.shape[0])
-        rep = criterion_integral(flat, one, 1.0, None, [4.0], x0=ANCHOR)
-        assert rep.values[0] == pytest.approx(64.0, abs=1e-9)  # area of [-4,4]x(0,8]
-
     def test_input_validation(self):
         one = lambda p, t: np.maximum(t, 0.0)
         with pytest.raises(ValueError, match="increasing"):
@@ -175,6 +170,15 @@ class TestCriterionInterval:
         one = lambda p, t: np.maximum(t, 0.0)
         with pytest.raises(ValueError, match="endpoints"):
             criterion_integral(("interval", (1.0, 0.0)), one, 1.0, None, [0.5], x0=(0.5,))
+
+    def test_kernel_column_matches_pointwise_green(self):
+        # the cell centres of test_saturated_value_is_exact, in one call and one by one
+        centers = (np.arange(8) + 0.5) * 0.125
+        column = interval_green(0.5, centers)
+        scalar = [interval_green(0.5, float(c)) for c in centers]
+        # the closed form in Python floats, as the per-cell loop computed it
+        closed = [(min(0.5, c) - 0.0) * (1.0 - max(0.5, c)) / 1.0 for c in centers.tolist()]
+        assert column.tolist() == scalar == closed
 
 
 @pytest.mark.parametrize("kernel, x0", [("halfplane", ANCHOR),
