@@ -122,18 +122,17 @@ def _cmd_green(args, cfg: RunConfig) -> int:
     grid = cfg.grid()
     oracle = args.oracle or cfg.experiment_opts["oracle"]
     compare = args.compare
+    dim = {"interval": 1, "halfplane": 2}[oracle]
+    if grid.dim != dim:
+        raise ConfigError("[experiment] oracle", f"{oracle} oracle needs a {dim}D grid")
     gop = factorize(assemble(grid, cfg.coeffs))
     header = ["x", "y"][:grid.dim] + ["discrete"]
     if oracle == "interval":
-        if grid.dim != 1:
-            raise ConfigError("[experiment] oracle", "interval oracle needs a 1D grid")
         a, b = grid.bbox[0]
         g = green_potential(gop, 1.0)
         analytic = (grid.nodes[:, 0] - a) * (b - grid.nodes[:, 0]) / 2.0
         keep = np.arange(grid.n_nodes)
     else:
-        if grid.dim != 2:
-            raise ConfigError("[experiment] oracle", "halfplane oracle needs a 2D grid")
         source = cfg.experiment_opts["source"] or (0.0, 1.0)
         try:
             j = grid.index_of(source)

@@ -99,6 +99,9 @@ class DiscreteOperator:
     m_matrix: bool
     coeffs: EllipticCoefficients
     K: sp.csc_matrix  # interior x interior, rows of -L; the M-matrix the solvers factorize
+    # (diagonal value, neighbour value per axis) of K when it is the separable constant
+    # stencil (constant a_ii and c, no drift, no cross term), entry for entry; else None
+    stencil: tuple | None = None
 
 
 def assemble(grid: Grid, coeffs: EllipticCoefficients) -> DiscreteOperator:
@@ -106,7 +109,8 @@ def assemble(grid: Grid, coeffs: EllipticCoefficients) -> DiscreteOperator:
 
     Raises on coefficient invariant violations (ellipticity, sign of c).
     A broken M-matrix sign structure from cross derivatives is reported
-    via m_matrix=False, not an error.
+    via m_matrix=False, not an error. The coefficients decide the stencil
+    record: set exactly when K is the separable constant stencil.
     """
     dim = grid.dim
     vals = {name: grid.field(getattr(coeffs, name), name=name)
@@ -132,7 +136,8 @@ def assemble(grid: Grid, coeffs: EllipticCoefficients) -> DiscreteOperator:
     for ax in range(dim):
         pieces.append((rows, nodes + stride[ax], a[ax] / h[ax]**2 + np.maximum(b[ax], 0.0) / h[ax]))
         pieces.append((rows, nodes - stride[ax], a[ax] / h[ax]**2 - np.minimum(b[ax], 0.0) / h[ax]))
-    if "a12" in at and np.any(at["a12"] != 0.0):
+    cross = bool(np.any(at.get("a12", 0.0)))
+    if cross:
         # 2*a12 * d2u/dxdy on the 4-point cross stencil
         q = 2.0 * at["a12"] / (4.0 * h[0] * h[1])
         sx, sy = stride
@@ -140,6 +145,11 @@ def assemble(grid: Grid, coeffs: EllipticCoefficients) -> DiscreteOperator:
         pieces.append((rows, nodes - sx - sy, q))
         pieces.append((rows, nodes + sx - sy, -q))
         pieces.append((rows, nodes - sx + sy, -q))
+    # K is the separable constant stencil when only the a_ii and c enter, each constant;
+    # its entries are then the negated values below, bit for bit
+    separable = not cross and not any(np.any(v) for v in b) and all(
+        np.all(v == v[0]) for v in [*a, at["c"]])
+    stencil = (-diag[0], tuple(-(a[ax][0] / h[ax]**2) for ax in range(dim))) if separable else None
 
     int_of_node = -np.ones(grid.n_nodes, dtype=np.int64)
     int_of_node[nodes] = np.arange(n_int)
@@ -152,9 +162,9 @@ def assemble(grid: Grid, coeffs: EllipticCoefficients) -> DiscreteOperator:
     into_interior = int_of_node[all_tgts] >= 0
 
     n_bd = len(grid.boundary_nodes)
-    matrix = sp.csr_matrix(
+    K = sp.csc_matrix(
         (
-            all_vals[into_interior],
+            -all_vals[into_interior],
             (all_rows[into_interior], int_of_node[all_tgts[into_interior]]),
         ),
         shape=(n_int, n_int),
@@ -168,10 +178,8 @@ def assemble(grid: Grid, coeffs: EllipticCoefficients) -> DiscreteOperator:
         shape=(n_int, n_bd),
         dtype=float,
     )
-    matrix.sum_duplicates()
     coupling.sum_duplicates()
 
-    K = (-matrix).tocsc()
     diag = K.diagonal()
     offdiag_max = (K - sp.diags(diag)).max()
     # row sums of -L over all columns (interior and boundary): discrete L1 <= 0
@@ -184,7 +192,7 @@ def assemble(grid: Grid, coeffs: EllipticCoefficients) -> DiscreteOperator:
         and (coupling.nnz == 0 or coupling.min() >= -_SIGN_TOL * scale)
     )
     return DiscreteOperator(
-        grid=grid, B=coupling, m_matrix=m_matrix, coeffs=coeffs, K=K,
+        grid=grid, B=coupling, m_matrix=m_matrix, coeffs=coeffs, K=K, stencil=stencil,
     )
 
 
@@ -205,7 +213,7 @@ class SuperharmonicReport:
 
 def check_superharmonic(op: DiscreteOperator, s, tol: float = 1e-9) -> SuperharmonicReport:
     """Check Ls <= tol at interior nodes (discrete superharmonicity of s >= 0)."""
-    vals = apply(op, s)
+    vals = apply(op, op.grid.field(s, name="s"))
     worst = int(np.argmax(vals))
     mx = float(vals[worst])
     return SuperharmonicReport(

@@ -8,9 +8,10 @@ interior nodes, through one GreenOperator per operator:
     harmonic extension   h = K^-1 B f   (Lh = 0 inside, h = f on the boundary)
     Green potential      g = K^-1 psi   (Lg = -psi inside, g = 0 on the boundary)
 
-A GreenOperator picks its solve path once, from K. When K is the separable
-constant-coefficient stencil on the full box interior (one diagonal value
-and one neighbour coupling per axis, nothing else), the DST-I diagonalizes
+A GreenOperator picks its solve path once, from op.stencil. When assemble
+recorded K as the separable constant-coefficient stencil on the full box
+interior (one diagonal value and one neighbour coupling per axis, nothing
+else; constant a_ii and c, no drift, no cross term), the DST-I diagonalizes
 it exactly (Buzbee, Golub and Nielson, SIAM J. Numer. Anal. 7(4), 1970) and
 a solve is a forward transform, a division by the eigenvalues and an
 inverse transform. Every other K (drift, variable coefficients, a cross
@@ -40,41 +41,19 @@ __all__ = [
 ]
 
 
-def _separable_eigenvalues(op: DiscreteOperator) -> np.ndarray | None:
-    """Eigenvalues of K on the interior shape m when K is exactly the
-    separable stencil: one value d0 on the diagonal, one value -c_ax on every
-    pair of neighbours along axis ax, and no other entry (so no coupling
-    across an axis wrap). None otherwise.
+def _separable_eigenvalues(op: DiscreteOperator) -> np.ndarray:
+    """Eigenvalues of K on the interior shape m, from the stencil record
+    (d0, -c_ax per axis) of a separable K.
 
     The eigenvector of index k (1-based per axis) is the product of
     sin(pi k_ax j_ax / (m_ax + 1)) over the axes, with eigenvalue
     d0 - sum_ax 2 c_ax cos(pi k_ax / (m_ax + 1)).
     """
-    K = op.K
+    lam, neighbour = op.stencil
     m = tuple(n - 2 for n in op.grid.shape)
-    n = K.shape[0]
-    if n != math.prod(m):
-        return None
-    # lattice step from the row node to the column node of each stored entry
-    # (interior nodes are C-ordered over m)
-    col = np.repeat(np.arange(n), np.diff(K.indptr))
-    step = np.subtract(np.unravel_index(col, m), np.unravel_index(K.indices, m))
-    dist = np.abs(step)
-    if np.any(dist.sum(axis=0) > 1):
-        return None  # a cross term, or a coupling beyond the nearest neighbours
-    kind = np.where(dist.any(axis=0), 1 + dist.argmax(axis=0), 0)  # 0: diagonal, 1 + ax: along ax
-    # every position of the stencil is stored (K has no duplicate entries)
-    full = [n] + [2 * (n // m[ax]) * (m[ax] - 1) for ax in range(len(m))]
-    if np.bincount(kind, minlength=len(m) + 1).tolist() != full:
-        return None
-    value = np.zeros(len(m) + 1)
-    value[kind] = K.data  # one of the stored values of each kind ...
-    if not np.array_equal(K.data, value[kind]):  # ... which all the others must equal
-        return None
-    lam = value[0]
     for ax in range(len(m)):
         k = np.arange(1, m[ax] + 1).reshape((-1,) + (1,) * (len(m) - ax - 1))
-        lam = lam + 2.0 * value[1 + ax] * np.cos(math.pi * k / (m[ax] + 1))
+        lam = lam + 2.0 * neighbour[ax] * np.cos(math.pi * k / (m[ax] + 1))
     return lam
 
 
@@ -82,11 +61,12 @@ def _separable_eigenvalues(op: DiscreteOperator) -> np.ndarray | None:
 class GreenOperator:
     """Solve handle over a DiscreteOperator's interior system.
 
-    Sign convention: solves K v = rhs with K = -matrix, so Green data enters
-    with a plus sign and L(G psi) = -psi. Building one picks the solve path:
-    the DST-I when K is the separable constant-coefficient stencil (see
-    _separable_eigenvalues), otherwise a sparse LU factorization, the only
-    one of a Green solve (newton's Jacobian solves do not come here yet).
+    Sign convention: solves K v = rhs with K = -L, so Green data enters
+    with a plus sign and L(G psi) = -psi. Building one picks the solve path
+    from op.stencil: the DST-I when assemble recorded the separable
+    constant-coefficient stencil (see _separable_eigenvalues), otherwise a
+    sparse LU factorization, the only one of a Green solve (newton's
+    Jacobian solves do not come here yet).
     """
 
     op: DiscreteOperator
@@ -95,8 +75,8 @@ class GreenOperator:
     _kappa: float | None = field(default=None, init=False, repr=False)  # cache of condition_factor
 
     def __post_init__(self):
-        self._lam = _separable_eigenvalues(self.op)
-        if self._lam is not None:
+        if self.op.stencil is not None:
+            self._lam = _separable_eigenvalues(self.op)
             return
         try:
             self._lu = spla.splu(self.op.K)

@@ -245,9 +245,6 @@ def _newton_step(gop, fb, pts, phi, dead_sizes):
     set size |A| of every step to dead_sizes."""
     K = gop.op.K
     kdiag = K.diagonal()
-    # positions of the diagonal in K.data: a Jacobian is K with d added there
-    diag_pos = np.flatnonzero(K.indices == np.repeat(np.arange(K.shape[1]), np.diff(K.indptr)))
-    assert diag_pos.size == K.shape[0], "K must store each diagonal entry once"
     bf = gop.op.B @ fb
 
     def step(u, p, tu):
@@ -262,12 +259,11 @@ def _newton_step(gop, fb, pts, phi, dead_sizes):
         if not dead_sizes[-1]:
             free, rhs = slice(None), -direct
             J = K.copy()
-            J.data[diag_pos] += d
         else:
             free = np.flatnonzero(~dead)
             rhs = (K @ np.where(dead, u, 0.0))[free] - direct[free]  # K_IA u_A - F_I
             J = K[free][:, free]
-            J.setdiag(J.diagonal() + d[free])
+        J.setdiag(J.diagonal() + d[free])  # in place: K stores each diagonal entry once
         if _malloc_trim is not None and J.shape[0] >= RELEASE_MIN_UNKNOWNS:
             _malloc_trim(0)
         new = np.zeros_like(u)

@@ -356,6 +356,15 @@ class TestCliExperiments:
         assert "max_abs_error" in capsys.readouterr().out
 
 
+    def test_green_oracle_of_another_dimension_rejected_before_factorizing(
+            self, tmp_path, capsys, monkeypatch):
+        calls = []
+        monkeypatch.setattr("semigreen.cli.factorize", lambda op: calls.append(op))
+        assert main(["green", "--config", str(CONFIGS / "green_halfplane.ini"),
+                     "--out-dir", str(tmp_path), "--oracle", "interval"]) == 2
+        assert "interval oracle needs a 1D grid" in capsys.readouterr().err
+        assert calls == []
+
     def test_green_source_on_the_wall_rejected(self, tmp_path, capsys):
         text = (CONFIGS / "green_halfplane.ini").read_text()
         assert "source = 0, 1\n" in text

@@ -159,6 +159,25 @@ class TestAssembleAgainstReference:
         assert b.min() < 0.0 < b.max() and grid.field(coeffs.c)[inner].max() < 0.0
 
 
+class TestLayoutOfK:
+    """splu and newton's in-place Jacobian diagonal (setdiag) rely on K
+    being canonical CSC with one stored entry per diagonal position."""
+
+    @pytest.mark.parametrize("bbox, h, coeffs", [
+        ((0.0, 1.0), 0.125, EllipticCoefficients()),
+        (((0.0, 1.0), (0.0, 2.0)), (0.125, 0.25), EllipticCoefficients(c=-1.0)),
+        (((0.0, 1.0), (0.0, 1.0)), 0.125, EllipticCoefficients(b1=0.7, b2=-0.3)),
+        (((0.0, 1.0), (0.0, 1.0)), 0.125, EllipticCoefficients(a12=0.2)),
+        (((0.0, 1.0), (0.0, 1.0)), 0.125,
+         EllipticCoefficients(a11=lambda p: 1.0 + p[:, 0], c=lambda p: -p[:, 1])),
+    ], ids=["1d", "2d", "drift", "cross_term", "variable"])
+    def test_canonical_csc_with_each_diagonal_entry_once(self, bbox, h, coeffs):
+        K = assemble(build_box_grid(bbox, h), coeffs).K
+        assert K.format == "csc" and K.has_canonical_format
+        on_diagonal = K.indices == np.repeat(np.arange(K.shape[1]), np.diff(K.indptr))
+        assert np.count_nonzero(on_diagonal) == K.shape[0]
+
+
 class TestCoefficientValidation:
     def test_ellipticity_violation_names_node(self):
         grid = build_box_grid((0.0, 1.0), 0.25)
@@ -211,6 +230,14 @@ class TestCheckSuperharmonic:
         assert not rep.passed
         assert rep.max_residual == pytest.approx(2.0, abs=1e-9)
         assert 0 <= rep.worst_node < grid.n_nodes
+
+    def test_bad_field_is_named_s(self):
+        grid, op = interval_op(h=1 / 16)
+        with pytest.raises(ValueError, match="^s must be a scalar, a callable or a full node "
+                                             "field of 17 values"):
+            check_superharmonic(op, np.ones(3))
+        with pytest.raises(ValueError, match="^s must be finite$"):
+            check_superharmonic(op, np.full(grid.n_nodes, np.nan))
 
 
 class TestApplyFullFieldsOnly:

@@ -252,8 +252,37 @@ class TestSolvePath:
     @pytest.mark.parametrize("case", sorted(NOT_SEPARABLE))
     def test_other_operators_use_lu(self, case, splu_calls):
         grid = build_box_grid(((0.0, 1.0), (0.0, 1.0)), 0.125)
-        factorize(assemble(grid, NOT_SEPARABLE[case]))
+        op = assemble(grid, NOT_SEPARABLE[case])
+        assert op.stencil is None
+        factorize(op)
         assert splu_calls == [1]
+
+    @pytest.mark.parametrize("case", sorted(SEPARABLE))
+    def test_stencil_record_is_ks_entries(self, case):
+        bbox, h, coeffs = SEPARABLE[case]
+        op = assemble(build_box_grid(bbox, h), coeffs)
+        d0, neighbour = op.stencil
+        K, m = op.K.toarray(), [n - 2 for n in op.grid.shape]
+        assert len(neighbour) == len(m)
+        assert np.array_equal(np.diag(K), np.full(K.shape[0], d0))
+        # node j + e_ax follows node j along axis ax at C-order stride s unless j is
+        # last along ax; every such pair carries the axis value, in both directions
+        for ax in range(len(m)):
+            s = math.prod(m[ax + 1:])
+            last = np.unravel_index(np.arange(K.shape[0]), m)[ax] == m[ax] - 1
+            pairs = np.flatnonzero(~last)
+            assert np.array_equal(K[pairs, pairs + s], np.full(pairs.size, neighbour[ax]))
+            assert np.array_equal(K[pairs + s, pairs], np.full(pairs.size, neighbour[ax]))
+        assert np.count_nonzero(K) == K.shape[0] + sum(
+            2 * (K.shape[0] // m[ax]) * (m[ax] - 1) for ax in range(len(m)))
+
+    @pytest.mark.parametrize("case", sorted(SEPARABLE))
+    def test_dst_eigenvalues_are_ks(self, case):
+        bbox, h, coeffs = SEPARABLE[case]
+        op = assemble(build_box_grid(bbox, h), coeffs)
+        lam = np.sort(factorize(op)._lam.ravel())
+        ref = np.linalg.eigvalsh(op.K.toarray())
+        assert np.max(np.abs(lam - ref)) <= 1e-12 * np.max(np.abs(ref))
 
     @pytest.mark.parametrize("case", sorted(SEPARABLE))
     def test_dst_solve_agrees_with_lu(self, case):
