@@ -19,6 +19,7 @@ from .operator import EllipticCoefficients, DiscreteOperator, assemble, apply, c
 from .potential import (
     GreenOperator,
     factorize,
+    condition_factor,
     harmonic_extension,
     green_potential,
     interval_green,
@@ -33,7 +34,6 @@ from .solver import (
     solve_U,
     check_comparison,
     check_monotone_in_data,
-    condition_factor,
 )
 from .exhaustion import (
     ExhaustionRun,

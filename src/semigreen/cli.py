@@ -15,6 +15,7 @@ import sys
 import numpy as np
 
 from .config import ConfigError, RunConfig, load_config
+from .expr import SPACE_VARS
 from .operator import assemble
 from .potential import factorize, green_potential, halfplane_green
 from .solver import NonConvergence, solve_U
@@ -54,7 +55,7 @@ def _cmd_solve(args, cfg: RunConfig) -> int:
     u, rep = solve_U(gop, f, cfg.phi, tol=tol, max_iter=max_iter,
                      scheme=scheme, omega=cfg.omega)
 
-    _write_columns(_out(args, cfg, ".csv"), cfg, ["x", "y"][:grid.dim] + ["u"],
+    _write_columns(_out(args, cfg, ".csv"), cfg, [*SPACE_VARS[:grid.dim], "u"],
                    list(grid.nodes.T) + [u])
     residuals = np.array(rep.residual_history, dtype=float)
     n = len(residuals)
@@ -121,18 +122,10 @@ def _cmd_criterion(args, cfg: RunConfig) -> int:
 def _cmd_green(args, cfg: RunConfig) -> int:
     grid = cfg.grid()
     oracle = args.oracle or cfg.experiment_opts["oracle"]
-    compare = args.compare
     dim = {"interval": 1, "halfplane": 2}[oracle]
     if grid.dim != dim:
         raise ConfigError("[experiment] oracle", f"{oracle} oracle needs a {dim}D grid")
-    gop = factorize(assemble(grid, cfg.coeffs))
-    header = ["x", "y"][:grid.dim] + ["discrete"]
-    if oracle == "interval":
-        a, b = grid.bbox[0]
-        g = green_potential(gop, 1.0)
-        analytic = (grid.nodes[:, 0] - a) * (b - grid.nodes[:, 0]) / 2.0
-        keep = np.arange(grid.n_nodes)
-    else:
+    if oracle == "halfplane":
         source = cfg.experiment_opts["source"] or (0.0, 1.0)
         try:
             j = grid.index_of(source)
@@ -140,6 +133,14 @@ def _cmd_green(args, cfg: RunConfig) -> int:
             raise ConfigError("[experiment] source", str(exc)) from exc
         if j in grid.boundary_nodes:
             raise ConfigError("[experiment] source", f"source {source} is not interior")
+    gop = factorize(assemble(grid, cfg.coeffs))
+    header = [*SPACE_VARS[:grid.dim], "discrete"]
+    if oracle == "interval":
+        a, b = grid.bbox[0]
+        g = green_potential(gop, 1.0)
+        analytic = (grid.nodes[:, 0] - a) * (b - grid.nodes[:, 0]) / 2.0
+        keep = np.arange(grid.n_nodes)
+    else:
         e = np.zeros(grid.n_interior)
         e[np.searchsorted(grid.interior_nodes, j)] = 1.0 / (grid.spacing[0] * grid.spacing[1])
         g = green_potential(gop, e)
@@ -147,12 +148,12 @@ def _cmd_green(args, cfg: RunConfig) -> int:
         analytic = np.full(grid.n_nodes, np.nan)
         analytic[keep] = halfplane_green(grid.nodes[keep], source)
     columns = list(grid.nodes[keep].T) + [g[keep]]
-    if compare:
+    if args.compare:
         errs = np.abs(g[keep] - analytic[keep])
         header += ["analytic", "abs_error"]
         columns += [analytic[keep], errs]
     _write_columns(_out(args, cfg, ".csv"), cfg, header, columns)
-    if compare:
+    if args.compare:
         print(f"max_abs_error={cfg.fmt(float(np.max(errs)))}")
     return 0
 

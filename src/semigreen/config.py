@@ -3,8 +3,8 @@
 Sections: [domain], [operator], [nonlinearity], [solver], [experiment],
 [output]. Every error names the offending "[section] key" so the CLI can
 map it to a validation exit; a key that no parser reads is an error too.
-Expression values use the expr mini-language over (x, y) for fields and
-(x, y, t) for the nonlinearity.
+Expression values use the expr mini-language over the space variables
+expr.SPACE_VARS for fields, and over those and t for the nonlinearity.
 """
 
 from __future__ import annotations
@@ -14,7 +14,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .expr import Expr, ParseError, parse
+from .expr import SPACE_VARS, Expr, ParseError, parse
 from .geometry import Exhaustion, Grid, build_box_grid, build_exhaustion, build_halfplane_truncation
 from .operator import EllipticCoefficients, _coefficient_names
 from .solver import SCHEMES, Nonlinearity
@@ -84,9 +84,9 @@ class RunConfig:
 
 
 def _parse_expr(raw: str, where: str, dim: int, with_t: bool = False) -> Expr:
-    """Parse an expression over the space variables ("x", "y")[:dim], plus
-    t if with_t."""
-    allowed = set(("x", "y")[:dim]) | ({"t"} if with_t else set())
+    """Parse an expression over the first dim of SPACE_VARS, plus t if
+    with_t."""
+    allowed = set(SPACE_VARS[:dim]) | ({"t"} if with_t else set())
     try:
         e = parse(raw)
     except ParseError as exc:
@@ -103,11 +103,18 @@ def _bind(e: Expr):
     Grid.field and Nonlinearity shape and check it."""
 
     def fn(pts, t=None):
-        bind = dict(zip(("x", "y"), np.asarray(pts, dtype=float).T))
+        bind = dict(zip(SPACE_VARS, np.asarray(pts, dtype=float).T))
         bind["t"] = t
         return e.eval(bind)
 
     return fn
+
+
+def _finite(vals, where: str, raw: str):
+    """Every number of a config is finite: float() also reads inf and nan."""
+    if not np.all(np.isfinite(vals)):
+        raise ConfigError(where, f"must be finite, got {raw!r}")
+    return vals
 
 
 def _floats(raw: str, where: str, n: int = None):
@@ -117,7 +124,7 @@ def _floats(raw: str, where: str, n: int = None):
         raise ConfigError(where, f"expected numbers, got {raw!r}") from exc
     if n is not None and len(vals) != n:
         raise ConfigError(where, f"expected {n} numbers, got {len(vals)}")
-    return vals
+    return _finite(vals, where, raw)
 
 
 class _Parser(configparser.ConfigParser):
@@ -130,60 +137,42 @@ class _Parser(configparser.ConfigParser):
         self.read_keys = set()
 
 
-def _get(cp, section, key, default=None, required=False):
+_KINDS = {float: "a number", int: "an integer", bool: "a boolean"}
+_BOOLS = {"true": True, "yes": True, "1": True, "on": True,
+          "false": False, "no": False, "0": False, "off": False}
+
+
+def _get(cp, section, key, default=None, required=False, kind=str):
+    """[section] key read as kind (str, float, int or bool); default if absent."""
+    where = f"[{section}] {key}"
     cp.read_keys.add((section, key))
-    if cp.has_option(section, key):
-        return cp.get(section, key).strip()
-    if required:
-        raise ConfigError(f"[{section}] {key}", "required key is missing")
-    return default
-
-
-def _get_float(cp, section, key, default=None, required=False):
-    raw = _get(cp, section, key, required=required)
-    if raw is None:
+    if not cp.has_option(section, key):
+        if required:
+            raise ConfigError(where, "required key is missing")
         return default
+    raw = cp.get(section, key).strip()
+    if kind is str:
+        return raw
     try:
-        return float(raw)
-    except ValueError as exc:
-        raise ConfigError(f"[{section}] {key}", f"expected a number, got {raw!r}") from exc
-
-
-def _get_int(cp, section, key, default=None, required=False):
-    raw = _get(cp, section, key, required=required)
-    if raw is None:
-        return default
-    try:
-        return int(raw)
-    except ValueError as exc:
-        raise ConfigError(f"[{section}] {key}", f"expected an integer, got {raw!r}") from exc
-
-
-def _get_bool(cp, section, key, default=False):
-    raw = _get(cp, section, key)
-    if raw is None:
-        return default
-    low = raw.lower()
-    if low in ("true", "yes", "1", "on"):
-        return True
-    if low in ("false", "no", "0", "off"):
-        return False
-    raise ConfigError(f"[{section}] {key}", f"expected a boolean, got {raw!r}")
+        value = _BOOLS[raw.lower()] if kind is bool else kind(raw)
+    except (KeyError, ValueError) as exc:
+        raise ConfigError(where, f"expected {_KINDS[kind]}, got {raw!r}") from exc
+    return _finite(value, where, raw) if kind is float else value
 
 
 def _domain(cp, cfg_kw):
-    dim = _get_int(cp, "domain", "dim", required=True)
+    dim = _get(cp, "domain", "dim", required=True, kind=int)
     if dim not in (1, 2):
         raise ConfigError("[domain] dim", f"must be 1 or 2, got {dim}")
-    spacing = _get_float(cp, "domain", "spacing", required=True)
-    halfplane = _get_bool(cp, "domain", "halfplane", default=False)
+    spacing = _get(cp, "domain", "spacing", required=True, kind=float)
+    halfplane = _get(cp, "domain", "halfplane", default=False, kind=bool)
     cfg_kw.update(dim=dim, spacing=spacing, halfplane=halfplane)
 
     if halfplane:
         if dim != 2:
             raise ConfigError("[domain] halfplane", "halfplane mode needs dim = 2")
-        radius = _get_float(cp, "domain", "radius", required=True)
-        delta = _get_float(cp, "domain", "delta", default=spacing)
+        radius = _get(cp, "domain", "radius", required=True, kind=float)
+        delta = _get(cp, "domain", "delta", default=spacing, kind=float)
         cfg_kw.update(radius=radius, delta=delta)
     else:
         raw = _get(cp, "domain", "bbox", required=True)
@@ -196,8 +185,8 @@ def _domain(cp, cfg_kw):
 
     if cfg_kw["experiment"] == "exhaust":
         exh = {
-            "factor": _get_float(cp, "domain", "exhaustion.factor", default=2.0),
-            "stages": _get_int(cp, "domain", "exhaustion.stages", required=True),
+            "factor": _get(cp, "domain", "exhaustion.factor", default=2.0, kind=float),
+            "stages": _get(cp, "domain", "exhaustion.stages", required=True, kind=int),
             "spacing_rule": _get(cp, "domain", "exhaustion.spacing_rule", default="fixed"),
         }
         if exh["spacing_rule"] not in ("fixed", "halve"):
@@ -226,7 +215,7 @@ def _operator(cp, cfg_kw):
 def _nonlinearity(cp, cfg_kw):
     dim = cfg_kw["dim"]
     raw = _get(cp, "nonlinearity", "phi")
-    differentiable = _get_bool(cp, "nonlinearity", "differentiable", default=False)
+    differentiable = _get(cp, "nonlinearity", "differentiable", default=False, kind=bool)
     if raw is None:
         cfg_kw["phi"] = Nonlinearity(phi=lambda p, t: 0.0, differentiable=True)
         return
@@ -240,15 +229,15 @@ def _solver(cp, cfg_kw):
     scheme = _get(cp, "solver", "scheme", default="sandwich")
     if scheme not in SCHEMES:
         raise ConfigError("[solver] scheme", f"must be one of {SCHEMES}, got {scheme!r}")
-    tol = _get_float(cp, "solver", "tol", default=1e-10)
-    max_iter = _get_int(cp, "solver", "max_iter", default=200)
+    tol = _get(cp, "solver", "tol", default=1e-10, kind=float)
+    max_iter = _get(cp, "solver", "max_iter", default=200, kind=int)
     if not tol > 0:
         raise ConfigError("[solver] tol", f"must be positive, got {tol}")
     if max_iter < 1:
         raise ConfigError("[solver] max_iter", f"must be >= 1, got {max_iter}")
     cfg_kw.update(scheme=scheme, tol=tol, max_iter=max_iter)
     if cfg_kw["experiment"] == "solve":  # run_exhaustion takes no omega
-        omega = _get_float(cp, "solver", "omega", default=0.5)
+        omega = _get(cp, "solver", "omega", default=0.5, kind=float)
         if not 0 < omega <= 1:
             raise ConfigError("[solver] omega", f"must be in (0, 1], got {omega}")
         cfg_kw["omega"] = omega
@@ -278,7 +267,7 @@ def _experiment(cp, cfg_kw):
         opts["witness_s"] = _bind(_parse_expr(raw, "[experiment] witness_s", dim))
         raw = _get(cp, "experiment", "set_A", required=True)
         opts["set_A"] = _bind(_parse_expr(raw, "[experiment] set_A", dim))
-        margin = _get_float(cp, "experiment", "margin", required=True)
+        margin = _get(cp, "experiment", "margin", required=True, kind=float)
         if not margin > 0:
             raise ConfigError("[experiment] margin", f"must be positive, got {margin}")
         opts["margin"] = margin
@@ -288,8 +277,8 @@ def _experiment(cp, cfg_kw):
             pts = _floats(_get(cp, "experiment", "endpoints", required=True),
                           "[experiment] endpoints", 2)
             opts["kernel"] = ("interval", tuple(pts))
-            opts["x0"] = (_get_float(cp, "experiment", "anchor",
-                                     default=(pts[0] + pts[1]) / 2.0),)
+            opts["x0"] = (_get(cp, "experiment", "anchor",
+                               default=(pts[0] + pts[1]) / 2.0, kind=float),)
         elif kernel == "halfplane":
             opts["kernel"] = "halfplane"
             raw = _get(cp, "experiment", "anchor", default="0, 2")
@@ -297,10 +286,10 @@ def _experiment(cp, cfg_kw):
         else:
             raise ConfigError("[experiment] kernel",
                               f"must be halfplane or interval, got {kernel!r}")
-        opts["c0"] = _get_float(cp, "experiment", "c0", required=True)
+        opts["c0"] = _get(cp, "experiment", "c0", required=True, kind=float)
         opts["truncations"] = _floats(_get(cp, "experiment", "truncations", required=True),
                                       "[experiment] truncations")
-        opts["cell"] = _get_float(cp, "experiment", "cell", default=0.125)
+        opts["cell"] = _get(cp, "experiment", "cell", default=0.125, kind=float)
         raw = _get(cp, "experiment", "set_A")
         if raw is not None:
             e = _parse_expr(raw, "[experiment] set_A", 2 if kernel == "halfplane" else 1)
@@ -318,13 +307,13 @@ def _experiment(cp, cfg_kw):
     elif kind == "verify":
         raw = _get(cp, "experiment", "suites")
         opts["suites"] = [s.strip() for s in raw.split(",")] if raw else None
-        opts["trials"] = _get_int(cp, "experiment", "trials", default=25)
+        opts["trials"] = _get(cp, "experiment", "trials", default=25, kind=int)
 
     cfg_kw["experiment_opts"] = opts
 
 
 def _output(cp, cfg_kw):
-    precision = _get_int(cp, "output", "precision", default=17)
+    precision = _get(cp, "output", "precision", default=17, kind=int)
     if not 1 <= precision <= 17:
         raise ConfigError("[output] precision", f"must be in [1, 17], got {precision}")
     cfg_kw["precision"] = precision

@@ -14,8 +14,8 @@ import numpy as np
 
 from .geometry import Exhaustion, Grid, restrict, shared_node_indices
 from .operator import EllipticCoefficients, apply as apply_op, assemble, check_superharmonic
-from .potential import factorize, harmonic_extension
-from .solver import Nonlinearity, condition_factor, solve_U
+from .potential import condition_factor, factorize, harmonic_extension
+from .solver import Nonlinearity, solve_U
 
 __all__ = [
     "ExhaustionRun",

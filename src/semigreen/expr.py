@@ -13,11 +13,12 @@ non-integer exponent) raise DomainError instead.
 
 from __future__ import annotations
 
+import operator
 from dataclasses import dataclass
 
 import numpy as np
 
-__all__ = ["Expr", "ParseError", "DomainError", "parse"]
+__all__ = ["Expr", "ParseError", "DomainError", "SPACE_VARS", "parse"]
 
 
 class ParseError(ValueError):
@@ -32,13 +33,70 @@ class DomainError(ValueError):
     pass
 
 
-_VARS = ("x", "y", "t")
-_FUNCS = {"exp": 1, "log": 1, "sqrt": 1, "abs": 1, "min": 2, "max": 2, "pow": 2}
+SPACE_VARS = ("x", "y")  # the point coordinates, one per axis
+_VARS = (*SPACE_VARS, "t")
+
+
+def _divide(a, b):
+    if np.any(np.asarray(b) == 0):
+        raise DomainError("division by zero")
+    return a / b
+
+
+def _log(a):
+    if np.any(np.asarray(a) <= 0):
+        raise DomainError("log of a nonpositive value")
+    return np.log(a)
+
+
+def _sqrt(a):
+    if np.any(np.asarray(a) < 0):
+        raise DomainError("sqrt of a negative value")
+    return np.sqrt(a)
+
+
+def _power(base, expo):
+    b = np.asarray(base, dtype=float)
+    e = np.asarray(expo, dtype=float)
+    frac = e != np.floor(e)
+    if np.any((b < 0) & frac):
+        raise DomainError("pow with negative base and non-integer exponent")
+    if np.any((b == 0) & (e < 0)):
+        raise DomainError("pow(0, negative)")
+    out = np.power(b, e)
+    if out.ndim == 0 and np.ndim(base) == 0 and np.ndim(expo) == 0:
+        return float(out)
+    return out
+
+
+def _indicator(compare):
+    """compare as 1.0/0.0: a float array for an array operand, else a Python float"""
+    def fn(a, b):
+        hit = compare(a, b)
+        return hit.astype(float) if np.ndim(hit) else float(hit)
+    return fn
+
+
+# symbol -> (binding power, implementation); ^ is right-assoc, unary minus binds at _UNARY_POWER
+_BINARY = {
+    "<": (1, _indicator(np.less)), ">": (1, _indicator(np.greater)),
+    "<=": (1, _indicator(np.less_equal)), ">=": (1, _indicator(np.greater_equal)),
+    "+": (2, operator.add), "-": (2, operator.sub),
+    "*": (3, operator.mul), "/": (3, _divide),
+    "^": (5, _power),
+}
+_UNARY_POWER = 4
+# name -> (arity, implementation)
+_FUNCS = {
+    "exp": (1, np.exp), "log": (1, _log), "sqrt": (1, _sqrt), "abs": (1, np.abs),
+    "min": (2, np.minimum), "max": (2, np.maximum), "pow": (2, _power),
+}
+# symbol -> token kind; the tokenizer tries them longest first, so "<=" before "<"
+_SYMBOLS = {"(": "lparen", ")": "rparen", ",": "comma", **dict.fromkeys(_BINARY, "op")}
+_LONGEST_FIRST = sorted(_SYMBOLS, key=len, reverse=True)
+
 
 # token kinds: num ident op lparen rparen comma end
-_OPS = ("<=", ">=", "<", ">", "+", "-", "*", "/", "^")
-
-
 def _tokenize(text: str):
     toks = []
     i, n = 0, len(text)
@@ -75,42 +133,22 @@ def _tokenize(text: str):
             toks.append(("ident", text[i:j], i))
             i = j
             continue
-        two = text[i : i + 2]
-        if two in ("<=", ">="):
-            toks.append(("op", two, i))
-            i += 2
-            continue
-        if ch in "+-*/^<>":
-            toks.append(("op", ch, i))
-            i += 1
-            continue
-        if ch == "(":
-            toks.append(("lparen", ch, i))
-            i += 1
-            continue
-        if ch == ")":
-            toks.append(("rparen", ch, i))
-            i += 1
-            continue
-        if ch == ",":
-            toks.append(("comma", ch, i))
-            i += 1
-            continue
-        raise ParseError(f"unexpected character {ch!r}", i)
+        for sym in _LONGEST_FIRST:
+            if text.startswith(sym, i):
+                break
+        else:
+            raise ParseError(f"unexpected character {ch!r}", i)
+        toks.append((_SYMBOLS[sym], sym, i))
+        i += len(sym)
     toks.append(("end", "", n))
     return toks
 
 
-# binding powers; ^ handled right-associative in _parse_binary
-_PREC = {"<": 1, ">": 1, "<=": 1, ">=": 1, "+": 2, "-": 2, "*": 3, "/": 3, "^": 5}
-_UNARY_PREC = 4
-
-
 class _Parser:
     def __init__(self, text: str):
-        self.text = text
         self.toks = _tokenize(text)
         self.pos = 0
+        self.variables = set()
 
     def peek(self):
         return self.toks[self.pos]
@@ -124,19 +162,16 @@ class _Parser:
         t = self.next()
         if t[0] != kind:
             raise ParseError(f"expected {kind}, found {t[1]!r}", t[2])
-        return t
 
-    def parse_expr(self, min_prec: int = 0):
+    def parse_expr(self, min_power: int = 0):
         node = self.parse_prefix()
         while True:
             kind, val, off = self.peek()
-            if kind != "op" or _PREC[val] < min_prec:
+            if kind != "op" or _BINARY[val][0] < min_power:
                 return node
             self.next()
-            if val == "^":
-                rhs = self.parse_expr(_PREC[val])  # right-assoc
-            else:
-                rhs = self.parse_expr(_PREC[val] + 1)
+            power = _BINARY[val][0]
+            rhs = self.parse_expr(power if val == "^" else power + 1)
             node = ("bin", val, node, rhs)
 
     def parse_prefix(self):
@@ -144,7 +179,7 @@ class _Parser:
         if kind == "num":
             return ("num", val)
         if kind == "op" and val == "-":
-            return ("neg", self.parse_expr(_UNARY_PREC))
+            return ("neg", self.parse_expr(_UNARY_POWER))
         if kind == "lparen":
             node = self.parse_expr(0)
             self.expect("rparen")
@@ -159,56 +194,15 @@ class _Parser:
                     self.next()
                     args.append(self.parse_expr(0))
                 self.expect("rparen")
-                if len(args) != _FUNCS[val]:
-                    raise ParseError(
-                        f"{val} takes {_FUNCS[val]} argument(s), got {len(args)}", off
-                    )
+                arity = _FUNCS[val][0]
+                if len(args) != arity:
+                    raise ParseError(f"{val} takes {arity} argument(s), got {len(args)}", off)
                 return ("call", val, tuple(args))
             if val not in _VARS:
                 raise ParseError(f"unknown identifier {val!r}", off)
+            self.variables.add(val)
             return ("var", val)
         raise ParseError(f"unexpected token {val!r}", off)
-
-
-def _node_prec(node) -> int:
-    kind = node[0]
-    if kind == "bin":
-        return _PREC[node[1]]
-    if kind == "neg":
-        return _UNARY_PREC
-    return 9
-
-
-def _fmt(node) -> str:
-    kind = node[0]
-    if kind == "num":
-        v = node[1]
-        return repr(v) if v != int(v) or abs(v) >= 1e16 else str(int(v))
-    if kind == "var":
-        return node[1]
-    if kind == "neg":
-        inner = _fmt(node[1])
-        if _node_prec(node[1]) < _UNARY_PREC:
-            inner = f"({inner})"
-        return f"-{inner}"
-    if kind == "call":
-        return f"{node[1]}({', '.join(_fmt(a) for a in node[2])})"
-    _, op, a, b = node
-    p = _PREC[op]
-    sa, sb = _fmt(a), _fmt(b)
-    # keep the re-parsed tree identical, not merely equivalent: float
-    # rounding makes (a+b)+c and a+(b+c) different values
-    if op == "^":
-        if _node_prec(a) <= p:
-            sa = f"({sa})"
-        if _node_prec(b) < p:
-            sb = f"({sb})"
-    else:
-        if _node_prec(a) < p:
-            sa = f"({sa})"
-        if _node_prec(b) <= p:
-            sb = f"({sb})"
-    return f"{sa} {op} {sb}"
 
 
 def _eval_node(node, env):
@@ -223,61 +217,9 @@ def _eval_node(node, env):
     if kind == "neg":
         return -_eval_node(node[1], env)
     if kind == "call":
-        name = node[1]
-        args = [_eval_node(a, env) for a in node[2]]
-        if name == "exp":
-            return np.exp(args[0])
-        if name == "log":
-            if np.any(np.asarray(args[0]) <= 0):
-                raise DomainError("log of a nonpositive value")
-            return np.log(args[0])
-        if name == "sqrt":
-            if np.any(np.asarray(args[0]) < 0):
-                raise DomainError("sqrt of a negative value")
-            return np.sqrt(args[0])
-        if name == "abs":
-            return np.abs(args[0])
-        if name == "min":
-            return np.minimum(args[0], args[1])
-        if name == "max":
-            return np.maximum(args[0], args[1])
-        return _power(args[0], args[1])
-    _, op, a, b = node
-    va = _eval_node(a, env)
-    vb = _eval_node(b, env)
-    if op == "+":
-        return va + vb
-    if op == "-":
-        return va - vb
-    if op == "*":
-        return va * vb
-    if op == "/":
-        if np.any(np.asarray(vb) == 0):
-            raise DomainError("division by zero")
-        return va / vb
-    if op == "^":
-        return _power(va, vb)
-    if op == "<":
-        return (np.less(va, vb)).astype(float) if np.ndim(va) or np.ndim(vb) else float(va < vb)
-    if op == ">":
-        return (np.greater(va, vb)).astype(float) if np.ndim(va) or np.ndim(vb) else float(va > vb)
-    if op == "<=":
-        return (np.less_equal(va, vb)).astype(float) if np.ndim(va) or np.ndim(vb) else float(va <= vb)
-    return (np.greater_equal(va, vb)).astype(float) if np.ndim(va) or np.ndim(vb) else float(va >= vb)
-
-
-def _power(base, expo):
-    b = np.asarray(base, dtype=float)
-    e = np.asarray(expo, dtype=float)
-    frac = e != np.floor(e)
-    if np.any((b < 0) & frac):
-        raise DomainError("pow with negative base and non-integer exponent")
-    if np.any((b == 0) & (e < 0)):
-        raise DomainError("pow(0, negative)")
-    out = np.power(b, e)
-    if out.ndim == 0 and np.ndim(base) == 0 and np.ndim(expo) == 0:
-        return float(out)
-    return out
+        return _FUNCS[node[1]][1](*[_eval_node(a, env) for a in node[2]])
+    # operands left to right, then the operation
+    return _BINARY[node[1]][1](_eval_node(node[2], env), _eval_node(node[3], env))
 
 
 @dataclass(frozen=True)
@@ -286,6 +228,7 @@ class Expr:
 
     ast: tuple
     source: str
+    variables: frozenset  # the variable names the source uses
 
     def eval(self, bindings: dict):
         """Evaluate under {x, y, t} bindings (scalars or numpy arrays)."""
@@ -293,25 +236,6 @@ class Expr:
         if np.any(np.isnan(np.asarray(out))):
             raise DomainError(f"expression {self.source!r} produced NaN")
         return out
-
-    @property
-    def variables(self) -> frozenset:
-        found = set()
-        stack = [self.ast]
-        while stack:
-            node = stack.pop()
-            if node[0] == "var":
-                found.add(node[1])
-            elif node[0] == "neg":
-                stack.append(node[1])
-            elif node[0] == "call":
-                stack.extend(node[2])
-            elif node[0] == "bin":
-                stack.extend(node[2:])
-        return frozenset(found)
-
-    def __str__(self) -> str:
-        return _fmt(self.ast)
 
 
 def parse(text: str) -> Expr:
@@ -323,4 +247,4 @@ def parse(text: str) -> Expr:
     tail = p.peek()
     if tail[0] != "end":
         raise ParseError(f"trailing input {tail[1]!r}", tail[2])
-    return Expr(ast=ast, source=text)
+    return Expr(ast=ast, source=text, variables=frozenset(p.variables))

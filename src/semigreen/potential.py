@@ -33,6 +33,7 @@ from .operator import DiscreteOperator
 __all__ = [
     "GreenOperator",
     "factorize",
+    "condition_factor",
     "harmonic_extension",
     "green_potential",
     "interval_green",
@@ -100,6 +101,15 @@ class GreenOperator:
 
 def factorize(op: DiscreteOperator) -> GreenOperator:
     return GreenOperator(op=op)
+
+
+def condition_factor(gop: GreenOperator) -> float:
+    """kappa = 1 + max(G_D 1): how far an interior residual slack of tol can
+    displace the solution, by the discrete maximum principle. Computed once
+    per operator and kept on it."""
+    if gop._kappa is None:
+        gop._kappa = 1.0 + float(np.max(gop.solve(np.ones(gop.grid.n_interior))))
+    return gop._kappa
 
 
 def harmonic_extension(gop: GreenOperator, f) -> np.ndarray:

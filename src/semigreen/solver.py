@@ -51,7 +51,7 @@ import numpy as np
 import scipy.sparse.linalg as spla
 
 from .operator import apply as apply_op
-from .potential import GreenOperator
+from .potential import GreenOperator, condition_factor
 
 __all__ = [
     "Nonlinearity",
@@ -62,7 +62,6 @@ __all__ = [
     "solve_U",
     "check_comparison",
     "check_monotone_in_data",
-    "condition_factor",
 ]
 
 SCHEMES = ("sandwich", "damped_picard", "newton")
@@ -280,15 +279,6 @@ class CheckVerdict:
     margin: float
     kappa: float = float("nan")
     reason: str = ""
-
-
-def condition_factor(gop: GreenOperator) -> float:
-    """kappa = 1 + max(G_D 1): how far an interior residual slack of tol can
-    displace the solution, by the discrete maximum principle. Computed once
-    per operator and kept on it."""
-    if gop._kappa is None:
-        gop._kappa = 1.0 + float(np.max(gop.solve(np.ones(gop.grid.n_interior))))
-    return gop._kappa
 
 
 def check_comparison(gop: GreenOperator, u, v, phi: Nonlinearity, boundary_gap: float = 0.0,

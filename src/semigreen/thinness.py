@@ -143,8 +143,6 @@ class CriterionReport:
     increments: tuple
     ratios: tuple
     verdict: str  # bounded_trend | diverging_trend | undecided
-    anchor: tuple
-    cell: float
 
 
 def _trend(values) -> tuple:
@@ -207,6 +205,8 @@ def criterion_integral(
         raise ValueError("truncation radii must be strictly increasing")
     if not radii:
         raise ValueError("need at least one truncation radius")
+    if not cell > 0:
+        raise ValueError(f"cell must be positive, got {cell}")
     if set_A is not None and not callable(set_A):
         raise ValueError("set_A must be a predicate callable or None")
     if not isinstance(phi, Nonlinearity):
@@ -229,8 +229,7 @@ def criterion_integral(
         prev = r
         values.append(total)
     increments, ratios, verdict = _trend(values)
-    return CriterionReport(tuple(radii), tuple(values), increments, ratios,
-                           verdict, x0, cell)
+    return CriterionReport(tuple(radii), tuple(values), increments, ratios, verdict)
 
 
 def _halfplane_shell_blocks(r_in, r_out):
@@ -288,8 +287,7 @@ def _criterion_interval(endpoints, phi, c0, pred, radii, x0, cell):
         covered = (lo_edges >= x0s - r) & (hi_edges <= x0s + r)
         values.append(float(np.sum(w[covered] * g[covered]) * cell))
     increments, ratios, verdict = _trend(values)
-    return CriterionReport(tuple(radii), tuple(values), increments, ratios,
-                           verdict, (x0s,), cell)
+    return CriterionReport(tuple(radii), tuple(values), increments, ratios, verdict)
 
 
 def necessary_direction_probe(run, c0: float = None) -> tuple:

@@ -134,6 +134,20 @@ class TestLoadConfig:
         with pytest.raises(ConfigError, match="expected"):
             load_config(write_ini(tmp_path, bad))
 
+    @pytest.mark.parametrize("old, new, message", [
+        ("spacing = 0.0625", "spacing = tiny",
+         "[domain] spacing: expected a number, got 'tiny'"),
+        ("dim = 1", "dim = 2.5", "[domain] dim: expected an integer, got '2.5'"),
+        ("bbox = 0, 1", "bbox = 0, 1\nhalfplane = maybe",
+         "[domain] halfplane: expected a boolean, got 'maybe'"),
+        ("boundary_f = 1\n", "", "[experiment] boundary_f: required key is missing"),
+    ])
+    def test_reader_messages(self, tmp_path, old, new, message):
+        assert old in SOLVE_INI
+        with pytest.raises(ConfigError) as ei:
+            load_config(write_ini(tmp_path, SOLVE_INI.replace(old, new)))
+        assert str(ei.value) == message
+
     def test_bad_scheme(self, tmp_path):
         with pytest.raises(ConfigError, match=r"\[solver\] scheme"):
             load_config(write_ini(tmp_path, SOLVE_INI + "\n[solver]\nscheme = secant\n"))
@@ -365,12 +379,42 @@ class TestCliExperiments:
         assert "interval oracle needs a 1D grid" in capsys.readouterr().err
         assert calls == []
 
-    def test_green_source_on_the_wall_rejected(self, tmp_path, capsys):
+    def test_green_source_on_the_wall_rejected(self, tmp_path, capsys, monkeypatch):
+        calls = []
+        monkeypatch.setattr("semigreen.cli.factorize", lambda op: calls.append(op))
         text = (CONFIGS / "green_halfplane.ini").read_text()
         assert "source = 0, 1\n" in text
         cfg = write_ini(tmp_path, text.replace("source = 0, 1\n", "source = 0, 0.125\n"))
         assert main(["green", "--config", cfg, "--out-dir", str(tmp_path)]) == 2
         assert "not interior" in capsys.readouterr().err
+        assert calls == []
+
+    @pytest.mark.parametrize("name, kind, old, new, where", [
+        ("strip_criterion", "criterion", "truncations = 4, 8, 16, 32", "truncations = 4, inf",
+         "[experiment] truncations"),
+        ("strip_criterion", "criterion", "anchor = 0, 0.5", "anchor = 0, nan",
+         "[experiment] anchor"),
+        ("strip_criterion", "criterion", "cell = 0.125", "cell = nan", "[experiment] cell"),
+        ("green_halfplane", "green", "radius = 8", "radius = inf", "[domain] radius"),
+        ("green_halfplane", "green", "source = 0, 1", "source = 0, -inf",
+         "[experiment] source"),
+        ("green_interval", "green", "bbox = 0, 1", "bbox = 0, inf", "[domain] bbox"),
+        ("sqrt_witness", "thin-check", "margin = 0.25", "margin = inf", "[experiment] margin"),
+    ])
+    def test_non_finite_number_rejected(self, tmp_path, capsys, name, kind, old, new, where):
+        text = (CONFIGS / f"{name}.ini").read_text()
+        assert old in text
+        cfg = write_ini(tmp_path, text.replace(old, new))
+        assert main([kind, "--config", cfg, "--out-dir", str(tmp_path)]) == 2
+        assert f"config error: {where}: must be finite, got " in capsys.readouterr().err
+
+    @pytest.mark.parametrize("cell", ["0", "-0.125"])
+    def test_criterion_nonpositive_cell_rejected(self, tmp_path, capsys, cell):
+        text = (CONFIGS / "strip_criterion.ini").read_text()
+        cfg = write_ini(tmp_path, text.replace("cell = 0.125", f"cell = {cell}"))
+        assert main(["criterion", "--config", cfg, "--out-dir", str(tmp_path)]) == 2
+        assert "cell must be positive" in capsys.readouterr().err
+
     @pytest.mark.parametrize("constant, expression", [("0", "y < -1"), ("1", "y > -1")])
     def test_thin_check_constant_set(self, tmp_path, constant, expression):
         # a constant expression evaluates to a scalar; it must mean the same

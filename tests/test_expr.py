@@ -1,5 +1,3 @@
-import math
-
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -43,6 +41,10 @@ class TestParse:
 
     def test_power_right_associative(self):
         assert ev("2^3^2") == 512.0  # 2^(3^2), not (2^3)^2
+
+    def test_variables(self):
+        assert parse("(y > 1) * max(t, 0)").variables == {"y", "t"}
+        assert parse("2 ^ 3").variables == frozenset()
 
     def test_precedence(self):
         assert ev("2+3*4") == 14.0
@@ -121,12 +123,11 @@ def expr_strings(draw, depth=0):
 class TestRoundTrip:
     @given(text=expr_strings(), x=numbers, y=numbers, t=numbers)
     @settings(max_examples=300, deadline=None)
-    def test_parse_print_parse_identical(self, text, x, y, t):
-        e1 = parse(text)
-        e2 = parse(str(e1))
+    def test_value_matches_python_eval(self, text, x, y, t):
+        # the strategy's grammar has Python's precedence and associativity,
+        # so equal values mean the tree has the shape Python gives the text
         b = {"x": x, "y": y, "t": t}
-        v1, v2 = e1.eval(b), e2.eval(b)
-        assert v1 == v2 or (math.isnan(v1) and math.isnan(v2))
+        assert parse(text).eval(b) == eval(text, {"max": max, "min": min, "abs": abs}, b)
 
     @given(a=numbers, b=numbers, t=numbers)
     @settings(max_examples=200, deadline=None)
@@ -134,8 +135,11 @@ class TestRoundTrip:
         got = ev("x+y*t", x=a, y=b, t=t)
         assert got == a + (b * t)
 
-    def test_associativity_preserving_print(self):
-        # (a+b)+c and a+(b+c) round differently; printing must keep the tree
-        for s in ["x + (y + t)", "(x + y) + t", "x - (y - t)", "2 ^ (3 ^ 2)", "(2 ^ 3) ^ 2"]:
-            e = parse(s)
-            assert parse(str(e)).ast == e.ast
+    def test_parentheses_set_the_tree(self):
+        # (a+b)+c and a+(b+c) round differently, so the tree must keep the grouping
+        x, y, t, two, three = ("var", "x"), ("var", "y"), ("var", "t"), ("num", 2.0), ("num", 3.0)
+        assert parse("x + (y + t)").ast == ("bin", "+", x, ("bin", "+", y, t))
+        assert parse("(x + y) + t").ast == ("bin", "+", ("bin", "+", x, y), t)
+        assert parse("x - (y - t)").ast == ("bin", "-", x, ("bin", "-", y, t))
+        assert parse("2 ^ (3 ^ 2)").ast == ("bin", "^", two, ("bin", "^", three, two))
+        assert parse("(2 ^ 3) ^ 2").ast == ("bin", "^", ("bin", "^", two, three), two)

@@ -193,6 +193,15 @@ def test_criterion_rejects_bad_phi(kernel, x0, value, match):
             criterion_integral(kernel, phi, 1.0, None, [0.5], x0=x0)
 
 
+@pytest.mark.parametrize("kernel, x0", [("halfplane", ANCHOR),
+                                        (("interval", (0.0, 1.0)), (0.5,))])
+@pytest.mark.parametrize("cell", [0.0, -0.125])
+def test_criterion_rejects_nonpositive_cell(kernel, x0, cell):
+    one = lambda p, t: np.maximum(t, 0.0)
+    with pytest.raises(ValueError, match="cell must be positive"):
+        criterion_integral(kernel, one, 1.0, None, [0.5], x0=x0, cell=cell)
+
+
 class TestMaskPredicate:
     def test_roundtrip_on_nodes(self):
         grid = build_halfplane_truncation(2.0, 0.25, 0.25)
