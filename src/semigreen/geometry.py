@@ -118,12 +118,15 @@ class Exhaustion:
 
 def _axis_count(lo: float, hi: float, h: float) -> int:
     """Number of intervals along one axis; errors if h is not commensurate."""
+    lo, hi, h = float(lo), float(hi), float(h)  # Python floats overflow to inf silently
     length = hi - lo
     if not (length > 0):
         raise ValueError(f"degenerate box axis [{lo}, {hi}]")
     if not (h > 0):
         raise ValueError(f"spacing must be positive, got {h}")
     n = length / h
+    if not np.isfinite(n):
+        raise ValueError(f"spacing {h} gives a non-finite number of cells on axis [{lo}, {hi}]")
     ni = round(n)
     if ni < 2 or abs(n - ni) > _COMMENSURATE_RTOL * max(1.0, n):
         raise ValueError(

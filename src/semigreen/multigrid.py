@@ -1,0 +1,124 @@
+"""Multigrid-preconditioned CG for Newton's Jacobian on a separable operator.
+
+On a separable K (GreenOperator's DST path) K is symmetric, so the Jacobian
+J = K_II + diag(d)_I of a free set I, with d >= 0, is symmetric positive
+definite. CG solves it with one Galerkin V-cycle per iteration as the
+preconditioner (Trottenberg, Oosterlee and Schueller, *Multigrid*, 2001),
+the hierarchy built on the free set only, as in multigrid for
+free-boundary problems (Brandt and Cryer, SIAM J. Sci. Stat. Comput. 4(4),
+1983):
+
+* the whole-lattice prolongations, built once per operator, are Kronecker
+  products of 1D linear interpolation; coarse node j of an axis of m
+  interior points sits at fine index 2j + 1, so an axis keeps m // 2 points;
+* per solve, P_f = P[free rows][:, kept], where a coarse column is kept only
+  when its injection node (its entry 1) is free: P_f then has full column
+  rank and every coarse operator P_f^T A P_f is SPD;
+* damped Jacobi (OMEGA, SWEEPS before and after the coarse correction),
+  and a sparse LU on the coarsest level (COARSEST unknowns or fewer).
+
+The hierarchy lives for one solve; _vcycle is a module-level function, not
+a closure, so nothing holds it after pcg returns. Inner products are numpy
+reductions, which stay on one thread.
+"""
+
+from __future__ import annotations
+
+import math
+
+import numpy as np
+import scipy.sparse as sp
+import scipy.sparse.linalg as spla
+
+OMEGA = 0.6  # damped Jacobi weight
+SWEEPS = 2  # smoothing sweeps before and after each coarse correction
+COARSEST = 400  # a level of at most this many unknowns is factorized
+RTOL = 1e-2  # CG stops at ||r||_2 <= RTOL * tol * ||b||_2
+MAX_ITER = 50  # CG iterations before the caller falls back to its LU
+
+
+def prolongations(m: tuple) -> list:
+    """(P, inj) per coarsening of the interior shape m, finest first: P maps
+    a coarse field to the finer one, and inj holds the fine index of each
+    coarse node. Coarsening stops at COARSEST unknowns or when an axis has
+    fewer than 3 points."""
+    levels = []
+    while math.prod(m) > COARSEST and min(m) >= 3:
+        mc = tuple(k // 2 for k in m)
+        P = sp.csr_matrix(np.ones((1, 1)))
+        for k, kc in zip(m, mc):
+            j = np.arange(kc)
+            rows = np.concatenate([2 * j + 1, 2 * j, 2 * j + 2])
+            vals = np.repeat([1.0, 0.5, 0.5], kc)
+            inside = rows < k
+            P1 = sp.csr_matrix((vals[inside], (rows[inside], np.tile(j, 3)[inside])),
+                               shape=(k, kc))
+            P = sp.kron(P, P1, format="csr")
+        inj = np.arange(math.prod(m)).reshape(m)[tuple(slice(1, 2 * kc, 2) for kc in mc)]
+        levels.append((P, inj.ravel()))
+        m = mc
+    return levels
+
+
+def pcg(J, free: np.ndarray, b: np.ndarray, prolong: list, tol: float):
+    """Solve J x = b, J the SPD Jacobian on the free nodes (free is a
+    boolean mask over the interior of prolong's finest level). Returns x,
+    or None when CG does not reach RTOL * tol within MAX_ITER iterations."""
+    x = np.zeros_like(b)
+    if not b.any():
+        return x
+    J = sp.csr_matrix(J)
+    levels, lu = _hierarchy(J, free, prolong)
+    r = b.copy()
+    stop = RTOL * tol * math.sqrt((b * b).sum())
+    z = _vcycle(levels, lu, 0, r)
+    p = z.copy()
+    rz = (r * z).sum()
+    for _ in range(MAX_ITER):
+        q = J @ p
+        pq = (p * q).sum()
+        if not pq > 0:  # J is not SPD, or the iteration broke down
+            return None
+        alpha = rz / pq
+        x += alpha * p
+        r -= alpha * q
+        if math.sqrt((r * r).sum()) <= stop:
+            return x
+        z = _vcycle(levels, lu, 0, r)
+        rz, rz_old = (r * z).sum(), rz
+        p *= rz / rz_old
+        p += z
+    return None
+
+
+def _hierarchy(A, free, prolong):
+    """Levels (A, OMEGA / diag A, P_f, P_f^T), finest first, and the LU of
+    the coarsest operator; A is CSR."""
+    levels = []
+    for P, inj in prolong:
+        if A.shape[0] <= COARSEST:
+            break
+        kept = free[inj]
+        if not kept.any():
+            break
+        Pf = P[np.flatnonzero(free)][:, np.flatnonzero(kept)]
+        R = Pf.T.tocsr()
+        levels.append((A, OMEGA / A.diagonal(), Pf, R))
+        A = R @ (A @ Pf)
+        free = kept
+    return levels, spla.splu(A.tocsc())
+
+
+def _vcycle(levels, lu, k, r):
+    """One V-cycle from level k for the residual r: symmetric, so CG can
+    use it as its preconditioner."""
+    if k == len(levels):
+        return lu.solve(r)
+    A, w, P, R = levels[k]
+    x = w * r
+    for _ in range(SWEEPS - 1):
+        x += w * (r - A @ x)
+    x += P @ _vcycle(levels, lu, k + 1, R @ (r - A @ x))
+    for _ in range(SWEEPS):
+        x += w * (r - A @ x)
+    return x

@@ -16,8 +16,13 @@ it exactly (Buzbee, Golub and Nielson, SIAM J. Numer. Anal. 7(4), 1970) and
 a solve is a forward transform, a division by the eigenvalues and an
 inverse transform. Every other K (drift, variable coefficients, a cross
 term) gets a sparse LU factorization. That is the only sparse LU of a Green
-solve; the newton scheme of solver.py still factorizes its Jacobian with
-spla.spsolve on every iteration (ROADMAP item 3 routes it through here).
+solve.
+
+The newton scheme of solver.py hands each Jacobian K_II + diag(d)_I to
+GreenOperator.solve_jacobian first. On a separable K it is solved by
+multigrid-preconditioned CG (multigrid.py). On any other K, or when CG does
+not converge, the method returns None and solver.py factorizes the Jacobian
+with spla.spsolve.
 """
 
 from __future__ import annotations
@@ -66,14 +71,16 @@ class GreenOperator:
     with a plus sign and L(G psi) = -psi. Building one picks the solve path
     from op.stencil: the DST-I when assemble recorded the separable
     constant-coefficient stencil (see _separable_eigenvalues), otherwise a
-    sparse LU factorization, the only one of a Green solve (newton's
-    Jacobian solves do not come here yet).
+    sparse LU factorization, the only one of a Green solve. The same
+    record selects multigrid CG for newton's Jacobian (solve_jacobian),
+    whose prolongations are built on first use and kept.
     """
 
     op: DiscreteOperator
     _lam: np.ndarray | None = field(default=None, init=False, repr=False)  # DST-I eigenvalues of K
     _lu: object = field(default=None, init=False, repr=False)  # SuperLU when K is not separable
     _kappa: float | None = field(default=None, init=False, repr=False)  # cache of condition_factor
+    _prolong: list | None = field(default=None, init=False, repr=False)  # multigrid, first use
 
     def __post_init__(self):
         if self.op.stencil is not None:
@@ -93,6 +100,19 @@ class GreenOperator:
         coef = scipy.fft.dstn(rhs.reshape(self._lam.shape), type=1)
         coef /= self._lam
         return scipy.fft.idstn(coef, type=1, overwrite_x=True).ravel()
+
+    def solve_jacobian(self, J, free: np.ndarray, rhs: np.ndarray, tol: float):
+        """Newton's step J x = rhs, J = K_II + diag(d)_I with d >= 0 on the
+        free set I (a boolean mask over the interior), by multigrid CG (see
+        multigrid.py). Returns None when K is not separable or CG did not
+        converge; the caller then factorizes J."""
+        if self.op.stencil is None:
+            return None
+        from . import multigrid  # imported on first use, as scipy.fft is
+
+        if self._prolong is None:
+            self._prolong = multigrid.prolongations(tuple(n - 2 for n in self.grid.shape))
+        return multigrid.pcg(J, free, rhs, self._prolong, tol)
 
     @property
     def grid(self):

@@ -28,8 +28,11 @@ schemes share one loop and differ only in the step it takes:
   larger of an absolute-step and a relative-step secant; for concave phi
   this is tangent-quality, which keeps the descent monotone even on
   degenerate dead-core problems where an absolute step alone chatters.
-  The Jacobian is structurally symmetric, so its sparse LU orders columns
-  by minimum degree on A^T + A (ORDERING) rather than COLAMD's A^T A.
+  The linear step is multigrid-preconditioned CG when K is separable
+  (op.stencil is not None; GreenOperator.solve_jacobian) and a sparse LU
+  otherwise. A step whose CG does not converge within its iteration cap
+  falls back to that LU, which orders columns by minimum degree on
+  A^T + A (ORDERING), as the Jacobian is structurally symmetric.
 
 Every scheme starts from min(H f, start); a start above the solution, such
 as the solution on a smaller domain with the same data, keeps the envelopes
@@ -67,10 +70,11 @@ __all__ = [
 SCHEMES = ("sandwich", "damped_picard", "newton")
 MONOTONE_CHECK_SAMPLES = 16  # probe count of Nonlinearity.validate
 THETA = 0.03  # newton: a node whose new value would be <= 0 shrinks to THETA * u
-ORDERING = "MMD_AT_PLUS_A"  # newton: the Jacobian K + diag(phi') is structurally symmetric
-# newton: an LU of at least RELEASE_MIN_UNKNOWNS unknowns first returns the heap's free pages to
-# the OS, else its scratch reuses more or fewer resident pages by the heap's layout and a run's
-# peak memory varies (11 MB on configs/sqrt_decay.ini); smaller ones skip it, as reuse refaults.
+ORDERING = "MMD_AT_PLUS_A"  # newton's LU: the Jacobian K + diag(phi') is structurally symmetric
+# newton's LU branch (the CG path allocates no LU scratch): an LU of at least RELEASE_MIN_UNKNOWNS
+# unknowns first returns the heap's free pages to the OS, else its scratch reuses more or fewer
+# resident pages by the heap's layout and a run's peak memory varies (11 MB on an LU-only run of
+# configs/sqrt_decay.ini); smaller ones skip it, as reuse refaults.
 RELEASE_MIN_UNKNOWNS = 1 << 14
 try:  # glibc only; elsewhere freed heap pages stay as the allocator keeps them
     _malloc_trim = ctypes.CDLL(None).malloc_trim
@@ -216,7 +220,7 @@ def solve_U(
     u = hf if start is None else np.minimum(hf, start)
     residuals, dead_sizes = [], []
     if scheme == "newton":
-        step = _newton_step(gop, fb, pts, phi, dead_sizes)
+        step = _newton_step(gop, fb, pts, phi, tol, dead_sizes)
     else:
         w = 1.0 if scheme == "sandwich" else omega
 
@@ -239,7 +243,7 @@ def solve_U(
     return out, SolveReport(residuals, status, dead_sizes)
 
 
-def _newton_step(gop, fb, pts, phi, dead_sizes):
+def _newton_step(gop, fb, pts, phi, tol, dead_sizes):
     """The free-set step of the module doc (tu is unused); appends the dead
     set size |A| of every step to dead_sizes."""
     K = gop.op.K
@@ -263,10 +267,13 @@ def _newton_step(gop, fb, pts, phi, dead_sizes):
             rhs = (K @ np.where(dead, u, 0.0))[free] - direct[free]  # K_IA u_A - F_I
             J = K[free][:, free]
         J.setdiag(J.diagonal() + d[free])  # in place: K stores each diagonal entry once
-        if _malloc_trim is not None and J.shape[0] >= RELEASE_MIN_UNKNOWNS:
-            _malloc_trim(0)
+        delta = gop.solve_jacobian(J, ~dead, rhs, tol)
+        if delta is None:
+            if _malloc_trim is not None and J.shape[0] >= RELEASE_MIN_UNKNOWNS:
+                _malloc_trim(0)
+            delta = spla.spsolve(J, rhs, permc_spec=ORDERING)
         new = np.zeros_like(u)
-        new[free] = u[free] + spla.spsolve(J, rhs, permc_spec=ORDERING)
+        new[free] = u[free] + delta
         return np.where(new <= 0.0, THETA * u, new)
 
     return step

@@ -173,6 +173,8 @@ def _weight(phi, pts, c0, pred):
 
 def _cell_count(radius, h, what):
     n = radius / h
+    if not np.isfinite(n):
+        raise ValueError(f"{what} {radius} over the cell size {h} is a non-finite number of cells")
     if abs(n - round(n)) > 1e-9 or round(n) < 1:
         raise ValueError(f"{what} {radius} must be a positive multiple of the cell size {h}")
     return int(round(n))

@@ -408,6 +408,20 @@ class TestCliExperiments:
         assert main([kind, "--config", cfg, "--out-dir", str(tmp_path)]) == 2
         assert f"config error: {where}: must be finite, got " in capsys.readouterr().err
 
+    @pytest.mark.parametrize("name, kind, old, new", [
+        ("green_halfplane", "green", "radius = 8", "radius = 1e308"),
+        ("green_interval", "green", "bbox = 0, 1", "bbox = 0, 1e308"),
+        ("strip_criterion", "criterion", "truncations = 4, 8, 16, 32", "truncations = 4, 1e308"),
+        ("strip_criterion", "criterion", "cell = 0.125", "cell = 1e-320"),
+    ], ids=["radius", "bbox", "truncations", "cell"])
+    def test_infinite_cell_count_rejected(self, tmp_path, capsys, name, kind, old, new):
+        # each number is finite, but the cells it asks for overflow to inf
+        text = (CONFIGS / f"{name}.ini").read_text()
+        assert old in text
+        cfg = write_ini(tmp_path, text.replace(old, new))
+        assert main([kind, "--config", cfg, "--out-dir", str(tmp_path)]) == 2
+        assert "non-finite number of cells" in capsys.readouterr().err
+
     @pytest.mark.parametrize("cell", ["0", "-0.125"])
     def test_criterion_nonpositive_cell_rejected(self, tmp_path, capsys, cell):
         text = (CONFIGS / "strip_criterion.ini").read_text()
@@ -472,14 +486,15 @@ class TestCliExperiments:
         assert "status=converged" in proc.stdout
 
     def test_import_leaves_fft_unloaded(self):
-        # scipy.fft is loaded by the first DST solve, not at start-up
+        # scipy.fft is loaded by the first DST solve and semigreen.multigrid by
+        # newton's first step on a separable K, not at start-up
         proc = subprocess.run(
-            [sys.executable, "-c",
-             "import sys, semigreen.cli; print('scipy.fft' in sys.modules)"],
+            [sys.executable, "-c", "import sys, semigreen.cli; "
+             "print([m for m in ('scipy.fft', 'semigreen.multigrid') if m in sys.modules])"],
             capture_output=True, text=True, env=child_env(),
         )
         assert proc.returncode == 0, proc.stderr
-        assert proc.stdout.strip() == "False"
+        assert proc.stdout.strip() == "[]"
 
 
 # every float form the CLI writes: signed zero, subnormal, huge, integral,

@@ -1,4 +1,6 @@
+import gc
 import math
+import weakref
 
 import numpy as np
 import pytest
@@ -7,7 +9,7 @@ import scipy.sparse.linalg as spla
 from hypothesis import given, settings, strategies as st
 from scipy import optimize
 
-from semigreen import potential, solver
+from semigreen import multigrid, potential, solver
 from semigreen.geometry import build_box_grid, build_halfplane_truncation
 from semigreen.operator import EllipticCoefficients, assemble
 from semigreen.potential import factorize, harmonic_extension
@@ -337,10 +339,16 @@ class TestFactorizationCount:
         assert len(kappa_solves) == 5
 
 
-def halfplane_sqrt(h, radius=8.0):
-    """One stage of the shipped sqrt_decay physics: Laplacian, data 1, sqrt absorption."""
+def halfplane_sqrt(h, radius=8.0, b1=0.0):
+    """One stage of the shipped sqrt_decay physics: Laplacian, data 1, sqrt
+    absorption. A drift b1 makes K non-separable, so Newton's steps take the LU."""
     grid = build_halfplane_truncation(radius, 0.25, h)
-    return grid, factorize(assemble(grid, EllipticCoefficients(zero_order_mode="c_zero")))
+    op = assemble(grid, EllipticCoefficients(b1=b1, zero_order_mode="c_zero"))
+    assert (op.stencil is None) == (b1 != 0.0)
+    return grid, factorize(op)
+
+
+DRIFT = 0.5  # the LU-branch tests below run on a non-separable operator
 
 
 class TestFreeSetNewton:
@@ -363,7 +371,7 @@ class TestFreeSetNewton:
                 return spla.spsolve(A, b, **kw)
 
         monkeypatch.setattr(solver, "spla", RecordingLinalg())
-        grid, gop = halfplane_sqrt(0.25, radius=4.0)
+        grid, gop = halfplane_sqrt(0.25, radius=4.0, b1=DRIFT)
         _, rep = solve_U(gop, 1.0, SQRT_N, tol=1e-10, scheme="newton")
         assert rep.status == "converged"
         assert len(rep.dead_set_history) == rep.iterations
@@ -379,7 +387,7 @@ class TestFreeSetNewton:
                 return spla.spsolve(A, b, **kw)
 
         monkeypatch.setattr(solver, "spla", RecordingLinalg())
-        _, gop = halfplane_sqrt(0.25, radius=4.0)
+        _, gop = halfplane_sqrt(0.25, radius=4.0, b1=DRIFT)
         _, rep = solve_U(gop, 1.0, SQRT_N, tol=1e-10, scheme="newton")
         # both the full-size step and the free-block step ran
         assert 0 in rep.dead_set_history and max(rep.dead_set_history) > 0
@@ -402,7 +410,7 @@ class TestFreeSetNewton:
                 return spla.spsolve(A, b, **kw)
 
         monkeypatch.setattr(solver, "spla", RecordingLinalg())
-        grid, gop = halfplane_sqrt(0.25, radius=4.0)
+        grid, gop = halfplane_sqrt(0.25, radius=4.0, b1=DRIFT)
         phi = Nonlinearity(recording, differentiable=True)
         _, rep = solve_U(gop, 1.0, phi, tol=1e-10, scheme="newton")
         assert rep.status == "converged"
@@ -422,7 +430,7 @@ class TestFreeSetNewton:
             assert np.array_equal(A.data, expected.data)
 
     def test_ordering_leaves_the_solution_unchanged(self, monkeypatch):
-        _, gop = halfplane_sqrt(0.25, radius=4.0)
+        _, gop = halfplane_sqrt(0.25, radius=4.0, b1=DRIFT)
         u, rep = solve_U(gop, 1.0, SQRT_N, tol=1e-10, scheme="newton")
         monkeypatch.setattr(solver, "ORDERING", "COLAMD")
         ref, ref_rep = solve_U(gop, 1.0, SQRT_N, tol=1e-10, scheme="newton")
@@ -430,7 +438,7 @@ class TestFreeSetNewton:
         assert np.max(np.abs(u - ref)) <= 1e-12 * np.max(np.abs(ref))
 
     def test_heap_is_released_before_large_lus_only(self, monkeypatch):
-        grid, gop = halfplane_sqrt(0.25, radius=4.0)
+        grid, gop = halfplane_sqrt(0.25, radius=4.0, b1=DRIFT)
         ref, _ = solve_U(gop, 1.0, SQRT_N, tol=1e-10, scheme="newton")
         sizes, released = [], []
 
@@ -454,3 +462,85 @@ class TestFreeSetNewton:
             _, rep = solve_U(gop, 1.0, SQRT, tol=1e-10, max_iter=500, scheme=scheme)
             assert rep.status == "converged"
             assert rep.dead_set_history == []
+
+
+class TestMultigridNewton:
+    """On a separable K, Newton's steps go to GreenOperator.solve_jacobian
+    (multigrid CG); the LU runs only for a step whose CG did not converge."""
+
+    @staticmethod
+    def record(monkeypatch):
+        """(J, free, rhs, step) of every solve_jacobian call, and the size of
+        every spsolve system."""
+        calls, lus = [], []
+        solve_jacobian = potential.GreenOperator.solve_jacobian
+
+        def spy(self, J, free, rhs, tol):
+            x = solve_jacobian(self, J, free, rhs, tol)
+            calls.append((J.copy(), free.copy(), rhs.copy(), x))
+            return x
+
+        class RecordingLinalg:
+            def spsolve(self, A, b, **kw):
+                lus.append(A.shape[0])
+                return spla.spsolve(A, b, **kw)
+
+        monkeypatch.setattr(potential.GreenOperator, "solve_jacobian", spy)
+        monkeypatch.setattr(solver, "spla", RecordingLinalg())
+        return calls, lus
+
+    def test_systems_fit_the_free_set(self, monkeypatch):
+        calls, lus = self.record(monkeypatch)
+        grid, gop = halfplane_sqrt(0.25, radius=4.0)
+        _, rep = solve_U(gop, 1.0, SQRT_N, tol=1e-10, scheme="newton")
+        assert rep.status == "converged"
+        assert 0 in rep.dead_set_history and max(rep.dead_set_history) > 0
+        free_sizes = [grid.n_interior - a for a in rep.dead_set_history]
+        assert [J.shape[0] for J, *_ in calls] == free_sizes
+        assert [int(np.count_nonzero(free)) for _, free, *_ in calls] == free_sizes
+        assert all(x is not None for *_, x in calls)
+        assert lus == []
+
+    def test_cg_agrees_with_the_lu_on_newton_jacobians(self, monkeypatch):
+        calls, _ = self.record(monkeypatch)
+        _, gop = halfplane_sqrt(0.125, radius=4.0)
+        _, rep = solve_U(gop, 1.0, SQRT_N, tol=1e-10, scheme="newton")
+        assert rep.status == "converged"
+        assert max(rep.dead_set_history) > 0
+        for J, _, rhs, x in calls:
+            ref = spla.spsolve(J, rhs, permc_spec=solver.ORDERING)
+            assert np.max(np.abs(x - ref)) <= 1e-10 * np.max(np.abs(ref))
+
+    def test_anisotropic_box_falls_back_to_the_lu(self, monkeypatch):
+        # cells 256 times wider than tall: point Jacobi does not smooth across
+        # the weak axis, CG reaches its cap and every step takes the LU
+        grid = build_box_grid(((0.0, 1.0), (0.0, 1.0)), (1 / 16, 1 / 256))
+        gop = factorize(assemble(grid, EllipticCoefficients(zero_order_mode="c_zero")))
+        monkeypatch.setattr(potential.GreenOperator, "solve_jacobian", lambda self, *a: None)
+        ref, _ = solve_U(gop, 1.0, SQRT_N, tol=1e-10, scheme="newton")
+        monkeypatch.undo()
+        calls, lus = self.record(monkeypatch)
+        u, rep = solve_U(gop, 1.0, SQRT_N, tol=1e-10, scheme="newton")
+        assert rep.status == "converged"
+        assert len(calls) == len(lus) == rep.iterations > 0
+        assert all(x is None for *_, x in calls)
+        assert np.array_equal(u, ref)
+
+    def test_hierarchy_is_freed_without_the_collector(self, monkeypatch):
+        refs = []
+        hierarchy = multigrid._hierarchy
+
+        def spy(J, free, prolong):
+            levels, lu = hierarchy(J, free, prolong)
+            refs.extend(weakref.ref(a) for level in levels for a in level)
+            return levels, lu
+
+        monkeypatch.setattr(multigrid, "_hierarchy", spy)
+        _, gop = halfplane_sqrt(0.125, radius=4.0)
+        gc.disable()
+        try:
+            _, rep = solve_U(gop, 1.0, SQRT_N, tol=1e-10, scheme="newton")
+            assert rep.status == "converged" and refs
+            assert [r for r in refs if r() is not None] == []
+        finally:
+            gc.enable()
