@@ -4,7 +4,9 @@ Second-order terms use central differences, drift terms use first-order
 upwind differences (direction picked per node by the sign of b_i) so the
 assembled system is an M-matrix whenever a is diagonal and c <= 0. Mixed
 derivatives use the 4-point cross stencil and may break the M-matrix
-sign structure; the m_matrix flag reports the outcome of a direct check.
+sign structure; the m_matrix flag is read from the assembled stencil
+entries: K's diagonal is positive, L's couplings are nonnegative and L's
+row sums are <= 0 (the discrete L1 <= 0).
 
 Conventions: the stencil is stored once, as the M-matrix K = -L restricted
 to interior nodes, and the boundary coupling B carries the boundary-data
@@ -97,7 +99,6 @@ class DiscreteOperator:
     grid: Grid
     B: sp.csr_matrix  # interior x boundary coupling
     m_matrix: bool
-    coeffs: EllipticCoefficients
     K: sp.csc_matrix  # interior x interior, rows of -L; the M-matrix the solvers factorize
     # (diagonal value, neighbour value per axis) of K when it is the separable constant
     # stencil (constant a_ii and c, no drift, no cross term), entry for entry; else None
@@ -113,14 +114,14 @@ def assemble(grid: Grid, coeffs: EllipticCoefficients) -> DiscreteOperator:
     record: set exactly when K is the separable constant stencil.
     """
     dim = grid.dim
-    vals = {name: grid.field(getattr(coeffs, name), name=name)
-            for name in _coefficient_names(dim)}
-    _validate_coefficients(vals, grid.nodes, coeffs.zero_order_mode)
+    fields = {name: grid.field(getattr(coeffs, name), name=name)
+              for name in _coefficient_names(dim)}
+    _validate_coefficients(fields, grid.nodes, coeffs.zero_order_mode)
 
     n_int = grid.n_interior
     nodes = grid.interior_nodes
     rows = np.arange(n_int)
-    at = {name: v[nodes] for name, v in vals.items()}
+    at = {name: v[nodes] for name, v in fields.items()}
     h = grid.spacing
     a = [at[f"a{ax + 1}{ax + 1}"] for ax in range(dim)]
     b = [at[f"b{ax + 1}"] for ax in range(dim)]
@@ -151,49 +152,31 @@ def assemble(grid: Grid, coeffs: EllipticCoefficients) -> DiscreteOperator:
         np.all(v == v[0]) for v in [*a, at["c"]])
     stencil = (-diag[0], tuple(-(a[ax][0] / h[ax]**2) for ax in range(dim))) if separable else None
 
-    int_of_node = -np.ones(grid.n_nodes, dtype=np.int64)
-    int_of_node[nodes] = np.arange(n_int)
-    bd_of_node = -np.ones(grid.n_nodes, dtype=np.int64)
-    bd_of_node[grid.boundary_nodes] = np.arange(len(grid.boundary_nodes))
-
-    all_rows = np.concatenate([p[0] for p in pieces])
-    all_tgts = np.concatenate([p[1] for p in pieces])
-    all_vals = np.concatenate([p[2] for p in pieces])
-    into_interior = int_of_node[all_tgts] >= 0
-
     n_bd = len(grid.boundary_nodes)
-    K = sp.csc_matrix(
-        (
-            -all_vals[into_interior],
-            (all_rows[into_interior], int_of_node[all_tgts[into_interior]]),
-        ),
-        shape=(n_int, n_int),
-        dtype=float,
-    )
-    coupling = sp.csr_matrix(
-        (
-            all_vals[~into_interior],
-            (all_rows[~into_interior], bd_of_node[all_tgts[~into_interior]]),
-        ),
-        shape=(n_int, n_bd),
-        dtype=float,
-    )
-    coupling.sum_duplicates()
+    pos = np.empty(grid.n_nodes, dtype=np.int64)  # an interior node's row, a boundary node's column
+    pos[nodes] = rows
+    pos[grid.boundary_nodes] = np.arange(n_bd)
+    interior = np.zeros(grid.n_nodes, dtype=bool)
+    interior[nodes] = True
 
-    diag = K.diagonal()
-    offdiag_max = (K - sp.diags(diag)).max()
-    # row sums of -L over all columns (interior and boundary): discrete L1 <= 0
-    rowsum = K @ np.ones(n_int) - coupling @ np.ones(n_bd)
-    scale = float(np.max(np.abs(diag)))
+    rows, tgts, vals = (np.concatenate(p) for p in zip(*pieces))
+    # the pieces and coefficient arrays are dead from here; freed before K is converted,
+    # they add nothing to the peak memory of a large assembly
+    del pieces, fields, at, a, b
+    inner = interior[tgts]
+    K = sp.csc_matrix((-vals[inner], (rows[inner], pos[tgts[inner]])), shape=(n_int, n_int))
+    coupling = sp.csr_matrix((vals[~inner], (rows[~inner], pos[tgts[~inner]])), shape=(n_int, n_bd))
+
+    # the M-matrix certificate, read from L's entries (no row targets a node twice):
+    # K's diagonal -diag is positive, every other entry of L (the pieces after the
+    # diagonal, in K and in B) is nonnegative, and the row sums of L are <= 0 (L1 <= 0)
+    tol = _SIGN_TOL * float(np.max(np.abs(diag)))
     m_matrix = bool(
-        np.all(diag > 0)
-        and offdiag_max <= _SIGN_TOL * scale
-        and np.all(rowsum >= -_SIGN_TOL * scale)
-        and (coupling.nnz == 0 or coupling.min() >= -_SIGN_TOL * scale)
+        np.all(diag < 0)
+        and np.min(vals[n_int:]) >= -tol
+        and np.max(np.bincount(rows, vals, n_int)) <= tol
     )
-    return DiscreteOperator(
-        grid=grid, B=coupling, m_matrix=m_matrix, coeffs=coeffs, K=K, stencil=stencil,
-    )
+    return DiscreteOperator(grid=grid, B=coupling, m_matrix=m_matrix, K=K, stencil=stencil)
 
 
 def apply(op: DiscreteOperator, u) -> np.ndarray:

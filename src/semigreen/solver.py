@@ -46,7 +46,6 @@ describes, and SolveReport.iterations counts steps.
 
 from __future__ import annotations
 
-import ctypes
 from dataclasses import dataclass, field
 from typing import Callable
 
@@ -71,15 +70,6 @@ SCHEMES = ("sandwich", "damped_picard", "newton")
 MONOTONE_CHECK_SAMPLES = 16  # probe count of Nonlinearity.validate
 THETA = 0.03  # newton: a node whose new value would be <= 0 shrinks to THETA * u
 ORDERING = "MMD_AT_PLUS_A"  # newton's LU: the Jacobian K + diag(phi') is structurally symmetric
-# newton's LU branch (the CG path allocates no LU scratch): an LU of at least RELEASE_MIN_UNKNOWNS
-# unknowns first returns the heap's free pages to the OS, else its scratch reuses more or fewer
-# resident pages by the heap's layout and a run's peak memory varies (11 MB on an LU-only run of
-# configs/sqrt_decay.ini); smaller ones skip it, as reuse refaults.
-RELEASE_MIN_UNKNOWNS = 1 << 14
-try:  # glibc only; elsewhere freed heap pages stay as the allocator keeps them
-    _malloc_trim = ctypes.CDLL(None).malloc_trim
-except (AttributeError, OSError, TypeError):
-    _malloc_trim = None
 
 
 class NonConvergence(RuntimeError):
@@ -269,8 +259,6 @@ def _newton_step(gop, fb, pts, phi, tol, dead_sizes):
         J.setdiag(J.diagonal() + d[free])  # in place: K stores each diagonal entry once
         delta = gop.solve_jacobian(J, ~dead, rhs, tol)
         if delta is None:
-            if _malloc_trim is not None and J.shape[0] >= RELEASE_MIN_UNKNOWNS:
-                _malloc_trim(0)
             delta = spla.spsolve(J, rhs, permc_spec=ORDERING)
         new = np.zeros_like(u)
         new[free] = u[free] + delta
@@ -283,7 +271,7 @@ def _newton_step(gop, fb, pts, phi, tol, dead_sizes):
 class CheckVerdict:
     passed: bool
     worst_node: int
-    margin: float
+    margin: float  # slack of the deciding inequality: < 0 exactly when the check fails
     kappa: float = float("nan")
     reason: str = ""
 
@@ -306,29 +294,20 @@ def check_comparison(gop: GreenOperator, u, v, phi: Nonlinearity, boundary_gap: 
     rv = apply_op(gop.op, v) - phi(pts, v[grid.interior_nodes])
     kappa = condition_factor(gop)
 
-    excess = ru - rv
-    k = int(np.argmax(excess))
-    if excess[k] > tol:
-        return CheckVerdict(
-            False, int(grid.interior_nodes[k]), float(excess[k] - tol), kappa,
-            "residual premise violated",
-        )
-    bdiff = u[grid.boundary_nodes] - v[grid.boundary_nodes]
-    k = int(np.argmin(bdiff))
-    if bdiff[k] < -boundary_gap:
-        return CheckVerdict(
-            False, int(grid.boundary_nodes[k]), float(bdiff[k] + boundary_gap), kappa,
-            "boundary premise violated",
-        )
-    idiff = u[grid.interior_nodes] - v[grid.interior_nodes]
-    k = int(np.argmin(idiff))
-    bound = -(boundary_gap + kappa * tol)
-    if idiff[k] < bound:
-        return CheckVerdict(
-            False, int(grid.interior_nodes[k]), float(idiff[k] - bound), kappa,
-            "interior conclusion violated",
-        )
-    return CheckVerdict(True, int(grid.interior_nodes[k]), float(idiff[k] - bound), kappa)
+    # (difference, nodes, lowest allowed value, reason), scanned in order; the first
+    # violated row fails the check, and the margin is the slack difference - bound
+    table = [
+        (rv - ru, grid.interior_nodes, -tol, "residual premise violated"),
+        (u[grid.boundary_nodes] - v[grid.boundary_nodes], grid.boundary_nodes, -boundary_gap,
+         "boundary premise violated"),
+        (u[grid.interior_nodes] - v[grid.interior_nodes], grid.interior_nodes,
+         -(boundary_gap + kappa * tol), "interior conclusion violated"),
+    ]
+    for diff, nodes, bound, reason in table:
+        k = int(np.argmin(diff))
+        if diff[k] < bound:
+            return CheckVerdict(False, int(nodes[k]), float(diff[k] - bound), kappa, reason)
+    return CheckVerdict(True, int(nodes[k]), float(diff[k] - bound), kappa)
 
 
 def check_monotone_in_data(gop: GreenOperator, f, g, phi: Nonlinearity, tol: float = 1e-9,

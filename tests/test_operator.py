@@ -127,26 +127,39 @@ def reference_stencil(grid, coeffs):
     return K, B
 
 
-class TestAssembleAgainstReference:
-    """assemble against reference_stencil, on operators no shipped config
-    uses: variable a_ii, drift of both signs, c < 0 and a cross term."""
+def dense_certificate(K, B):
+    """The M-matrix certificate of dense K and B with tol = 1e-12 max|diag K|:
+    K's diagonal is > 0, K's off-diagonal entries are <= tol, B is >= -tol
+    and the row sums of -L (K's minus B's) are >= -tol."""
+    d = np.diag(K)
+    tol = 1e-12 * np.max(np.abs(d))
+    return bool(np.all(d > 0) and np.all(K - np.diag(d) <= tol) and np.all(B >= -tol)
+                and np.all(K.sum(axis=1) - B.sum(axis=1) >= -tol))
 
-    @pytest.mark.parametrize("bbox, h, coeffs", [
-        ((-1.0, 2.0), 0.125, EllipticCoefficients(
-            a11=lambda p: 1.0 + 0.5 * np.sin(3.0 * p[:, 0]),
-            b1=lambda p: 3.0 * np.cos(2.0 * p[:, 0]),
-            c=lambda p: -1.0 - p[:, 0] ** 2)),
-        (((0.0, 1.0), (-1.0, 1.0)), (0.125, 0.25), EllipticCoefficients(
-            a11=lambda p: 1.0 + 0.3 * p[:, 0] * p[:, 1],
-            a22=lambda p: 2.0 + np.cos(p[:, 0]),
-            b1=lambda p: 4.0 * np.sin(5.0 * p[:, 1]),
-            b2=lambda p: p[:, 0] - 0.5,
-            c=lambda p: -0.7 * (1.0 + p[:, 1] ** 2))),
-        (((0.0, 1.0), (0.0, 1.5)), 0.125, EllipticCoefficients(
-            a11=lambda p: 1.5 + p[:, 0], a22=1.2,
-            a12=lambda p: 0.3 * np.sin(4.0 * p[:, 1]),
-            b1=-0.8, b2=lambda p: 2.0 * p[:, 1] - 1.0, c=-0.25)),
-    ], ids=["1d", "2d", "2d_cross"])
+
+# operators no shipped config uses: variable a_ii, drift of both signs, c < 0 and a cross term
+REFERENCE_CASES = {
+    "1d": ((-1.0, 2.0), 0.125, EllipticCoefficients(
+        a11=lambda p: 1.0 + 0.5 * np.sin(3.0 * p[:, 0]),
+        b1=lambda p: 3.0 * np.cos(2.0 * p[:, 0]),
+        c=lambda p: -1.0 - p[:, 0] ** 2)),
+    "2d": (((0.0, 1.0), (-1.0, 1.0)), (0.125, 0.25), EllipticCoefficients(
+        a11=lambda p: 1.0 + 0.3 * p[:, 0] * p[:, 1],
+        a22=lambda p: 2.0 + np.cos(p[:, 0]),
+        b1=lambda p: 4.0 * np.sin(5.0 * p[:, 1]),
+        b2=lambda p: p[:, 0] - 0.5,
+        c=lambda p: -0.7 * (1.0 + p[:, 1] ** 2))),
+    "2d_cross": (((0.0, 1.0), (0.0, 1.5)), 0.125, EllipticCoefficients(
+        a11=lambda p: 1.5 + p[:, 0], a22=1.2,
+        a12=lambda p: 0.3 * np.sin(4.0 * p[:, 1]),
+        b1=-0.8, b2=lambda p: 2.0 * p[:, 1] - 1.0, c=-0.25)),
+}
+
+
+class TestAssembleAgainstReference:
+    """assemble against reference_stencil and dense_certificate."""
+
+    @pytest.mark.parametrize("bbox, h, coeffs", REFERENCE_CASES.values(), ids=REFERENCE_CASES)
     def test_matches_the_per_node_stencil(self, bbox, h, coeffs):
         grid = build_box_grid(bbox, h)
         op = assemble(grid, coeffs)
@@ -157,6 +170,23 @@ class TestAssembleAgainstReference:
         b = np.concatenate([grid.field(getattr(coeffs, f"b{ax + 1}"))[inner]
                             for ax in range(grid.dim)])
         assert b.min() < 0.0 < b.max() and grid.field(coeffs.c)[inner].max() < 0.0
+
+    @pytest.mark.parametrize("bbox, h, coeffs, certified", [
+        (*REFERENCE_CASES["1d"], True),
+        (*REFERENCE_CASES["2d"], True),
+        (*REFERENCE_CASES["2d_cross"], False),
+        # the cross stencil puts +q and -q off the diagonal, q = a12 / (2 h_x h_y),
+        # so any |q| above the 1e-12 relative tolerance breaks the certificate
+        (((0.0, 1.0), (0.0, 1.0)), 0.125, EllipticCoefficients(a12=1e-14), True),
+        (((0.0, 1.0), (0.0, 1.0)), 0.125, EllipticCoefficients(a12=1e-9), False),
+        # c within the absolute tolerance of the sign check on c, but L1 = c > 0
+        # above the certificate's tolerance relative to a weak diagonal
+        ((0.0, 4.0), 1.0, EllipticCoefficients(a11=1e-9, c=5e-13), False),
+    ], ids=["1d", "2d", "2d_cross", "a12=1e-14", "a12=1e-9", "L1>0"])
+    def test_m_matrix_matches_the_dense_certificate(self, bbox, h, coeffs, certified):
+        grid = build_box_grid(bbox, h)
+        assert dense_certificate(*reference_stencil(grid, coeffs)) is certified
+        assert assemble(grid, coeffs).m_matrix is certified
 
 
 class TestLayoutOfK:

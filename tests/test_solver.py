@@ -276,6 +276,36 @@ class TestComparisonChecks:
         assert check_comparison(self.gop, u1, u2, RAMP, boundary_gap=0.5).passed
         assert not check_comparison(self.gop, u1, u2, RAMP, boundary_gap=0.4).passed
 
+    def verdict(self, case):
+        u1, _ = solve_U(self.gop, 1.0, RAMP, tol=1e-12)
+        u2, _ = solve_U(self.gop, 1.5, RAMP, tol=1e-12)
+        inner = self.grid.interior_nodes
+        dent = np.zeros(self.grid.n_nodes)
+        dent[inner] = 0.1 * np.sin(np.pi * self.grid.nodes[inner, 0])
+        # phi decreasing in t (check_comparison does not validate it): u = -dent has
+        # L u - phi(u) = (lam - 20) dent <= 0 = L 0 - phi(0), lam < pi^2 the discrete
+        # eigenvalue of sin(pi x), so both premises hold and yet u < 0 inside
+        falling = Nonlinearity(lambda p, t: 20.0 * np.maximum(-t, 0.0))
+        return {
+            "pass": lambda: check_comparison(self.gop, u2, u1, RAMP),
+            "residual": lambda: check_comparison(self.gop, u1 - dent, u1, RAMP),
+            "boundary": lambda: check_comparison(self.gop, u1, u2, RAMP),
+            "gap": lambda: check_comparison(self.gop, u1, u2, RAMP, boundary_gap=0.4),
+            "conclusion": lambda: check_comparison(self.gop, -dent, 0.0, falling),
+            "monotone": lambda: check_monotone_in_data(self.gop, 1.0, 2.0, RAMP, tol=1e-9),
+        }[case]()
+
+    @pytest.mark.parametrize("case, reason", [
+        ("pass", ""), ("residual", "residual premise violated"),
+        ("boundary", "boundary premise violated"), ("gap", "boundary premise violated"),
+        ("conclusion", "interior conclusion violated"), ("monotone", ""),
+    ], ids=["pass", "residual", "boundary", "gap", "conclusion", "monotone"])
+    def test_margin_is_negative_exactly_on_failure(self, case, reason):
+        # the margin is the slack of the deciding inequality in every verdict
+        v = self.verdict(case)
+        assert v.reason == reason and v.passed == (not reason)
+        assert (v.margin < 0) == (not v.passed)
+
     def test_needs_full_fields(self):
         u, _ = solve_U(self.gop, 1.0, RAMP, tol=1e-12)
         with pytest.raises(ValueError, match="full node field"):
@@ -436,25 +466,6 @@ class TestFreeSetNewton:
         ref, ref_rep = solve_U(gop, 1.0, SQRT_N, tol=1e-10, scheme="newton")
         assert rep.dead_set_history == ref_rep.dead_set_history
         assert np.max(np.abs(u - ref)) <= 1e-12 * np.max(np.abs(ref))
-
-    def test_heap_is_released_before_large_lus_only(self, monkeypatch):
-        grid, gop = halfplane_sqrt(0.25, radius=4.0, b1=DRIFT)
-        ref, _ = solve_U(gop, 1.0, SQRT_N, tol=1e-10, scheme="newton")
-        sizes, released = [], []
-
-        class RecordingLinalg:
-            def spsolve(self, A, b, **kw):
-                sizes.append(A.shape[0])
-                return spla.spsolve(A, b, **kw)
-
-        monkeypatch.setattr(solver, "spla", RecordingLinalg())
-        monkeypatch.setattr(solver, "_malloc_trim", lambda pad: released.append(len(sizes)))
-        monkeypatch.setattr(solver, "RELEASE_MIN_UNKNOWNS", grid.n_interior)
-        u, _ = solve_U(gop, 1.0, SQRT_N, tol=1e-10, scheme="newton")
-        # only the full-size steps (empty dead set) release, each right before its LU
-        assert released == [k for k, n in enumerate(sizes) if n == grid.n_interior]
-        assert 0 < len(released) < len(sizes)
-        assert np.array_equal(u, ref)
 
     def test_picard_schemes_record_no_dead_set(self):
         _, gop = halfplane_sqrt(0.25, radius=2.0)
