@@ -17,8 +17,8 @@ import numpy as np
 from .config import ConfigError, RunConfig, load_config
 from .expr import SPACE_VARS
 from .operator import assemble
-from .potential import factorize, green_potential, halfplane_green
-from .solver import NonConvergence, solve_U
+from .potential import ORACLE_DIMS, factorize, green_potential, halfplane_green
+from .solver import SCHEMES, NonConvergence, solve_U
 from .exhaustion import run_exhaustion
 from .thinness import ThinnessCertificate, criterion_integral, verify_certificate
 from .verification import run_suites
@@ -122,7 +122,7 @@ def _cmd_criterion(args, cfg: RunConfig) -> int:
 def _cmd_green(args, cfg: RunConfig) -> int:
     grid = cfg.grid()
     oracle = args.oracle or cfg.experiment_opts["oracle"]
-    dim = {"interval": 1, "halfplane": 2}[oracle]
+    dim = ORACLE_DIMS[oracle]
     if grid.dim != dim:
         raise ConfigError("[experiment] oracle", f"{oracle} oracle needs a {dim}D grid")
     if oracle == "halfplane":
@@ -194,14 +194,14 @@ def _build_parser():
                                 description="semilinear potential-theory toolkit")
     sub = p.add_subparsers(dest="command", required=True)
     sp = sub.add_parser("solve", parents=[common], help="single fixed-point solve")
-    sp.add_argument("--scheme", choices=("sandwich", "damped_picard", "newton"))
+    sp.add_argument("--scheme", choices=SCHEMES)
     sp.add_argument("--tol", type=float)
     sp.add_argument("--max-iter", type=int)
     sub.add_parser("exhaust", parents=[common], help="staged exhaustion run")
     sub.add_parser("thin-check", parents=[common], help="verify a thinness certificate")
     sub.add_parser("criterion", parents=[common], help="existence-criterion integral trend")
     gp = sub.add_parser("green", parents=[common], help="Green solve vs analytic oracle")
-    gp.add_argument("--oracle", choices=("interval", "halfplane"))
+    gp.add_argument("--oracle", choices=tuple(ORACLE_DIMS))
     gp.add_argument("--compare", action="store_true",
                     help="add analytic and abs_error columns")
     sub.add_parser("verify", parents=[common], help="run the invariant suites")

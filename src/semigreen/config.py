@@ -15,8 +15,10 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .expr import SPACE_VARS, Expr, ParseError, parse
-from .geometry import Exhaustion, Grid, build_box_grid, build_exhaustion, build_halfplane_truncation
-from .operator import EllipticCoefficients, _coefficient_names
+from .geometry import (DIMS, SPACING_RULES, Exhaustion, Grid, build_box_grid, build_exhaustion,
+                       build_halfplane_truncation)
+from .operator import ZERO_ORDER_MODES, EllipticCoefficients, _coefficient_names
+from .potential import ORACLE_DIMS
 from .solver import SCHEMES, Nonlinearity
 
 __all__ = ["ConfigError", "RunConfig", "load_config"]
@@ -142,8 +144,9 @@ _BOOLS = {"true": True, "yes": True, "1": True, "on": True,
           "false": False, "no": False, "0": False, "off": False}
 
 
-def _get(cp, section, key, default=None, required=False, kind=str):
-    """[section] key read as kind (str, float, int or bool); default if absent."""
+def _get(cp, section, key, default=None, required=False, kind=str, choices=None):
+    """[section] key read as kind (str, float, int or bool); default if absent.
+    A value that is read must be one of choices, when choices is given."""
     where = f"[{section}] {key}"
     cp.read_keys.add((section, key))
     if not cp.has_option(section, key):
@@ -151,19 +154,17 @@ def _get(cp, section, key, default=None, required=False, kind=str):
             raise ConfigError(where, "required key is missing")
         return default
     raw = cp.get(section, key).strip()
-    if kind is str:
-        return raw
     try:
-        value = _BOOLS[raw.lower()] if kind is bool else kind(raw)
+        value = raw if kind is str else _BOOLS[raw.lower()] if kind is bool else kind(raw)
     except (KeyError, ValueError) as exc:
         raise ConfigError(where, f"expected {_KINDS[kind]}, got {raw!r}") from exc
+    if choices is not None and value not in choices:
+        raise ConfigError(where, f"must be one of {tuple(choices)}, got {value!r}")
     return _finite(value, where, raw) if kind is float else value
 
 
 def _domain(cp, cfg_kw):
-    dim = _get(cp, "domain", "dim", required=True, kind=int)
-    if dim not in (1, 2):
-        raise ConfigError("[domain] dim", f"must be 1 or 2, got {dim}")
+    dim = _get(cp, "domain", "dim", required=True, kind=int, choices=DIMS)
     spacing = _get(cp, "domain", "spacing", required=True, kind=float)
     halfplane = _get(cp, "domain", "halfplane", default=False, kind=bool)
     cfg_kw.update(dim=dim, spacing=spacing, halfplane=halfplane)
@@ -187,11 +188,9 @@ def _domain(cp, cfg_kw):
         exh = {
             "factor": _get(cp, "domain", "exhaustion.factor", default=2.0, kind=float),
             "stages": _get(cp, "domain", "exhaustion.stages", required=True, kind=int),
-            "spacing_rule": _get(cp, "domain", "exhaustion.spacing_rule", default="fixed"),
+            "spacing_rule": _get(cp, "domain", "exhaustion.spacing_rule", default="fixed",
+                                 choices=SPACING_RULES),
         }
-        if exh["spacing_rule"] not in ("fixed", "halve"):
-            raise ConfigError("[domain] exhaustion.spacing_rule",
-                              f"must be fixed or halve, got {exh['spacing_rule']!r}")
         raw_anchor = _get(cp, "domain", "anchor")
         anchor = tuple(_floats(raw_anchor, "[domain] anchor", dim)) if raw_anchor else None
         cfg_kw.update(exhaustion=exh, anchor=anchor)
@@ -199,10 +198,7 @@ def _domain(cp, cfg_kw):
 
 def _operator(cp, cfg_kw):
     dim = cfg_kw["dim"]
-    mode = _get(cp, "operator", "zero_order_mode", default="c_nonpos")
-    if mode not in ("c_nonpos", "c_zero"):
-        raise ConfigError("[operator] zero_order_mode",
-                          f"must be c_nonpos or c_zero, got {mode!r}")
+    mode = _get(cp, "operator", "zero_order_mode", default="c_nonpos", choices=ZERO_ORDER_MODES)
     kw = {"zero_order_mode": mode}
     for key in _coefficient_names(dim):  # a key this dim does not use stays unread
         raw = _get(cp, "operator", key)
@@ -226,9 +222,7 @@ def _nonlinearity(cp, cfg_kw):
 def _solver(cp, cfg_kw):
     if cfg_kw["experiment"] not in ("solve", "exhaust"):
         return  # only solve and exhaust run the solver: its keys stay unread
-    scheme = _get(cp, "solver", "scheme", default="sandwich")
-    if scheme not in SCHEMES:
-        raise ConfigError("[solver] scheme", f"must be one of {SCHEMES}, got {scheme!r}")
+    scheme = _get(cp, "solver", "scheme", default="sandwich", choices=SCHEMES)
     tol = _get(cp, "solver", "tol", default=1e-10, kind=float)
     max_iter = _get(cp, "solver", "max_iter", default=200, kind=int)
     if not tol > 0:
@@ -244,11 +238,7 @@ def _solver(cp, cfg_kw):
 
 
 def _experiment_type(cp, cfg_kw):
-    kind = _get(cp, "experiment", "type", required=True)
-    if kind not in _EXPERIMENTS:
-        raise ConfigError("[experiment] type",
-                          f"must be one of {_EXPERIMENTS}, got {kind!r}")
-    cfg_kw["experiment"] = kind
+    cfg_kw["experiment"] = _get(cp, "experiment", "type", required=True, choices=_EXPERIMENTS)
 
 
 def _experiment(cp, cfg_kw):
@@ -272,36 +262,29 @@ def _experiment(cp, cfg_kw):
             raise ConfigError("[experiment] margin", f"must be positive, got {margin}")
         opts["margin"] = margin
     elif kind == "criterion":
-        kernel = _get(cp, "experiment", "kernel", required=True)
+        kernel = _get(cp, "experiment", "kernel", required=True, choices=ORACLE_DIMS)
         if kernel == "interval":
             pts = _floats(_get(cp, "experiment", "endpoints", required=True),
                           "[experiment] endpoints", 2)
             opts["kernel"] = ("interval", tuple(pts))
             opts["x0"] = (_get(cp, "experiment", "anchor",
                                default=(pts[0] + pts[1]) / 2.0, kind=float),)
-        elif kernel == "halfplane":
+        else:
             opts["kernel"] = "halfplane"
             raw = _get(cp, "experiment", "anchor", default="0, 2")
             opts["x0"] = tuple(_floats(raw, "[experiment] anchor", 2))
-        else:
-            raise ConfigError("[experiment] kernel",
-                              f"must be halfplane or interval, got {kernel!r}")
         opts["c0"] = _get(cp, "experiment", "c0", required=True, kind=float)
         opts["truncations"] = _floats(_get(cp, "experiment", "truncations", required=True),
                                       "[experiment] truncations")
         opts["cell"] = _get(cp, "experiment", "cell", default=0.125, kind=float)
         raw = _get(cp, "experiment", "set_A")
         if raw is not None:
-            e = _parse_expr(raw, "[experiment] set_A", 2 if kernel == "halfplane" else 1)
+            e = _parse_expr(raw, "[experiment] set_A", ORACLE_DIMS[kernel])
             opts["set_A"] = _bind(e)
         else:
             opts["set_A"] = None
     elif kind == "green":
-        oracle = _get(cp, "experiment", "oracle", default="interval")
-        if oracle not in ("interval", "halfplane"):
-            raise ConfigError("[experiment] oracle",
-                              f"must be interval or halfplane, got {oracle!r}")
-        opts["oracle"] = oracle
+        opts["oracle"] = _get(cp, "experiment", "oracle", default="interval", choices=ORACLE_DIMS)
         raw = _get(cp, "experiment", "source")
         opts["source"] = tuple(_floats(raw, "[experiment] source", 2)) if raw else None
     elif kind == "verify":

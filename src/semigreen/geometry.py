@@ -27,6 +27,8 @@ __all__ = [
 ]
 
 _COMMENSURATE_RTOL = 1e-9
+DIMS = (1, 2)  # the box dimensions build_box_grid accepts
+SPACING_RULES = ("fixed", "halve")  # build_exhaustion: keep or halve the spacing per stage
 
 
 @dataclass(frozen=True)
@@ -151,7 +153,7 @@ def build_box_grid(bbox, spacing) -> Grid:
     box = np.asarray(bbox, dtype=float)
     if box.ndim == 1:
         box = box[None, :]
-    if box.ndim != 2 or box.shape[1] != 2 or box.shape[0] not in (1, 2):
+    if box.ndim != 2 or box.shape[1] != 2 or box.shape[0] not in DIMS:
         raise ValueError(f"bbox must be (lo,hi) or ((lo,hi),(lo,hi)), got {bbox!r}")
     dim = box.shape[0]
     hs = np.broadcast_to(np.asarray(spacing, dtype=float), (dim,))
@@ -220,8 +222,8 @@ def build_exhaustion(
         raise ValueError(f"n_stages must be >= 2, got {n_stages}")
     if spacing is None:
         raise ValueError("spacing is required")
-    if spacing_rule not in ("fixed", "halve"):
-        raise ValueError(f"unknown spacing_rule {spacing_rule!r}")
+    if spacing_rule not in SPACING_RULES:
+        raise ValueError(f"unknown spacing_rule {spacing_rule!r}; expected one of {SPACING_RULES}")
 
     stages = []
     for n in range(n_stages):

@@ -38,6 +38,7 @@ __all__ = [
 
 EPS_ELL = 1e-10  # strict-ellipticity floor
 _SIGN_TOL = 1e-12
+ZERO_ORDER_MODES = ("c_nonpos", "c_zero")
 
 
 @dataclass(frozen=True)
@@ -58,8 +59,9 @@ class EllipticCoefficients:
     zero_order_mode: str = "c_nonpos"
 
     def __post_init__(self):
-        if self.zero_order_mode not in ("c_nonpos", "c_zero"):
-            raise ValueError(f"unknown zero_order_mode {self.zero_order_mode!r}")
+        if self.zero_order_mode not in ZERO_ORDER_MODES:
+            raise ValueError(f"unknown zero_order_mode {self.zero_order_mode!r}; "
+                             f"expected one of {ZERO_ORDER_MODES}")
 
 
 def _coefficient_names(dim: int) -> list:
@@ -69,7 +71,8 @@ def _coefficient_names(dim: int) -> list:
             if all(int(ax) <= dim for ax in name[1:])]
 
 
-def _validate_coefficients(vals: dict, pts: np.ndarray, mode: str) -> None:
+def _validate_coefficients(vals: dict, pts: np.ndarray, mode: str, sign_tol: float) -> None:
+    """Ellipticity, then c <= sign_tol (|c| <= sign_tol under c_zero)."""
     lam, c = vals["a11"], vals["c"]
     if "a12" in vals:
         # smaller eigenvalue of [[a11,a12],[a12,a22]]
@@ -83,11 +86,11 @@ def _validate_coefficients(vals: dict, pts: np.ndarray, mode: str) -> None:
             f"at node {worst} {tuple(pts[worst])}"
         )
     worst = int(np.argmax(c))
-    if c[worst] > _SIGN_TOL:
+    if c[worst] > sign_tol:
         raise ValueError(
             f"positive zero-order coefficient c = {c[worst]:.3e} at node {worst} {tuple(pts[worst])}"
         )
-    if mode == "c_zero" and np.max(np.abs(c)) > _SIGN_TOL:
+    if mode == "c_zero" and np.max(np.abs(c)) > sign_tol:
         worst = int(np.argmax(np.abs(c)))
         raise ValueError(
             f"zero_order_mode=c_zero but |c| = {abs(c[worst]):.3e} at node {worst}"
@@ -116,7 +119,6 @@ def assemble(grid: Grid, coeffs: EllipticCoefficients) -> DiscreteOperator:
     dim = grid.dim
     fields = {name: grid.field(getattr(coeffs, name), name=name)
               for name in _coefficient_names(dim)}
-    _validate_coefficients(fields, grid.nodes, coeffs.zero_order_mode)
 
     n_int = grid.n_interior
     nodes = grid.interior_nodes
@@ -133,6 +135,10 @@ def assemble(grid: Grid, coeffs: EllipticCoefficients) -> DiscreteOperator:
     diag = sum(-2.0 * a[ax] / h[ax]**2 for ax in range(dim)) + at["c"]
     for ax in range(dim):
         diag -= np.abs(b[ax]) / h[ax]
+    # the certificate below allows row sums of L, which are c, up to tol; the sign of c
+    # is judged to the same allowance, and never looser than _SIGN_TOL
+    tol = _SIGN_TOL * float(np.max(np.abs(diag)))
+    _validate_coefficients(fields, grid.nodes, coeffs.zero_order_mode, min(_SIGN_TOL, tol))
     pieces = [(rows, nodes, diag)]  # (row indices, target node indices, values)
     for ax in range(dim):
         pieces.append((rows, nodes + stride[ax], a[ax] / h[ax]**2 + np.maximum(b[ax], 0.0) / h[ax]))
@@ -170,7 +176,6 @@ def assemble(grid: Grid, coeffs: EllipticCoefficients) -> DiscreteOperator:
     # the M-matrix certificate, read from L's entries (no row targets a node twice):
     # K's diagonal -diag is positive, every other entry of L (the pieces after the
     # diagonal, in K and in B) is nonnegative, and the row sums of L are <= 0 (L1 <= 0)
-    tol = _SIGN_TOL * float(np.max(np.abs(diag)))
     m_matrix = bool(
         np.all(diag < 0)
         and np.min(vals[n_int:]) >= -tol

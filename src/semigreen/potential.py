@@ -44,7 +44,12 @@ __all__ = [
     "interval_green",
     "halfplane_green",
     "poisson_extension",
+    "ORACLE_DIMS",
 ]
+
+# the closed-form Green functions by name, and the dimension of the grid each lives
+# on: the oracles of `semigreen green` and the kernels of criterion_integral
+ORACLE_DIMS = {"interval": 1, "halfplane": 2}
 
 
 def _separable_eigenvalues(op: DiscreteOperator) -> np.ndarray:

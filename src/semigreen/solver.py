@@ -251,7 +251,7 @@ def _newton_step(gop, fb, pts, phi, tol, dead_sizes):
         dead_sizes.append(int(np.count_nonzero(dead)))
         if not dead_sizes[-1]:
             free, rhs = slice(None), -direct
-            J = K.copy()
+            J = K.copy()  # far cheaper than K[free][:, free], and steps without a dead core take it
         else:
             free = np.flatnonzero(~dead)
             rhs = (K @ np.where(dead, u, 0.0))[free] - direct[free]  # K_IA u_A - F_I

@@ -1,12 +1,14 @@
 """Named randomized invariant suites.
 
-Each suite draws instances from a seeded generator and counts violations
-of one structural guarantee: positivity of the Green solves, the
-comparison check on ordered solutions, monotonicity in boundary data,
-sandwich envelope interleaving, the fixed-point identity on benchmark
-configs, and criterion-integral monotonicity. The CLI `verify`
-subcommand runs them all; the acceptance gate reruns four of them at 200
-trials.
+Each suite checks one structural guarantee: positivity of the Green
+solves, the comparison check on ordered solutions, monotonicity in
+boundary data, sandwich envelope interleaving, the fixed-point identity on
+benchmark configs, criterion-integral monotonicity, and the phi = 0
+exhaustion. A suite is its check, a function that runs one trial and
+returns its failure message ("" when the trial passes); SUITES says how a
+suite's trials are produced, and run_suites seeds, runs and counts them.
+The CLI `verify` subcommand runs them all; the acceptance gate reruns four
+of them at 200 trials.
 """
 
 from __future__ import annotations
@@ -32,7 +34,7 @@ class SuiteResult:
     name: str
     trials: int
     failures: int
-    detail: str = ""
+    detail: str = ""  # the failure message of the last failed trial
 
     @property
     def passed(self) -> bool:
@@ -77,85 +79,58 @@ def _random_boundary(rng, grid):
     return np.maximum(base + slope * (pts[:, 0] - lo), 0.0)
 
 
-def suite_green_positivity(rng, trials: int) -> SuiteResult:
-    failures = 0
-    worst = ""
-    for _ in range(trials):
-        grid = _random_grid(rng)
-        gop = factorize(assemble(grid, _random_coeffs(rng)))
-        psi = rng.uniform(0.0, 1.0, grid.n_interior)
-        g = green_potential(gop, psi)
-        h = harmonic_extension(gop, _random_boundary(rng, grid))
-        if np.min(g) < -TOL or np.min(h) < -TOL:
-            failures += 1
-            worst = f"min Gpsi={np.min(g):.2e}, min Hf={np.min(h):.2e}"
-    return SuiteResult("green_positivity", trials, failures, worst)
+def _green_positivity(rng) -> str:
+    grid = _random_grid(rng)
+    gop = factorize(assemble(grid, _random_coeffs(rng)))
+    psi = rng.uniform(0.0, 1.0, grid.n_interior)
+    g = green_potential(gop, psi)
+    h = harmonic_extension(gop, _random_boundary(rng, grid))
+    if np.min(g) < -TOL or np.min(h) < -TOL:
+        return f"min Gpsi={np.min(g):.2e}, min Hf={np.min(h):.2e}"
+    return ""
 
 
-def _solve_pair(rng, tol=1e-12):
+def _solve_pair(rng):
+    """(gop, phi, f, bump): one random problem and a positive data shift."""
     grid = _random_grid(rng)
     gop = factorize(assemble(grid, _random_coeffs(rng)))
     phi = _random_phi(rng)
     f = _random_boundary(rng, grid)
-    bump = float(rng.uniform(0.1, 1.0))
-    return gop, phi, f, bump, tol
+    return gop, phi, f, float(rng.uniform(0.1, 1.0))
 
 
-def suite_comparison(rng, trials: int) -> SuiteResult:
-    failures = 0
-    worst = ""
-    for _ in range(trials):
-        gop, phi, f, bump, tol = _solve_pair(rng)
-        # random draws include steep phi on wide boxes where the
-        # alternating scheme stalls; the tangent scheme is exact here
-        u1, r1 = solve_U(gop, f, phi, tol=tol, max_iter=500,
-                         scheme="newton")
-        u2, r2 = solve_U(gop, f + bump, phi, tol=tol, max_iter=500,
-                         scheme="newton")
-        if r1.status != "converged" or r2.status != "converged":
-            failures += 1
-            worst = f"non-converged trial ({r1.status}, {r2.status})"
-            continue
-        big = check_comparison(gop, u2, u1, phi, tol=TOL)
-        same = check_comparison(gop, u1, u1, phi, tol=TOL)
-        if not (big.passed and same.passed):
-            failures += 1
-            worst = big.reason or same.reason
-    return SuiteResult("comparison", trials, failures, worst)
+def _comparison(rng) -> str:
+    gop, phi, f, bump = _solve_pair(rng)
+    # random draws include steep phi on wide boxes where the
+    # alternating scheme stalls; the tangent scheme is exact here
+    u1, r1 = solve_U(gop, f, phi, tol=1e-12, max_iter=500, scheme="newton")
+    u2, r2 = solve_U(gop, f + bump, phi, tol=1e-12, max_iter=500, scheme="newton")
+    if r1.status != "converged" or r2.status != "converged":
+        return f"non-converged trial ({r1.status}, {r2.status})"
+    big = check_comparison(gop, u2, u1, phi, tol=TOL)
+    same = check_comparison(gop, u1, u1, phi, tol=TOL)
+    return big.reason or same.reason
 
 
-def suite_monotone_data(rng, trials: int) -> SuiteResult:
-    failures = 0
-    worst = ""
-    for _ in range(trials):
-        gop, phi, f, bump, tol = _solve_pair(rng)
-        v = check_monotone_in_data(gop, f, f + bump, phi, tol=TOL,
-                                   max_iter=500, scheme="newton")
-        if not v.passed:
-            failures += 1
-            worst = f"violation {v.margin:.2e} at node {v.worst_node}"
-    return SuiteResult("monotone_data", trials, failures, worst)
+def _monotone_data(rng) -> str:
+    gop, phi, f, bump = _solve_pair(rng)
+    v = check_monotone_in_data(gop, f, f + bump, phi, tol=TOL, max_iter=500, scheme="newton")
+    return "" if v.passed else f"violation {v.margin:.2e} at node {v.worst_node}"
 
 
-def suite_sandwich_interleaving(rng, trials: int) -> SuiteResult:
-    failures = 0
-    worst = ""
-    for _ in range(trials):
-        gop, phi, f, _, _ = _solve_pair(rng)
-        it = [harmonic_extension(gop, f)]
-        for _ in range(7):  # eight iterates: H f and seven applications of T
-            it.append(apply_T(gop, f, it[-1], phi))
-        even = it[0::2]
-        odd = it[1::2]
-        ok = all(np.max(b - a) <= TOL for a, b in zip(even, even[1:]))
-        ok &= all(np.max(a - b) <= TOL for a, b in zip(odd, odd[1:]))
-        hi = np.min(np.stack(even), axis=0)
-        lo = np.max(np.stack(odd), axis=0)
-        ok &= bool(np.max(lo - hi) <= TOL)
-        if not ok:
-            failures += 1
-            worst = "envelope ordering violated"
-    return SuiteResult("sandwich_interleaving", trials, failures, worst)
+def _sandwich_interleaving(rng) -> str:
+    gop, phi, f, _ = _solve_pair(rng)  # the bump is drawn and unused
+    it = [harmonic_extension(gop, f)]
+    for _ in range(7):  # eight iterates: H f and seven applications of T
+        it.append(apply_T(gop, f, it[-1], phi))
+    even = it[0::2]
+    odd = it[1::2]
+    ok = all(np.max(b - a) <= TOL for a, b in zip(even, even[1:]))
+    ok &= all(np.max(a - b) <= TOL for a, b in zip(odd, odd[1:]))
+    hi = np.min(np.stack(even), axis=0)
+    lo = np.max(np.stack(odd), axis=0)
+    ok &= bool(np.max(lo - hi) <= TOL)
+    return "" if ok else "envelope ordering violated"
 
 
 def _benchmark_configs():
@@ -175,67 +150,59 @@ def _benchmark_configs():
     ]
 
 
-def suite_identity(rng, trials: int) -> SuiteResult:
-    # fixed benchmark configs; trials is ignored beyond the fixed list
-    failures = 0
-    worst = ""
-    configs = _benchmark_configs()
-    for name, grid, coeffs, phi, data in configs:
-        gop = factorize(assemble(grid, coeffs))
-        u, rep = solve_U(gop, data, phi, tol=1e-12, max_iter=500)
-        if rep.status != "converged" or rep.final_identity_residual > 1e-10:
-            failures += 1
-            worst = f"{name}: {rep.status}, residual {rep.final_identity_residual:.2e}"
-    return SuiteResult("identity", len(configs), failures, worst)
+def _identity(case) -> str:
+    name, grid, coeffs, phi, data = case
+    u, rep = solve_U(factorize(assemble(grid, coeffs)), data, phi, tol=1e-12, max_iter=500)
+    if rep.status != "converged" or rep.final_identity_residual > 1e-10:
+        return f"{name}: {rep.status}, residual {rep.final_identity_residual:.2e}"
+    return ""
 
 
-def suite_criterion_monotone(rng, trials: int) -> SuiteResult:
-    failures = 0
-    worst = ""
-    for _ in range(max(1, trials // 10)):
-        c0 = float(rng.uniform(0.5, 2.0))
-        y_cut = float(rng.uniform(0.5, 2.0))
-        strip = lambda p, t: (p[:, 1] < y_cut) * 1.0
-        rep = criterion_integral("halfplane", strip, c0, None, [2, 4, 8, 16],
-                                 x0=(0.0, 0.5), cell=0.25)
-        diffs = np.diff(np.asarray(rep.values))
-        if np.any(diffs < -1e-15):
-            failures += 1
-            worst = f"decreasing increment {diffs.min():.2e}"
-    return SuiteResult("criterion_monotone", max(1, trials // 10), failures, worst)
+def _criterion_monotone(rng) -> str:
+    c0 = float(rng.uniform(0.5, 2.0))
+    y_cut = float(rng.uniform(0.5, 2.0))
+    strip = lambda p, t: (p[:, 1] < y_cut) * 1.0
+    rep = criterion_integral("halfplane", strip, c0, None, [2, 4, 8, 16],
+                             x0=(0.0, 0.5), cell=0.25)
+    diffs = np.diff(np.asarray(rep.values))
+    return f"decreasing increment {diffs.min():.2e}" if np.any(diffs < -1e-15) else ""
 
 
-def suite_exhaustion_nesting(rng, trials: int) -> SuiteResult:
-    failures = 0
-    worst = ""
-    exh = build_exhaustion(2.0, 2.0, 3, spacing=0.25, halfplane=True, delta=0.25)
+def _exhaustion_nesting():
+    """One trial per stage of a single phi = 0 run: the stage solution and
+    the harmonic majorant both reproduce the data 1."""
     from .exhaustion import harmonic_majorant, run_exhaustion
 
+    exh = build_exhaustion(2.0, 2.0, 3, spacing=0.25, halfplane=True, delta=0.25)
     coeffs = EllipticCoefficients(zero_order_mode="c_zero")
     phi0 = Nonlinearity(phi=lambda p, t: np.zeros(p.shape[0]), differentiable=True)
     run = run_exhaustion(exh, coeffs, phi0, 1.0, tol=1e-11)
     family, _ = harmonic_majorant(exh, coeffs, run.limit_estimate)
     for (_, u), h in zip(run.stages, family):
-        if np.max(np.abs(u - 1.0)) > TOL or np.max(np.abs(h - 1.0)) > TOL:
-            failures += 1
-            worst = "phi=0 run must reproduce the harmonic data"
-    return SuiteResult("exhaustion_nesting", len(run.stages), failures, worst)
+        bad = np.max(np.abs(u - 1.0)) > TOL or np.max(np.abs(h - 1.0)) > TOL
+        yield "phi=0 run must reproduce the harmonic data" if bad else ""
 
 
+def _repeat(check, rng, n):
+    return (check(rng) for _ in range(n))
+
+
+# name -> (rng, trials) -> the failure messages of the suite's trials, run lazily in order
 SUITES = {
-    "green_positivity": suite_green_positivity,
-    "comparison": suite_comparison,
-    "monotone_data": suite_monotone_data,
-    "sandwich_interleaving": suite_sandwich_interleaving,
-    "identity": suite_identity,
-    "criterion_monotone": suite_criterion_monotone,
-    "exhaustion_nesting": suite_exhaustion_nesting,
+    "green_positivity": lambda rng, n: _repeat(_green_positivity, rng, n),
+    "comparison": lambda rng, n: _repeat(_comparison, rng, n),
+    "monotone_data": lambda rng, n: _repeat(_monotone_data, rng, n),
+    "sandwich_interleaving": lambda rng, n: _repeat(_sandwich_interleaving, rng, n),
+    "identity": lambda rng, n: map(_identity, _benchmark_configs()),  # five fixed cases
+    "criterion_monotone": lambda rng, n: _repeat(_criterion_monotone, rng, max(1, n // 10)),
+    "exhaustion_nesting": lambda rng, n: _exhaustion_nesting(),  # one trial per stage
 }
 
 
 def run_suites(names=None, seed: int = 0, trials: int = 25):
-    """Run the named suites (all when names is None) with one seeded
-    generator; returns a list of SuiteResult in a fixed order."""
+    """Run the named suites (all when names is None), each on its own
+    generator seeded from seed and its name; returns a list of SuiteResult
+    in the order of names."""
     if names is None:
         names = list(SUITES)
     results = []
@@ -243,5 +210,7 @@ def run_suites(names=None, seed: int = 0, trials: int = 25):
         if name not in SUITES:
             raise ValueError(f"unknown suite {name!r}; available: {sorted(SUITES)}")
         rng = np.random.default_rng(seed + zlib.crc32(name.encode()) % 100003)
-        results.append(SUITES[name](rng, trials))
+        messages = list(SUITES[name](rng, trials))
+        failed = [m for m in messages if m]
+        results.append(SuiteResult(name, len(messages), len(failed), failed[-1] if failed else ""))
     return results

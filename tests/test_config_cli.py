@@ -307,6 +307,32 @@ class TestKeysOfAnotherDomain:
         assert f"[domain] {key}: unknown key" in capsys.readouterr().err
 
 
+class TestEnumeratedKeys:
+    @pytest.mark.parametrize("name, kind, where, old, new", [
+        ("green_interval", "green", "[domain] dim", "dim = 1", "dim = 3"),
+        ("sqrt_decay", "exhaust", "[domain] exhaustion.spacing_rule", "exhaustion.stages = 4",
+         "exhaustion.stages = 4\nexhaustion.spacing_rule = third"),
+        ("green_interval", "green", "[operator] zero_order_mode",
+         "zero_order_mode = c_zero", "zero_order_mode = c_pos"),
+        ("sqrt_decay", "exhaust", "[solver] scheme", "scheme = newton", "scheme = secant"),
+        ("green_interval", "green", "[experiment] type", "type = green", "type = split"),
+        ("strip_criterion", "criterion", "[experiment] kernel", "kernel = halfplane",
+         "kernel = ball"),
+        ("green_interval", "green", "[experiment] oracle", "oracle = interval",
+         "oracle = sphere"),
+    ], ids=["dim", "spacing_rule", "zero_order_mode", "scheme", "type", "kernel", "oracle"])
+    def test_unknown_value_names_its_key(self, tmp_path, capsys, name, kind, where, old, new):
+        text = (CONFIGS / f"{name}.ini").read_text()
+        assert f"\n{old}\n" in text
+        cfg = write_ini(tmp_path, text.replace(f"\n{old}\n", f"\n{new}\n"))
+        assert main([kind, "--config", cfg, "--out-dir", str(tmp_path)]) == 2
+        value = new.split(" = ")[-1]
+        err = capsys.readouterr().err
+        assert f"{where}: must be one of (" in err
+        assert f", got {value if value.isdigit() else repr(value)}\n" in err
+        assert not list(tmp_path.glob("*.csv"))
+
+
 class TestSolverSection:
     @pytest.mark.parametrize("name, kind", [("strip_criterion", "criterion"),
                                             ("green_interval", "green"),

@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+from semigreen import multigrid
 from semigreen.exhaustion import (
     _classify,
     correspondence_roundtrip,
@@ -247,3 +248,46 @@ class TestWallProfile:
         assert rep.status == "converged"
         assert cfg.anchor == (0.0, 0.5)
         assert abs(run.anchor_values[3] - u[line.index_of((0.5,))]) <= 1e-12
+
+    # the bounded 1D solutions with data 1 on the wall y = delta = 0.25, read at y = 0.5:
+    # u'' = sqrt(u) gives u = (1 - (y - delta) / sqrt(12))_+^4, from u = (l - y)^4 / 144;
+    # u'' = 1{y>1} u gives u = 1 - (y - delta) / (2 - delta) below y = 1, matched at y = 1
+    # to the decaying exponential above
+    @pytest.mark.parametrize("phi, exact, coarsest, ratio", [
+        (SQRT_N, (1.0 - 0.25 / 12**0.5) ** 4, 1.7e-4, (3.8, 4.2)),
+        # first order: the indicator jumps at the node y = 1
+        (Nonlinearity(lambda p, t: (p[:, 0] > 1.0) * np.maximum(t, 0.0), differentiable=True),
+         1.0 - 0.25 / 1.75, 1.1e-2, (1.9, 2.1)),
+    ], ids=["sqrt", "t*1{y>1}"])
+    def test_line_converges_to_the_closed_form(self, phi, exact, coarsest, ratio):
+        errors = []
+        for h in (1 / 4, 1 / 8, 1 / 16):
+            line = build_box_grid((0.25, 16.25), h)
+            u, rep = solve_U(factorize(assemble(line, LAPLACE)), 1.0, phi, tol=1e-12,
+                             scheme="newton")
+            assert rep.status == "converged"
+            errors.append(abs(u[line.index_of((0.5,))] - exact))
+        assert errors[0] <= coarsest
+        for coarse, fine in zip(errors, errors[1:]):
+            assert ratio[0] <= coarse / fine <= ratio[1]
+
+
+class TestRefinementLadder:
+    """sqrt absorption, wall data 1, R = 4 and 8: Newton's steps and its
+    multigrid V-cycles per step barely grow as the grid is refined."""
+
+    @pytest.mark.parametrize("h, steps", [(1 / 4, [12, 15]), (1 / 8, [14, 15])])
+    def test_newton_steps_and_vcycles(self, monkeypatch, h, steps):
+        vcycle, top_level = multigrid._vcycle, []
+
+        def counting(levels, lu, k, r):
+            top_level.append(k == 0)
+            return vcycle(levels, lu, k, r)
+
+        monkeypatch.setattr(multigrid, "_vcycle", counting)
+        exh = build_exhaustion(4.0, 2.0, 2, spacing=h, halfplane=True, delta=0.25,
+                               anchor=(0.0, 0.5))
+        run = run_exhaustion(exh, LAPLACE, SQRT_N, 1.0, scheme="newton")
+        assert [rep.status for rep in run.reports] == ["converged"] * 2
+        assert [rep.iterations for rep in run.reports] == steps
+        assert sum(top_level) <= 12 * sum(steps)

@@ -179,10 +179,7 @@ class TestAssembleAgainstReference:
         # so any |q| above the 1e-12 relative tolerance breaks the certificate
         (((0.0, 1.0), (0.0, 1.0)), 0.125, EllipticCoefficients(a12=1e-14), True),
         (((0.0, 1.0), (0.0, 1.0)), 0.125, EllipticCoefficients(a12=1e-9), False),
-        # c within the absolute tolerance of the sign check on c, but L1 = c > 0
-        # above the certificate's tolerance relative to a weak diagonal
-        ((0.0, 4.0), 1.0, EllipticCoefficients(a11=1e-9, c=5e-13), False),
-    ], ids=["1d", "2d", "2d_cross", "a12=1e-14", "a12=1e-9", "L1>0"])
+    ], ids=["1d", "2d", "2d_cross", "a12=1e-14", "a12=1e-9"])
     def test_m_matrix_matches_the_dense_certificate(self, bbox, h, coeffs, certified):
         grid = build_box_grid(bbox, h)
         assert dense_certificate(*reference_stencil(grid, coeffs)) is certified
@@ -228,6 +225,22 @@ class TestCoefficientValidation:
         grid = build_box_grid((0.0, 1.0), 0.25)
         with pytest.raises(ValueError):
             assemble(grid, EllipticCoefficients(c=-0.5, zero_order_mode="c_zero"))
+
+    def test_positive_c_judged_to_the_certificate_on_a_weak_diagonal(self):
+        # c = 5e-13 is below the absolute 1e-12, but L1 = c > 0 exceeds the
+        # certificate's allowance 1e-12 * max|diag K| = 2e-21
+        grid = build_box_grid((0.0, 4.0), 1.0)
+        coeffs = EllipticCoefficients(a11=1e-9, c=5e-13)
+        assert dense_certificate(*reference_stencil(grid, coeffs)) is False
+        with pytest.raises(ValueError, match="positive zero-order coefficient c = 5.000e-13"):
+            assemble(grid, coeffs)
+
+    def test_c_zero_tolerance_stays_absolute_on_a_strong_diagonal(self):
+        # max|diag K| = 2 * 512^2, yet |c| may not exceed 1e-12
+        grid = build_box_grid((0.0, 1.0), 1 / 512)
+        with pytest.raises(ValueError, match=r"c_zero but \|c\| = 2.000e-12"):
+            assemble(grid, EllipticCoefficients(c=-2e-12, zero_order_mode="c_zero"))
+        assemble(grid, EllipticCoefficients(c=-5e-13, zero_order_mode="c_zero"))
 
     @given(
         a11=st.floats(0.3, 3.0),

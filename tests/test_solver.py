@@ -12,7 +12,7 @@ from scipy import optimize
 from semigreen import multigrid, potential, solver
 from semigreen.geometry import build_box_grid, build_halfplane_truncation
 from semigreen.operator import EllipticCoefficients, assemble
-from semigreen.potential import factorize, harmonic_extension
+from semigreen.potential import factorize, green_potential, harmonic_extension
 from semigreen.solver import (
     NonConvergence,
     Nonlinearity,
@@ -238,6 +238,34 @@ class TestSandwichStructure:
         hf = harmonic_extension(gop, fb)
         assert np.min(u) >= -1e-12
         assert np.all(u <= hf + 1e-12)
+
+
+class TestDampedPicardFallback:
+    """The case that keeps damped_picard: a steep phi not declared
+    differentiable, where max(G_D 1) * Lip(phi) = 0.0734 * 50 = 3.67 > 1."""
+
+    STEEP = Nonlinearity(lambda p, t: 50.0 * np.maximum(t, 0.0))
+
+    def setup_method(self):
+        self.grid, _, self.gop = laplace(((0.0, 1.0), (0.0, 1.0)), 1 / 16)
+
+    def test_contraction_premise_fails(self):
+        assert np.max(green_potential(self.gop, 1.0)) * 50.0 == pytest.approx(3.672, abs=1e-3)
+
+    def test_sandwich_stalls(self):
+        _, rep = solve_U(self.gop, 1.0, self.STEEP, scheme="sandwich")
+        assert (rep.status, rep.iterations) == ("max_iter", 200)
+        assert rep.final_identity_residual == pytest.approx(3.482, abs=1e-3)
+
+    def test_damped_picard_converges(self):
+        u, rep = solve_U(self.gop, 1.0, self.STEEP, scheme="damped_picard", omega=0.5)
+        assert (rep.status, rep.iterations) == ("converged", 82)
+        assert rep.final_identity_residual <= 1e-10
+        np.testing.assert_allclose(apply_T(self.gop, 1.0, u, self.STEEP), u, atol=1e-9)
+
+    def test_newton_needs_a_differentiable_phi(self):
+        with pytest.raises(ValueError, match="declared differentiable"):
+            solve_U(self.gop, 1.0, self.STEEP, scheme="newton")
 
 
 class TestComparisonChecks:
