@@ -12,7 +12,6 @@ from .geometry import (
     build_halfplane_truncation,
     build_exhaustion,
     restrict,
-    shared_node_indices,
 )
 from .expr import Expr, parse
 from .operator import EllipticCoefficients, DiscreteOperator, assemble, apply, check_superharmonic

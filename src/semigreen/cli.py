@@ -18,7 +18,7 @@ from .config import ConfigError, RunConfig, load_config
 from .expr import SPACE_VARS
 from .operator import assemble
 from .potential import ORACLE_DIMS, factorize, green_potential, halfplane_green
-from .solver import SCHEMES, NonConvergence, solve_U
+from .solver import SCHEMES, solve_U
 from .exhaustion import run_exhaustion
 from .thinness import ThinnessCertificate, criterion_integral, verify_certificate
 from .verification import run_suites
@@ -232,9 +232,6 @@ def main(argv=None) -> int:
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return 2
-    except NonConvergence as exc:
-        print(f"numerical failure: {exc}", file=sys.stderr)
-        return 3
     except ValueError as exc:
         print(f"validation error: {exc}", file=sys.stderr)
         return 2

@@ -291,6 +291,8 @@ def _experiment(cp, cfg_kw):
         raw = _get(cp, "experiment", "suites")
         opts["suites"] = [s.strip() for s in raw.split(",")] if raw else None
         opts["trials"] = _get(cp, "experiment", "trials", default=25, kind=int)
+        if opts["trials"] < 1:
+            raise ConfigError("[experiment] trials", f"must be >= 1, got {opts['trials']}")
 
     cfg_kw["experiment_opts"] = opts
 

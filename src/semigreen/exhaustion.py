@@ -12,7 +12,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .geometry import Exhaustion, Grid, restrict, shared_node_indices
+from .geometry import Exhaustion, Grid, restrict
 from .operator import EllipticCoefficients, apply as apply_op, assemble, check_superharmonic
 from .potential import condition_factor, factorize, harmonic_extension
 from .solver import Nonlinearity, solve_U
@@ -117,7 +117,7 @@ def run_exhaustion(
                 )
         start = None
         if prev_grid is not None:
-            shared = shared_node_indices(prev_grid, grid)
+            shared = grid.index_of(prev_grid.nodes)
             start = sf.copy()
             start[shared] = fields[-1]
         u, srep = solve_U(gop, sf, phi, tol=tol, max_iter=max_iter, scheme=scheme,
@@ -161,7 +161,7 @@ def harmonic_majorant(exh: Exhaustion, coeffs: EllipticCoefficients, w, tol: flo
     for n, (grid, wn) in enumerate(zip(exh.stages, w)):
         h = harmonic_extension(factorize(assemble(grid, coeffs)), wn)
         if family:
-            shared = shared_node_indices(exh.stages[n - 1], grid)
+            shared = grid.index_of(exh.stages[n - 1].nodes)
             defect = float(np.min(h[shared] - family[-1]))
             if defect < -tol:
                 raise RuntimeError(

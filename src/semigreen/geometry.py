@@ -8,6 +8,9 @@ on a box face; everything else is interior.
 Unbounded domains (the upper half-plane) are represented by growing box
 truncations kept a fixed offset ``delta`` above the axis.
 
+Grid owns the lattice: its docstring states the one point-to-node
+lookup and the one interior/boundary join that the package uses.
+
 All objects here are immutable after construction and safe to share.
 """
 
@@ -38,6 +41,7 @@ class Grid:
     Attributes
     ----------
     dim : int, len(shape) (a property).
+    n_nodes, n_interior : node counts (properties).
     bbox : tuple of (lo, hi) pairs, one per axis.
     spacing : tuple of floats, one per axis.
     shape : tuple of node counts, one per axis.
@@ -47,6 +51,13 @@ class Grid:
         on a box face.
     interior_nodes : (n_interior,) sorted int array of the other node
         indices.
+
+    A point p has the lattice coordinate (p - lo) / h on each axis.
+    index_of maps one point, or an (n, dim) array of points, to node
+    indices: the one point-to-node lookup, also of the nesting check of
+    build_exhaustion, of restrict and of the nodes that exhaustion
+    stages share. field reads the interior or boundary part of a node
+    field; join writes a full node field from the two parts.
     """
 
     bbox: tuple
@@ -68,19 +79,32 @@ class Grid:
     def n_interior(self) -> int:
         return self.interior_nodes.shape[0]
 
-    def index_of(self, point) -> int:
-        """Node index of a lattice point; raises if not on the lattice."""
-        pt = np.atleast_1d(np.asarray(point, dtype=float))
-        if pt.shape != (self.dim,):
-            raise ValueError(f"point has wrong dimension {pt.shape}, grid dim {self.dim}")
-        idx = []
-        for ax in range(self.dim):
-            k = (pt[ax] - self.bbox[ax][0]) / self.spacing[ax]
-            ki = int(round(k))
-            if not (0 <= ki < self.shape[ax]) or abs(k - ki) > 1e-6:
-                raise ValueError(f"point {tuple(pt)} is not a lattice node of this grid")
-            idx.append(ki)
-        return int(np.ravel_multi_index(idx, self.shape))
+    def _nearest_node(self, pts: np.ndarray) -> tuple:
+        """(k, near) for an (n, dim) point array, both (dim, n): the lattice
+        coordinates k = (p - lo) / h and the nearest node's axis indices,
+        k rounded and clipped to the grid (as floats)."""
+        if pts.shape[1:] != (self.dim,):
+            raise ValueError(f"points have wrong dimension {pts.shape[1:]}, grid dim {self.dim}")
+        # axis-major rows: numpy loops over n, not over an axis of length dim
+        k = np.array([(pts[:, ax] - self.bbox[ax][0]) / self.spacing[ax] for ax in range(self.dim)])
+        return k, np.clip(np.rint(k), 0, np.array(self.shape)[:, None] - 1)
+
+    def index_of(self, points):
+        """Node index of a lattice point, or the index array of an (n, dim)
+        array of points. A point is a node when each lattice coordinate is
+        within 1e-6 of a node's; raises ValueError naming the first point
+        that is not."""
+        pts = np.asarray(points, dtype=float)
+        single = pts.ndim < 2
+        if single:
+            pts = pts.reshape(1, -1)
+        k, near = self._nearest_node(pts)
+        off = ~np.all(np.abs(k - near) <= 1e-6, axis=0)
+        if np.any(off):
+            p = tuple(pts[np.argmax(off)].tolist())
+            raise ValueError(f"point {p} is not a lattice node of this grid")
+        idx = np.ravel_multi_index(tuple(near.astype(np.intp)), self.shape)
+        return int(idx[0]) if single else idx
 
     def field(self, value, on: str = "nodes", name: str = "field") -> np.ndarray:
         """The one node-field format: values of `value` on the nodes `on`
@@ -108,6 +132,15 @@ class Grid:
         if not np.all(np.isfinite(vals)):
             raise ValueError(f"{name} must be finite")
         return vals
+
+    def join(self, interior, boundary=0.0) -> np.ndarray:
+        """The full node field with values `interior` on interior_nodes and
+        `boundary` on boundary_nodes (each a scalar or an array aligned with
+        those indices): the inverse of field(on="interior"/"boundary")."""
+        out = np.empty(self.n_nodes)
+        out[self.boundary_nodes] = boundary
+        out[self.interior_nodes] = interior
+        return out
 
 
 @dataclass(frozen=True)
@@ -237,8 +270,8 @@ def build_exhaustion(
             g = build_box_grid(np.asarray(base_bbox, dtype=float) * scale, h)
         stages.append(g)
 
-    for a, b in zip(stages, stages[1:]):
-        _check_nested(a, b)
+    for inner, outer in zip(stages, stages[1:]):
+        outer.index_of(inner.nodes)  # raises unless every inner node is an outer node
 
     g0 = stages[0]
     if anchor is None:
@@ -252,39 +285,6 @@ def build_exhaustion(
     return Exhaustion(stages=tuple(stages), anchor=anchor)
 
 
-def _check_nested(inner: Grid, outer: Grid) -> None:
-    """Exact node nesting: every inner node is an outer lattice node."""
-    if inner.dim != outer.dim:
-        raise ValueError("stages differ in dimension")
-    for ax in range(inner.dim):
-        ratio = inner.spacing[ax] / outer.spacing[ax]
-        if abs(ratio - round(ratio)) > _COMMENSURATE_RTOL or round(ratio) < 1:
-            raise ValueError(
-                f"stage spacings {inner.spacing[ax]} / {outer.spacing[ax]} do not nest"
-            )
-        off = (inner.bbox[ax][0] - outer.bbox[ax][0]) / outer.spacing[ax]
-        if abs(off - round(off)) > 1e-6:
-            raise ValueError("stage lattices are not aligned")
-        if inner.bbox[ax][0] < outer.bbox[ax][0] - 1e-12 or inner.bbox[ax][1] > outer.bbox[ax][1] + 1e-12:
-            raise ValueError("inner stage box is not contained in the outer stage box")
-
-
-def shared_node_indices(inner: Grid, outer: Grid) -> np.ndarray:
-    """Outer node index of every inner node, in inner node order, so
-    outer_field[shared_node_indices(inner, outer)] is a field on inner.
-
-    Requires exact nesting; every inner node must be an outer node.
-    """
-    _check_nested(inner, outer)
-    ratios = [int(round(inner.spacing[ax] / outer.spacing[ax])) for ax in range(inner.dim)]
-    offs = [
-        int(round((inner.bbox[ax][0] - outer.bbox[ax][0]) / outer.spacing[ax]))
-        for ax in range(inner.dim)
-    ]
-    pos = np.unravel_index(np.arange(inner.n_nodes), inner.shape)
-    return np.ravel_multi_index(tuple(o + r * p for o, r, p in zip(offs, ratios, pos)), outer.shape)
-
-
 def restrict(values: np.ndarray, frm: Grid, to: Grid) -> np.ndarray:
     """Copy a node field from a finer/larger grid onto a nested coarser one.
 
@@ -295,4 +295,4 @@ def restrict(values: np.ndarray, frm: Grid, to: Grid) -> np.ndarray:
         raise ValueError(
             f"field has {values.shape[0]} values, grid has {frm.n_nodes} nodes"
         )
-    return values[shared_node_indices(to, frm)]
+    return values[frm.index_of(to.nodes)]

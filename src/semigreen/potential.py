@@ -153,10 +153,7 @@ def harmonic_extension(gop: GreenOperator, f) -> np.ndarray:
     """
     grid = gop.grid
     fb = grid.field(f, on="boundary", name="boundary data")
-    h = np.empty(grid.n_nodes)
-    h[grid.boundary_nodes] = fb
-    h[grid.interior_nodes] = gop.solve(gop.op.B @ fb)
-    return h
+    return grid.join(gop.solve(gop.op.B @ fb), fb)
 
 
 def green_potential(gop: GreenOperator, psi) -> np.ndarray:
@@ -168,9 +165,7 @@ def green_potential(gop: GreenOperator, psi) -> np.ndarray:
     """
     grid = gop.grid
     psi = grid.field(psi, on="interior", name="source field")
-    g = np.zeros(grid.n_nodes)
-    g[grid.interior_nodes] = gop.solve(psi)
-    return g
+    return grid.join(gop.solve(psi))
 
 
 def interval_green(x: float, y, endpoints=(0.0, 1.0)):

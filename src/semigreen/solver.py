@@ -160,10 +160,7 @@ def apply_T(gop: GreenOperator, f, u, phi: Nonlinearity) -> np.ndarray:
     fb = grid.field(f, on="boundary", name="boundary data")
     ui = grid.field(u, on="interior", name="u")
     pts = grid.nodes[grid.interior_nodes]
-    out = np.empty(grid.n_nodes)
-    out[grid.boundary_nodes] = fb
-    out[grid.interior_nodes] = gop.solve(gop.op.B @ fb) - gop.solve(phi(pts, ui))
-    return out
+    return grid.join(gop.solve(gop.op.B @ fb) - gop.solve(phi(pts, ui)), fb)
 
 
 def solve_U(
@@ -227,10 +224,7 @@ def solve_U(
         u = step(u, p, hf - g)  # hf - g is T u
 
     status = "diverged" if not np.isfinite(res) else "converged" if res <= tol else "max_iter"
-    out = np.empty(grid.n_nodes)
-    out[grid.boundary_nodes] = fb
-    out[grid.interior_nodes] = u
-    return out, SolveReport(residuals, status, dead_sizes)
+    return grid.join(u, fb), SolveReport(residuals, status, dead_sizes)
 
 
 def _newton_step(gop, fb, pts, phi, tol, dead_sizes):
@@ -269,11 +263,14 @@ def _newton_step(gop, fb, pts, phi, tol, dead_sizes):
 
 @dataclass(frozen=True)
 class CheckVerdict:
-    passed: bool
     worst_node: int
     margin: float  # slack of the deciding inequality: < 0 exactly when the check fails
     kappa: float = float("nan")
     reason: str = ""
+
+    @property
+    def passed(self) -> bool:
+        return self.margin >= 0
 
 
 def check_comparison(gop: GreenOperator, u, v, phi: Nonlinearity, boundary_gap: float = 0.0,
@@ -306,8 +303,8 @@ def check_comparison(gop: GreenOperator, u, v, phi: Nonlinearity, boundary_gap: 
     for diff, nodes, bound, reason in table:
         k = int(np.argmin(diff))
         if diff[k] < bound:
-            return CheckVerdict(False, int(nodes[k]), float(diff[k] - bound), kappa, reason)
-    return CheckVerdict(True, int(nodes[k]), float(diff[k] - bound), kappa)
+            return CheckVerdict(int(nodes[k]), float(diff[k] - bound), kappa, reason)
+    return CheckVerdict(int(nodes[k]), float(diff[k] - bound), kappa)
 
 
 def check_monotone_in_data(gop: GreenOperator, f, g, phi: Nonlinearity, tol: float = 1e-9,
@@ -324,7 +321,5 @@ def check_monotone_in_data(gop: GreenOperator, f, g, phi: Nonlinearity, tol: flo
     rg.require_converged("solve for data g")
     diff = uf - ug
     k = int(np.argmax(diff))
-    return CheckVerdict(
-        bool(diff[k] <= tol), k, float(tol - diff[k]),
-        reason="" if diff[k] <= tol else "monotonicity violated",
-    )
+    return CheckVerdict(k, float(tol - diff[k]),
+                        reason="" if diff[k] <= tol else "monotonicity violated")

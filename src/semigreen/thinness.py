@@ -50,11 +50,14 @@ class ThinnessCertificate:
 
 @dataclass(frozen=True)
 class CertificateVerdict:
-    passed: bool
     min_over_grid: float
     min_on_A: float
     superharmonic_residual: float
-    reasons: tuple = ()
+    reasons: tuple = ()  # one line per failed inequality
+
+    @property
+    def passed(self) -> bool:
+        return not self.reasons
 
 
 def verify_certificate(grid: Grid, coeffs, cert: ThinnessCertificate, tol: float = 1e-9) -> CertificateVerdict:
@@ -80,28 +83,24 @@ def verify_certificate(grid: Grid, coeffs, cert: ThinnessCertificate, tol: float
     if not rep.passed:
         reasons.append(
             f"superharmonicity fails: residual {rep.max_residual:.3e} at node {rep.worst_node}")
-    return CertificateVerdict(not reasons, min_s, min_on_a, rep.max_residual, tuple(reasons))
+    return CertificateVerdict(min_s, min_on_a, rep.max_residual, tuple(reasons))
 
 
 def mask_predicate(grid: Grid, mask):
     """Lift a node mask to a point predicate by nearest-node lookup;
-    points outside the grid box are reported as not in the set."""
+    points more than half a cell outside the grid box are reported as
+    not in the set."""
     mask = np.asarray(mask, dtype=bool).reshape(grid.shape)
 
     def pred(pts):
         pts = np.asarray(pts, dtype=float)
         if pts.ndim == 1:
             pts = pts[:, None]
+        k, near = grid._nearest_node(pts)
+        # inside the box grown by half a cell: within half a cell of a node
+        inside = np.all(np.abs(k - near) <= 0.5, axis=0)
         out = np.zeros(pts.shape[0], dtype=bool)
-        inside = np.ones(pts.shape[0], dtype=bool)
-        idx = []
-        for ax in range(grid.dim):
-            lo, hi = grid.bbox[ax]
-            h = grid.spacing[ax]
-            inside &= (pts[:, ax] >= lo - h / 2) & (pts[:, ax] <= hi + h / 2)
-            k = np.rint((pts[:, ax] - lo) / h).astype(int)
-            idx.append(np.clip(k, 0, grid.shape[ax] - 1))
-        out[inside] = mask[tuple(ix[inside] for ix in idx)]
+        out[inside] = mask[tuple(near[:, inside].astype(np.intp))]
         return out
 
     return pred

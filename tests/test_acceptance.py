@@ -14,7 +14,7 @@ import pytest
 import conftest
 from semigreen.config import load_config
 from semigreen.exhaustion import correspondence_roundtrip
-from semigreen.geometry import build_box_grid, shared_node_indices
+from semigreen.geometry import build_box_grid
 from semigreen.operator import EllipticCoefficients, assemble
 from semigreen.potential import factorize, green_potential, poisson_extension
 from semigreen.solver import Nonlinearity, solve_U
@@ -91,7 +91,7 @@ def test_criterion_5_exhaustion_monotone(shipped_run):
         radii = [g.bbox[0][1] for g, _ in run.stages]
         radii_ok &= radii == [4.0, 8.0, 16.0, 32.0]
         for (g1, u1), (g2, u2) in zip(run.stages, run.stages[1:]):
-            shared = shared_node_indices(g1, g2)
+            shared = g2.index_of(g1.nodes)
             worst = max(worst, float(np.max(u2[shared] - u1)))
     record(5, worst <= 1e-9 and radii_ok,
            f"max u_(n+1) - u_n on shared nodes = {worst:.2e} <= 1e-9 across "

@@ -243,6 +243,15 @@ class TestCliSolve:
                    "--max-iter", "1", "--tol", "1e-14"])
         assert rc == 3
 
+    def test_exhaust_nonconvergence_exit_code(self, tmp_path, capsys):
+        # a stage solve that stops at max_iter is a numerical failure of the run
+        text = EXHAUST_INI.replace("scheme = newton\n", "scheme = sandwich\nmax_iter = 1\n")
+        cfg = write_ini(tmp_path, text)
+        assert main(["exhaust", "--config", cfg, "--out-dir", str(tmp_path)]) == 3
+        err = capsys.readouterr().err
+        assert err.startswith("numerical failure: stage 0: solve ended with status 'max_iter'")
+        assert not list(tmp_path.glob("*.csv"))
+
     def test_missing_config_file(self, tmp_path):
         assert main(["solve", "--config", str(tmp_path / "nope.ini")]) == 2
 
@@ -500,6 +509,16 @@ class TestCliExperiments:
         assert len(rows) >= 8  # seven suites plus header
         out = capsys.readouterr().out
         assert "pass" in out
+
+    @pytest.mark.parametrize("trials", ["0", "-3"])
+    def test_verify_trials_below_one_rejected(self, tmp_path, capsys, trials):
+        # a verify run that runs no trial checks nothing
+        text = ("[domain]\ndim = 1\nbbox = 0, 1\nspacing = 0.125\n\n"
+                f"[experiment]\ntype = verify\nsuites = comparison\ntrials = {trials}\n")
+        cfg = write_ini(tmp_path, text)
+        assert main(["verify", "--config", cfg, "--out-dir", str(tmp_path)]) == 2
+        assert f"[experiment] trials: must be >= 1, got {trials}\n" in capsys.readouterr().err
+        assert not list(tmp_path.glob("*.csv"))
 
     def test_console_entry_point(self, tmp_path):
         cfg = write_ini(tmp_path, SOLVE_INI)

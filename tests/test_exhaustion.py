@@ -12,7 +12,6 @@ from semigreen.geometry import (
     build_box_grid,
     build_exhaustion,
     restrict,
-    shared_node_indices,
 )
 from semigreen.operator import EllipticCoefficients, assemble
 from semigreen.potential import factorize
@@ -97,7 +96,7 @@ class TestRunExhaustion:
         # recompute the worst defect independently of the run bookkeeping
         worst = -np.inf
         for (g1, u1), (g2, u2) in zip(run.stages, run.stages[1:]):
-            shared = shared_node_indices(g1, g2)
+            shared = g2.index_of(g1.nodes)
             worst = max(worst, float(np.max(u2[shared] - u1)))
         assert worst == pytest.approx(run.monotone_slack, abs=1e-14)
 
@@ -142,7 +141,7 @@ class TestHarmonicMajorant:
         np.testing.assert_allclose(family[-1], h_final)
         assert np.all(h_final >= run.limit_estimate - 1e-9)
         for (g1, h1), (g2, h2) in zip(zip(exh.stages, family), zip(exh.stages[1:], family[1:])):
-            shared = shared_node_indices(g1, g2)
+            shared = g2.index_of(g1.nodes)
             assert np.min(h2[shared] - h1) >= -1e-9
 
     def test_harmonic_input_is_its_own_majorant(self):

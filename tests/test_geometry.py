@@ -7,7 +7,6 @@ from semigreen.geometry import (
     build_exhaustion,
     build_halfplane_truncation,
     restrict,
-    shared_node_indices,
 )
 
 
@@ -79,12 +78,25 @@ class TestIndexOf:
     def test_every_node_finds_itself(self, bbox, h):
         g = build_box_grid(bbox, h)
         assert [g.index_of(p) for p in g.nodes] == list(range(g.n_nodes))
+        assert all(isinstance(g.index_of(p), int) for p in g.nodes[:3])
+        # one lookup of the whole node array
+        np.testing.assert_array_equal(g.index_of(g.nodes), np.arange(g.n_nodes))
 
     @pytest.mark.parametrize("point", [(0.1, 0.0), (0.0, 2.5), (-0.25, 0.0)])
     def test_point_off_the_lattice_rejected(self, point):
         g = build_box_grid(((0, 1), (-1, 2)), (0.25, 0.5))
         with pytest.raises(ValueError, match="lattice node"):
             g.index_of(point)
+        # in an array of nodes, the error names the one point off the lattice
+        pts = np.vstack([g.nodes[:5], [point], g.nodes[5:]])
+        with pytest.raises(ValueError, match=rf"point \({point[0]}, {point[1]}\) is not a lattice node"):
+            g.index_of(pts)
+
+    @pytest.mark.parametrize("points", [(0.5, 0.5), np.zeros((3, 2)), np.zeros((2, 1, 1))])
+    def test_wrong_dimension_rejected(self, points):
+        g = build_box_grid((0.0, 1.0), 0.25)
+        with pytest.raises(ValueError, match="wrong dimension"):
+            g.index_of(points)
 
 
 class TestExhaustion:
@@ -112,6 +124,16 @@ class TestExhaustion:
         counts = [g.n_interior for g in exh.stages]
         assert all(a < b for a, b in zip(counts, counts[1:]))
 
+    def test_misaligned_stage_lattices_rejected(self):
+        # stage 1 spans [-1.2, 0.8]: stage 0's node -0.6 sits 2.4 cells into it
+        with pytest.raises(ValueError, match=r"point \(-0.6,\) is not a lattice node"):
+            build_exhaustion((-0.6, 0.4), 2.0, 2, spacing=0.25)
+
+    def test_stage_box_not_containing_the_previous_rejected(self):
+        # stage 1 spans [2, 4] and misses stage 0's nodes below 2
+        with pytest.raises(ValueError, match=r"point \(1.0,\) is not a lattice node"):
+            build_exhaustion((1.0, 2.0), 2.0, 2, spacing=0.25)
+
     def test_anchor_must_be_shared_node(self):
         with pytest.raises(ValueError, match="lattice node"):
             build_exhaustion(((-1, 1), (-1, 1)), 2.0, 2, spacing=0.5, anchor=(0.3, 0.0))
@@ -120,7 +142,7 @@ class TestExhaustion:
         exh = build_exhaustion((0.0, 1.0), 2.0, 3, spacing_rule="halve", spacing=0.25, anchor=(0.5,))
         hs = [g.spacing[0] for g in exh.stages]
         assert hs == [0.25, 0.125, 0.0625]
-        oi = shared_node_indices(exh.stages[0], exh.stages[1])
+        oi = exh.stages[1].index_of(exh.stages[0].nodes)
         np.testing.assert_allclose(exh.stages[0].nodes[:, 0], exh.stages[1].nodes[oi, 0])
 
 
@@ -128,7 +150,7 @@ class TestExhaustion:
         exh = build_exhaustion(((-1, 1), (-0.5, 1.5)), 2.0, 3, spacing_rule="halve",
                                spacing=0.5, anchor=(0.0, 0.5))
         for inner, outer in zip(exh.stages, exh.stages[1:]):
-            oi = shared_node_indices(inner, outer)
+            oi = outer.index_of(inner.nodes)
             np.testing.assert_array_equal(inner.nodes, outer.nodes[oi])
 
 class TestRestrict:
@@ -144,6 +166,12 @@ class TestRestrict:
         out = restrict(big.nodes[:, 0].copy(), big, small)
         # bit-identical, not merely close
         np.testing.assert_array_equal(out, small.nodes[:, 0])
+
+    def test_field_of_another_length_rejected(self):
+        exh = build_exhaustion(((-1, 1), (-1, 1)), 2.0, 2, spacing=0.5)
+        big, small = exh.stages[1], exh.stages[0]
+        with pytest.raises(ValueError, match="field has 25 values, grid has 81 nodes"):
+            restrict(np.zeros(small.n_nodes), big, small)
 
     def test_mismatched_grids_rejected(self):
         a = build_box_grid((0.0, 1.0), 0.25)
@@ -229,3 +257,19 @@ class TestGridField:
         full[grid.interior_nodes] = np.nan
         np.testing.assert_array_equal(grid.field(full, on="boundary"),
                                       _node_values(grid)[grid.boundary_nodes])
+
+
+class TestGridJoin:
+    @pytest.mark.parametrize("dim", sorted(GRIDS))
+    def test_join_inverts_the_interior_and_boundary_parts(self, dim):
+        grid = GRIDS[dim]()
+        full = _node_values(grid)
+        out = grid.join(grid.field(full, on="interior"), grid.field(full, on="boundary"))
+        np.testing.assert_array_equal(out, full)
+
+    @pytest.mark.parametrize("dim", sorted(GRIDS))
+    def test_boundary_defaults_to_zero(self, dim):
+        grid = GRIDS[dim]()
+        out = grid.join(np.arange(grid.n_interior, dtype=float))
+        np.testing.assert_array_equal(out[grid.boundary_nodes], 0.0)
+        np.testing.assert_array_equal(out[grid.interior_nodes], np.arange(grid.n_interior))

@@ -214,6 +214,12 @@ class TestMaskPredicate:
         pred = mask_predicate(grid, np.ones(grid.n_nodes, dtype=bool))
         assert not pred(np.array([[50.0, 1.0], [0.0, 100.0]])).any()
 
+    def test_points_of_another_dimension_rejected(self):
+        grid = build_halfplane_truncation(2.0, 0.25, 0.25)
+        pred = mask_predicate(grid, np.ones(grid.n_nodes, dtype=bool))
+        with pytest.raises(ValueError, match="wrong dimension"):
+            pred(np.array([0.0, 1.0]))
+
     def test_nearest_node_lookup(self):
         grid = build_halfplane_truncation(2.0, 0.25, 0.25)
         mask = grid.nodes[:, 1] >= 1.0
