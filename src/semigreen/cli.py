@@ -25,19 +25,28 @@ from .verification import run_suites
 
 __all__ = ["main"]
 
+BLOCK_ROWS = 1 << 14  # CSV rows formatted and written at a time
+
 
 def _write_columns(path: str, cfg: RunConfig, header, columns):
     """Write a CSV file from equal-length columns. A numpy array column is
     written with cfg.float_format; any other column is a list of ready-made
     strings (stage numbers, statuses, empty cells), written as they are.
     Numbers and the program's own strings hold no comma, quote or newline,
-    so no cell is quoted."""
+    so no cell is quoted. Columns of unequal length raise ValueError before
+    the file is opened; rows are formatted and written BLOCK_ROWS at a time,
+    so no whole column becomes a Python list."""
+    lengths = [len(c) for c in columns]
+    if len(set(lengths)) > 1:
+        raise ValueError(f"columns of unequal length {lengths}")
     row = ",".join(cfg.float_format if isinstance(c, np.ndarray) else "%s"
                    for c in columns) + "\n"
-    cells = [c.tolist() if isinstance(c, np.ndarray) else c for c in columns]
     with open(path, "w", encoding="utf-8", newline="") as fh:
         fh.write(",".join(header) + "\n")
-        fh.writelines(map(row.__mod__, zip(*cells, strict=True)))
+        for start in range(0, lengths[0], BLOCK_ROWS):
+            cells = [c[start:start + BLOCK_ROWS] for c in columns]
+            cells = [c.tolist() if isinstance(c, np.ndarray) else c for c in cells]
+            fh.writelines(map(row.__mod__, zip(*cells)))
 
 
 def _out(args, cfg: RunConfig, suffix: str) -> str:

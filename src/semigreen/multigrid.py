@@ -63,18 +63,28 @@ def prolongations(m: tuple) -> list:
 def pcg(J, free: np.ndarray, b: np.ndarray, prolong: list, tol: float):
     """Solve J x = b, J the SPD Jacobian on the free nodes (free is a
     boolean mask over the interior of prolong's finest level). Returns x,
-    or None when CG does not reach RTOL * tol within MAX_ITER iterations."""
+    or None when CG does not reach RTOL * tol within MAX_ITER iterations,
+    when the coarsest operator cannot be factorized, or when CG breaks
+    down: the caller then solves with its LU."""
     x = np.zeros_like(b)
     if not b.any():
         return x
     J = sp.csr_matrix(J)
-    levels, lu = _hierarchy(J, free, prolong)
+    levels, coarsest = _hierarchy(J, free, prolong)
+    try:
+        lu = spla.splu(coarsest.tocsc())
+    except RuntimeError:  # singular to working precision
+        return None
     r = b.copy()
     stop = RTOL * tol * math.sqrt((b * b).sum())
-    z = _vcycle(levels, lu, 0, r)
-    p = z.copy()
-    rz = (r * z).sum()
+    p, rz = np.zeros_like(b), 1.0
     for _ in range(MAX_ITER):
+        z = _vcycle(levels, lu, 0, r)
+        rz, rz_old = (r * z).sum(), rz
+        if not 0 < rz < math.inf:  # the V-cycle is not SPD on r
+            return None
+        p *= rz / rz_old
+        p += z
         q = J @ p
         pq = (p * q).sum()
         if not pq > 0:  # J is not SPD, or the iteration broke down
@@ -84,16 +94,12 @@ def pcg(J, free: np.ndarray, b: np.ndarray, prolong: list, tol: float):
         r -= alpha * q
         if math.sqrt((r * r).sum()) <= stop:
             return x
-        z = _vcycle(levels, lu, 0, r)
-        rz, rz_old = (r * z).sum(), rz
-        p *= rz / rz_old
-        p += z
     return None
 
 
 def _hierarchy(A, free, prolong):
-    """Levels (A, OMEGA / diag A, P_f, P_f^T), finest first, and the LU of
-    the coarsest operator; A is CSR."""
+    """Levels (A, OMEGA / diag A, P_f, P_f^T), finest first, and the
+    coarsest operator; A is CSR."""
     levels = []
     for P, inj in prolong:
         if A.shape[0] <= COARSEST:
@@ -106,7 +112,7 @@ def _hierarchy(A, free, prolong):
         levels.append((A, OMEGA / A.diagonal(), Pf, R))
         A = R @ (A @ Pf)
         free = kept
-    return levels, spla.splu(A.tocsc())
+    return levels, A
 
 
 def _vcycle(levels, lu, k, r):

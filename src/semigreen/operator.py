@@ -15,6 +15,17 @@ contribution, so
     (Lu)_interior = -K @ u_interior + B @ u_boundary,
 
 and the solvers elsewhere use H f = K^-1 B f, G psi = K^-1 psi.
+
+Storage: assemble keeps the stencil as a table of pieces, one (node
+offset, values) pair each: 0 for the diagonal, +-stride[ax] per axis and
++-sx+-sy for the cross stencil, values[r] the weight of row r. K (CSC) and
+B (CSR) are filled straight from the table, with no COO triplets: column j
+of K holds the rows of the source nodes nodes[j] - offset that are
+interior, row r of B the boundary targets nodes[r] + offset. Taken in
+order of decreasing (K) or increasing (B) offset, the pieces give each
+column's rows, or each row's columns, in ascending order without
+duplicates, so indptr is a cumulative count and both matrices come out
+canonical.
 """
 
 from __future__ import annotations
@@ -39,6 +50,7 @@ __all__ = [
 EPS_ELL = 1e-10  # strict-ellipticity floor
 _SIGN_TOL = 1e-12
 ZERO_ORDER_MODES = ("c_nonpos", "c_zero")
+_INT32_MAX = np.iinfo(np.int32).max
 
 
 @dataclass(frozen=True)
@@ -122,7 +134,6 @@ def assemble(grid: Grid, coeffs: EllipticCoefficients) -> DiscreteOperator:
 
     n_int = grid.n_interior
     nodes = grid.interior_nodes
-    rows = np.arange(n_int)
     at = {name: v[nodes] for name, v in fields.items()}
     h = grid.spacing
     a = [at[f"a{ax + 1}{ax + 1}"] for ax in range(dim)]
@@ -139,49 +150,82 @@ def assemble(grid: Grid, coeffs: EllipticCoefficients) -> DiscreteOperator:
     # is judged to the same allowance, and never looser than _SIGN_TOL
     tol = _SIGN_TOL * float(np.max(np.abs(diag)))
     _validate_coefficients(fields, grid.nodes, coeffs.zero_order_mode, min(_SIGN_TOL, tol))
-    pieces = [(rows, nodes, diag)]  # (row indices, target node indices, values)
+    # the stencil table: row r of L couples interior node nodes[r] to node
+    # nodes[r] + offset with weight values[r], one (offset, values) entry per piece
+    table = [(0, diag)]
     for ax in range(dim):
-        pieces.append((rows, nodes + stride[ax], a[ax] / h[ax]**2 + np.maximum(b[ax], 0.0) / h[ax]))
-        pieces.append((rows, nodes - stride[ax], a[ax] / h[ax]**2 - np.minimum(b[ax], 0.0) / h[ax]))
+        table.append((stride[ax], a[ax] / h[ax]**2 + np.maximum(b[ax], 0.0) / h[ax]))
+        table.append((-stride[ax], a[ax] / h[ax]**2 - np.minimum(b[ax], 0.0) / h[ax]))
     cross = bool(np.any(at.get("a12", 0.0)))
     if cross:
         # 2*a12 * d2u/dxdy on the 4-point cross stencil
         q = 2.0 * at["a12"] / (4.0 * h[0] * h[1])
         sx, sy = stride
-        pieces.append((rows, nodes + sx + sy, q))
-        pieces.append((rows, nodes - sx - sy, q))
-        pieces.append((rows, nodes + sx - sy, -q))
-        pieces.append((rows, nodes - sx + sy, -q))
+        table += [(sx + sy, q), (-sx - sy, q), (sx - sy, -q), (-sx + sy, -q)]
     # K is the separable constant stencil when only the a_ii and c enter, each constant;
     # its entries are then the negated values below, bit for bit
     separable = not cross and not any(np.any(v) for v in b) and all(
         np.all(v == v[0]) for v in [*a, at["c"]])
     stencil = (-diag[0], tuple(-(a[ax][0] / h[ax]**2) for ax in range(dim))) if separable else None
-
-    n_bd = len(grid.boundary_nodes)
-    pos = np.empty(grid.n_nodes, dtype=np.int64)  # an interior node's row, a boundary node's column
-    pos[nodes] = rows
-    pos[grid.boundary_nodes] = np.arange(n_bd)
-    interior = np.zeros(grid.n_nodes, dtype=bool)
-    interior[nodes] = True
-
-    rows, tgts, vals = (np.concatenate(p) for p in zip(*pieces))
-    # the pieces and coefficient arrays are dead from here; freed before K is converted,
+    # the coefficient fields are dead from here; freed before K and B are filled,
     # they add nothing to the peak memory of a large assembly
-    del pieces, fields, at, a, b
-    inner = interior[tgts]
-    K = sp.csc_matrix((-vals[inner], (rows[inner], pos[tgts[inner]])), shape=(n_int, n_int))
-    coupling = sp.csr_matrix((vals[~inner], (rows[~inner], pos[tgts[~inner]])), shape=(n_int, n_bd))
+    del fields, at, a, b
 
-    # the M-matrix certificate, read from L's entries (no row targets a node twice):
+    # the M-matrix certificate, read from the table (no row targets a node twice):
     # K's diagonal -diag is positive, every other entry of L (the pieces after the
-    # diagonal, in K and in B) is nonnegative, and the row sums of L are <= 0 (L1 <= 0)
+    # diagonal, in K and in B) is nonnegative, and the row sums of L are <= 0 (L1 <= 0);
+    # the row sums add the pieces in table order, diagonal first
     m_matrix = bool(
         np.all(diag < 0)
-        and np.min(vals[n_int:]) >= -tol
-        and np.max(np.bincount(rows, vals, n_int)) <= tol
+        and np.min([np.min(values) for _, values in table[1:]]) >= -tol
+        and np.max(sum(values for _, values in table)) <= tol
     )
+
+    # an interior node's row, a boundary node's column; int32 while it fits, which halves
+    # the index temporaries _compressed gathers from it
+    pos = np.empty(grid.n_nodes, dtype=np.int32 if grid.n_nodes <= _INT32_MAX else np.int64)
+    pos[nodes] = np.arange(n_int)
+    pos[grid.boundary_nodes] = np.arange(len(grid.boundary_nodes))
+    interior = np.zeros(grid.n_nodes, dtype=bool)
+    interior[nodes] = True
+    data, indices, indptr = _compressed(table, nodes, pos, interior, transpose=True)
+    K = sp.csc_matrix((np.negative(data, out=data), indices, indptr), shape=(n_int, n_int))
+    coupling = sp.csr_matrix(_compressed(table, nodes, pos, ~interior, transpose=False),
+                             shape=(n_int, len(grid.boundary_nodes)))
     return DiscreteOperator(grid=grid, B=coupling, m_matrix=m_matrix, K=K, stencil=stencil)
+
+
+def _compressed(table, nodes, pos, wanted, transpose: bool) -> tuple:
+    """(data, indices, indptr) of L's entries at the wanted nodes, read from
+    the stencil table; slot k of the major axis belongs to interior node
+    nodes[k].
+
+    transpose=False (B's CSR): slot k is row k, and piece (offset, values)
+    puts values[k] at column pos[nodes[k] + offset] when that node is wanted.
+    transpose=True (K's CSC): slot k is column k, and the piece puts
+    values[i] at row i = pos[nodes[k] - offset] when that source node is
+    wanted. The pieces are taken in increasing order of +offset (CSR) or
+    -offset (CSC), so the minor indices of each slot ascend without
+    duplicates: the result is canonical. Index arrays are int32 while nnz and
+    every dimension fit, as scipy would choose."""
+    sign = -1 if transpose else 1
+    table = sorted(table, key=lambda piece: sign * piece[0])
+    keep = [wanted[nodes + sign * offset] for offset, _ in table]
+    counts = np.count_nonzero(keep, axis=0)
+    nnz = int(counts.sum())
+    index = np.int32 if max(nnz, len(pos)) <= _INT32_MAX else np.int64
+    indptr = np.zeros(len(nodes) + 1, dtype=index)
+    np.cumsum(counts, out=indptr[1:])
+    indices = np.empty(nnz, dtype=index)
+    data = np.empty(nnz)
+    slot = indptr[:-1].astype(np.intp)  # each slot's next free position
+    for k, (offset, values) in zip(keep, table):
+        minor = pos[nodes[k] + sign * offset]
+        dest = slot[k]
+        indices[dest] = minor
+        data[dest] = values[minor] if transpose else values[k]
+        slot += k
+    return data, indices, indptr
 
 
 def apply(op: DiscreteOperator, u) -> np.ndarray:

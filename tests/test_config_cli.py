@@ -10,7 +10,7 @@ import numpy as np
 import pytest
 
 import semigreen
-from semigreen.cli import _write_columns, main
+from semigreen.cli import BLOCK_ROWS, _write_columns, main
 from semigreen.config import ConfigError, RunConfig, load_config
 
 CONFIGS = Path(__file__).resolve().parent.parent / "configs"
@@ -587,10 +587,27 @@ class TestColumnWriter:
         assert np.array_equal(read, values, equal_nan=True)
         assert np.array_equal(np.signbit(read), np.signbit(values))
 
+    @pytest.mark.parametrize("precision", [1, 4, 17])
+    def test_bytes_match_the_csv_writer_across_blocks(self, tmp_path, precision):
+        cfg = output_config(precision)
+        n = 2 * BLOCK_ROWS + 123
+        values = np.random.default_rng(precision).standard_normal(n) * 1e3
+        values[BLOCK_ROWS - len(EDGE_VALUES) // 2:][:len(EDGE_VALUES)] = EDGE_VALUES
+        labels = [str(k) for k in range(n)]
+        statuses = ["pass" if k % 3 else "" for k in range(n)]
+        columns = [labels, values, statuses, values[::-1].copy()]
+        _write_columns(str(tmp_path / "new.csv"), cfg, ["k", "a", "s", "b"], columns)
+        fmt = f".{precision}g"
+        rows = [[labels[k], format(values[k], fmt), statuses[k], format(values[n - 1 - k], fmt)]
+                for k in range(n)]
+        csv_writer_reference(str(tmp_path / "old.csv"), ["k", "a", "s", "b"], rows)
+        assert (tmp_path / "new.csv").read_bytes() == (tmp_path / "old.csv").read_bytes()
+
     def test_columns_of_unequal_length_rejected(self, tmp_path):
         with pytest.raises(ValueError):
             _write_columns(str(tmp_path / "v.csv"), output_config(), ["a", "b"],
                            [np.zeros(3), ["x", "y"]])
+        assert not (tmp_path / "v.csv").exists()
 
 
 def load_script(name):

@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -203,6 +205,26 @@ class TestLayoutOfK:
         assert K.format == "csc" and K.has_canonical_format
         on_diagonal = K.indices == np.repeat(np.arange(K.shape[1]), np.diff(K.indptr))
         assert np.count_nonzero(on_diagonal) == K.shape[0]
+
+
+class TestAssemblyMemory:
+    """K and B are filled straight from the stencil table, so one assembly
+    holds little more than the table and the finished K; a conversion from
+    COO triplets peaks near 5.7x K's storage."""
+
+    @pytest.mark.parametrize("coeffs", [
+        EllipticCoefficients(),
+        EllipticCoefficients(b1=0.7, b2=lambda p: p[:, 0] - 0.5, a12=0.2),
+    ], ids=["laplacian", "drift_cross"])
+    def test_peak_within_a_small_multiple_of_K(self, coeffs):
+        grid = build_box_grid(((0.0, 1.0), (0.0, 1.0)), 1 / 256)
+        tracemalloc.start()
+        try:
+            K = assemble(grid, coeffs).K
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 3.5 * (K.data.nbytes + K.indices.nbytes + K.indptr.nbytes)
 
 
 class TestCoefficientValidation:

@@ -1,5 +1,6 @@
 import gc
 import math
+import warnings
 import weakref
 
 import numpy as np
@@ -565,14 +566,46 @@ class TestMultigridNewton:
         assert all(x is None for *_, x in calls)
         assert np.array_equal(u, ref)
 
+    def test_singular_coarsest_level_falls_back_to_the_lu(self, monkeypatch):
+        # a coarsest operator singular to working precision sends the step to
+        # the LU; neither the factorization error nor a NaN reaches the caller
+        class SingularLinalg:
+            def splu(self, A):
+                raise RuntimeError("Factor is exactly singular")
+
+        monkeypatch.setattr(multigrid, "spla", SingularLinalg())
+        calls, lus = self.record(monkeypatch)
+        _, gop = halfplane_sqrt(0.25, radius=4.0)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", RuntimeWarning)
+            _, rep = solve_U(gop, 1.0, SQRT_N, tol=1e-10, scheme="newton")
+        assert rep.status == "converged"
+        assert len(calls) == len(lus) == rep.iterations > 0
+        assert all(x is None for *_, x in calls)
+
+    def test_v_cycle_not_positive_on_the_residual_gives_up_at_once(self, monkeypatch):
+        vcycles = []
+
+        def flipped(levels, lu, k, r):
+            vcycles.append(1)
+            return -r
+
+        monkeypatch.setattr(multigrid, "_vcycle", flipped)
+        J = sp.diags([2.0, 3.0, 4.0, 5.0]).tocsr()
+        free = np.ones(4, dtype=bool)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", RuntimeWarning)
+            assert multigrid.pcg(J, free, np.ones(4), [], 1e-10) is None
+        assert vcycles == [1]
+
     def test_hierarchy_is_freed_without_the_collector(self, monkeypatch):
         refs = []
         hierarchy = multigrid._hierarchy
 
         def spy(J, free, prolong):
-            levels, lu = hierarchy(J, free, prolong)
+            levels, coarsest = hierarchy(J, free, prolong)
             refs.extend(weakref.ref(a) for level in levels for a in level)
-            return levels, lu
+            return levels, coarsest
 
         monkeypatch.setattr(multigrid, "_hierarchy", spy)
         _, gop = halfplane_sqrt(0.125, radius=4.0)
