@@ -94,7 +94,10 @@ def run_exhaustion(
     every stage) and must be discretely superharmonic on each stage (a
     scalar skips the check when c vanishes identically: constants are then
     harmonic). The decrease u_{n+1} <= u_n + kappa*tol on shared nodes is
-    enforced; a violation means the discretization, not the math, is wrong.
+    enforced, kappa the previous stage's condition_factor; a violation means
+    the discretization, not the math, is wrong. Only that kappa, kept as a
+    number, outlives a stage: its operator is dropped before the next one
+    is assembled.
     Each stage after the first is warm-started (solve_U's start) from s with
     the previous stage's solution written onto the shared nodes: by that
     decrease it lies above the new solution, and on the new nodes H f <= s
@@ -102,8 +105,12 @@ def run_exhaustion(
     """
     fields, reports = [], []
     slack = sup_s = -np.inf
-    prev_grid = prev_gop = None
+    prev_grid = gop = None
     for n, grid in enumerate(exh.stages):
+        if gop is not None:
+            # the finished stage's kappa, read before its operator is dropped
+            prev_kappa = condition_factor(gop)
+            op = gop = None
         op = assemble(grid, coeffs)
         gop = factorize(op)
         sf = grid.field(s, name="supersolution s")
@@ -126,14 +133,14 @@ def run_exhaustion(
         if prev_grid is not None:
             defect = float(np.max(u[shared] - fields[-1]))
             slack = max(slack, defect)
-            bound = condition_factor(prev_gop) * tol
+            bound = prev_kappa * tol
             if defect > bound:
                 raise RuntimeError(
                     f"stage {n}: monotone decrease violated by {defect:.3e} "
                     f"(allowed {bound:.3e}); discretization problem")
         fields.append(u)
         reports.append(srep)
-        prev_grid, prev_gop = grid, gop
+        prev_grid = grid
 
     return ExhaustionRun(
         stages=tuple(zip(exh.stages, fields)),

@@ -2,11 +2,13 @@
 
 On a separable K (GreenOperator's DST path) K is symmetric, so the Jacobian
 J = K_II + diag(d)_I of a free set I, with d >= 0, is symmetric positive
-definite. CG solves it with one Galerkin V-cycle per iteration as the
-preconditioner (Trottenberg, Oosterlee and Schueller, *Multigrid*, 2001),
-the hierarchy built on the free set only, as in multigrid for
-free-boundary problems (Brandt and Cryer, SIAM J. Sci. Stat. Comput. 4(4),
-1983):
+definite. J arrives as the symmetric CSC matrix solver.py builds; its
+transpose J.T is the same matrix in CSR, a view on J's arrays, and CG and
+the finest level use it with no copy. CG solves J with one Galerkin
+V-cycle per iteration as the preconditioner (Trottenberg, Oosterlee and
+Schueller, *Multigrid*, 2001), the hierarchy built on the free set only,
+as in multigrid for free-boundary problems (Brandt and Cryer, SIAM J. Sci.
+Stat. Comput. 4(4), 1983):
 
 * the whole-lattice prolongations, built once per operator, are Kronecker
   products of 1D linear interpolation; coarse node j of an axis of m
@@ -62,14 +64,16 @@ def prolongations(m: tuple) -> list:
 
 def pcg(J, free: np.ndarray, b: np.ndarray, prolong: list, tol: float):
     """Solve J x = b, J the SPD Jacobian on the free nodes (free is a
-    boolean mask over the interior of prolong's finest level). Returns x,
+    boolean mask over the interior of prolong's finest level), given as the
+    symmetric CSC matrix and used through its transpose, which is the CSR
+    form of the same matrix on the same arrays (no copy). Returns x,
     or None when CG does not reach RTOL * tol within MAX_ITER iterations,
     when the coarsest operator cannot be factorized, or when CG breaks
     down: the caller then solves with its LU."""
     x = np.zeros_like(b)
     if not b.any():
         return x
-    J = sp.csr_matrix(J)
+    J = J.T  # CSR view: J is symmetric
     levels, coarsest = _hierarchy(J, free, prolong)
     try:
         lu = spla.splu(coarsest.tocsc())

@@ -108,9 +108,10 @@ class GreenOperator:
 
     def solve_jacobian(self, J, free: np.ndarray, rhs: np.ndarray, tol: float):
         """Newton's step J x = rhs, J = K_II + diag(d)_I with d >= 0 on the
-        free set I (a boolean mask over the interior), by multigrid CG (see
-        multigrid.py). Returns None when K is not separable or CG did not
-        converge; the caller then factorizes J."""
+        free set I (a boolean mask over the interior) as a CSC matrix, by
+        multigrid CG on J's own arrays (see multigrid.py). Returns None when
+        K is not separable or CG did not converge; the caller then
+        factorizes J."""
         if self.op.stencil is None:
             return None
         from . import multigrid  # imported on first use, as scipy.fft is

@@ -98,31 +98,58 @@ class Nonlinearity:
         """phi(points, t) as one value per point; a scalar result is
         broadcast. Every evaluation is checked: a non-finite or negative
         value raises ValueError."""
-        out = np.asarray(self.phi(points, t), dtype=float)
-        if out.ndim == 0:
-            out = np.full(points.shape[0], float(out))
-        lo, hi = out.min(), out.max()
-        if not -np.inf < lo <= hi < np.inf:  # a NaN fails every comparison
-            raise ValueError("phi must be finite; it returned a non-finite value")
-        if lo < 0:
-            raise ValueError(f"phi must be nonnegative (H1); it returned {lo:.3e}")
+        out = self._values(points, t)
+        bad = _bad_values(out.min(), out.max())
+        if bad:
+            raise ValueError(bad)
         return out
 
+    def _values(self, points, t) -> np.ndarray:
+        out = np.asarray(self.phi(points, t), dtype=float)
+        return np.full(points.shape[0], float(out)) if out.ndim == 0 else out
+
     def validate(self, points: np.ndarray, t_max: float = 1.0) -> None:
-        """Spot-check the vanishing for t <= 0 and the monotonicity in t on
-        sampled nodes and a t probe range (each probe call checks the sign)."""
+        """Spot-check that phi is finite, nonnegative, vanishing for t <= 0
+        and increasing in t on sampled nodes over a t probe range. The probes
+        are evaluated first and checked together; the first failing probe
+        raises, naming its first failing check in that order, also when phi
+        itself raises at a later probe."""
         m = MONOTONE_CHECK_SAMPLES
         idx = np.linspace(0, points.shape[0] - 1, min(m, points.shape[0])).astype(int)
         pts = points[idx]
         probes = np.concatenate([[-1.0, -1e-9, 0.0], np.linspace(1e-9, max(t_max, 1e-9), m)])
-        prev = None
+        rows, error = [], None
         for t in probes:
-            vals = self(pts, t)
-            if t <= 0 and np.any(vals != 0):
-                raise ValueError(f"phi(x, t) must vanish for t <= 0; got {vals.max():.3e} at t={t}")
-            if prev is not None and np.any(vals < prev - 1e-12 * max(1.0, float(np.max(prev)))):
+            try:
+                rows.append(self._values(pts, t))
+            except Exception as e:  # reported after the probes before it are checked
+                error = e
+                break
+        vals = np.array(rows).reshape(len(rows), len(pts))
+        lo, hi = vals.min(axis=1), vals.max(axis=1)
+        with np.errstate(invalid="ignore"):  # rows past a non-finite one are never read
+            prev = vals[:-1] - 1e-12 * np.maximum(1.0, hi[:-1])[:, None]
+        decrease = np.concatenate([[False], np.any(vals[1:] < prev, axis=1)])
+        nonzero = (probes[:len(rows)] <= 0) & np.any(vals != 0, axis=1)
+        for k, t in enumerate(probes[:len(rows)]):
+            bad = _bad_values(lo[k], hi[k])
+            if bad:
+                raise ValueError(bad)
+            if nonzero[k]:
+                raise ValueError(f"phi(x, t) must vanish for t <= 0; got {hi[k]:.3e} at t={t}")
+            if decrease[k]:
                 raise ValueError(f"phi must be increasing in t; decrease detected at t={t}")
-            prev = vals
+        if error is not None:
+            raise error
+
+
+def _bad_values(lo: float, hi: float) -> str:
+    """Why phi values with minimum lo and maximum hi break the contract, or ""."""
+    if not -np.inf < lo <= hi < np.inf:  # a NaN fails every comparison
+        return "phi must be finite; it returned a non-finite value"
+    if lo < 0:
+        return f"phi must be nonnegative (H1); it returned {lo:.3e}"
+    return ""
 
 
 @dataclass
@@ -211,8 +238,8 @@ def solve_U(
     else:
         w = 1.0 if scheme == "sandwich" else omega
 
-        def step(u, p, tu):  # damped Picard: u <- (1 - w) u + w T u
-            return (1.0 - w) * u + w * tu
+        def step(u, p, g):  # damped Picard: u <- (1 - w) u + w T u, T u = hf - g
+            return (1.0 - w) * u + w * (hf - g)
 
     for it in range(max_iter + 1):
         p = phi(pts, u)
@@ -221,36 +248,29 @@ def solve_U(
         residuals.append(res)
         if not (np.isfinite(res) and res > tol) or it == max_iter:
             break
-        u = step(u, p, hf - g)  # hf - g is T u
+        u = step(u, p, g)  # p = phi(u), g = G p
 
     status = "diverged" if not np.isfinite(res) else "converged" if res <= tol else "max_iter"
     return grid.join(u, fb), SolveReport(residuals, status, dead_sizes)
 
 
 def _newton_step(gop, fb, pts, phi, tol, dead_sizes):
-    """The free-set step of the module doc (tu is unused); appends the dead
-    set size |A| of every step to dead_sizes."""
+    """The free-set step of the module doc, as step(u, p, g) with p = phi(u)
+    (g = G p is not used); appends the dead set size |A| of every step to
+    dead_sizes. The slope and the right-hand side are formed in helpers, so
+    their temporaries are freed before the linear solve."""
     K = gop.op.K
     kdiag = K.diagonal()
     bf = gop.op.B @ fb
 
-    def step(u, p, tu):
-        # slope: max of absolute-step and relative-step secants (see module doc)
-        s_abs = 1e-6 * (1.0 + np.abs(u))
-        s_rel = 1e-6 * np.abs(u) + 1e-300
-        d = np.maximum((phi(pts, u + s_abs) - p) / s_abs, (phi(pts, u + s_rel) - p) / s_rel)
-        d = np.maximum(d, 0.0)
-        direct = K @ u + p - bf
-        dead = u <= direct / kdiag
+    def step(u, p, g):
+        dead, free, rhs = _free_system(K, kdiag, bf, u, p)
         dead_sizes.append(int(np.count_nonzero(dead)))
-        if not dead_sizes[-1]:
-            free, rhs = slice(None), -direct
-            J = K.copy()  # far cheaper than K[free][:, free], and steps without a dead core take it
-        else:
-            free = np.flatnonzero(~dead)
-            rhs = (K @ np.where(dead, u, 0.0))[free] - direct[free]  # K_IA u_A - F_I
-            J = K[free][:, free]
-        J.setdiag(J.diagonal() + d[free])  # in place: K stores each diagonal entry once
+        # K.copy() is far cheaper than K[:, free][free], and steps without a dead core take
+        # it; columns first is cheap on K's CSC and gives the same matrix as rows first
+        J = K[:, free][free] if dead_sizes[-1] else K.copy()
+        # in place: K stores each diagonal entry once
+        J.setdiag(J.diagonal() + _slope(phi, pts, u, p)[free])
         delta = gop.solve_jacobian(J, ~dead, rhs, tol)
         if delta is None:
             delta = spla.spsolve(J, rhs, permc_spec=ORDERING)
@@ -259,6 +279,27 @@ def _newton_step(gop, fb, pts, phi, tol, dead_sizes):
         return np.where(new <= 0.0, THETA * u, new)
 
     return step
+
+
+def _slope(phi, pts, u, p):
+    """phi's slope at u (p = phi(u)): the larger of an absolute-step and a
+    relative-step secant (see the module doc), at least 0."""
+    s_abs = 1e-6 * (1.0 + np.abs(u))
+    s_rel = 1e-6 * np.abs(u) + 1e-300
+    d = np.maximum((phi(pts, u + s_abs) - p) / s_abs, (phi(pts, u + s_rel) - p) / s_rel)
+    return np.maximum(d, 0.0)
+
+
+def _free_system(K, kdiag, bf, u, p):
+    """(A, I, rhs): the predicted dead set A = {u <= F(u) / diag K} as a
+    mask, with F(u) = K u + p - bf; the free set I (a slice of every node
+    when A is empty); and the right-hand side K_IA u_A - F_I."""
+    direct = K @ u + p - bf
+    dead = u <= direct / kdiag
+    if not dead.any():
+        return dead, slice(None), -direct
+    free = np.flatnonzero(~dead)
+    return dead, free, (K @ np.where(dead, u, 0.0))[free] - direct[free]
 
 
 @dataclass(frozen=True)

@@ -1,7 +1,10 @@
+import gc
+import weakref
+
 import numpy as np
 import pytest
 
-from semigreen import multigrid
+from semigreen import exhaustion, multigrid
 from semigreen.exhaustion import (
     _classify,
     correspondence_roundtrip,
@@ -99,6 +102,30 @@ class TestRunExhaustion:
             shared = g2.index_of(g1.nodes)
             worst = max(worst, float(np.max(u2[shared] - u1)))
         assert worst == pytest.approx(run.monotone_slack, abs=1e-14)
+
+
+    def test_earlier_stage_operators_are_freed_before_a_stage_solves(self, monkeypatch):
+        # only the previous stage's kappa, a number, outlives its operator
+        refs, alive = [], []
+
+        def spy_factorize(op):
+            gop = factorize(op)
+            refs.append(weakref.ref(gop))
+            return gop
+
+        def spy_solve(gop, *args, **kw):
+            alive.append([r() is not None for r in refs[:-1]])
+            return solve_U(gop, *args, **kw)
+
+        monkeypatch.setattr(exhaustion, "factorize", spy_factorize)
+        monkeypatch.setattr(exhaustion, "solve_U", spy_solve)
+        gc.disable()
+        try:
+            run = run_exhaustion(halfplane_exh(), LAPLACE, SQRT_N, 1.0, scheme="newton")
+        finally:
+            gc.enable()
+        assert len(run.stages) == len(refs) == 3
+        assert alive == [[], [False], [False, False]]
 
 
 class TestWarmStart:

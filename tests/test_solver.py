@@ -52,6 +52,60 @@ class TestNonlinearityValidation:
         with pytest.raises(ValueError, match="increasing"):
             bad.validate(np.zeros((4, 1)))
 
+    @pytest.mark.parametrize("phi, match", [
+        # t = -1 does not vanish; the probes above t = 0.5 are negative
+        (lambda p, t: np.full(p.shape[0], -1.0 if t > 0.5 else abs(t)),
+         r"vanish for t <= 0; got 1\.000e\+00 at t=-1\.0$"),
+        # a decrease at the first probe above t = 0.5; phi raises at t = 1
+        (lambda p, t: np.full(p.shape[0], 1.0 / int(t < 1.0) * (0.1 if t > 0.5 else max(t, 0.0))),
+         r"decrease detected at t=0\.533"),
+    ])
+    def test_earliest_failing_probe_is_reported(self, phi, match):
+        with pytest.raises(ValueError, match=match):
+            Nonlinearity(phi).validate(np.zeros((4, 1)))
+
+    @staticmethod
+    def validate_probe_by_probe(phi, points, t_max=1.0):
+        """The reference: one checked call and one comparison per probe."""
+        m = solver.MONOTONE_CHECK_SAMPLES
+        pts = points[np.linspace(0, points.shape[0] - 1, min(m, points.shape[0])).astype(int)]
+        prev = None
+        for t in np.concatenate([[-1.0, -1e-9, 0.0], np.linspace(1e-9, max(t_max, 1e-9), m)]):
+            vals = phi(pts, t)
+            if t <= 0 and np.any(vals != 0):
+                raise ValueError(f"phi(x, t) must vanish for t <= 0; got {vals.max():.3e} at t={t}")
+            if prev is not None and np.any(vals < prev - 1e-12 * max(1.0, float(np.max(prev)))):
+                raise ValueError(f"phi must be increasing in t; decrease detected at t={t}")
+            prev = vals
+
+    def test_matches_the_probe_by_probe_reference(self):
+        def outcome(validate):
+            try:
+                validate()
+            except (ValueError, ZeroDivisionError) as e:
+                return f"{type(e).__name__}: {e}"
+            return "ok"
+
+        points = np.linspace(0.0, 1.0, 50)[:, None]
+        for seed in range(40):
+            # sqrt(t_+) with up to three faults switched on above random t thresholds
+            rng = np.random.default_rng(seed)
+            faults = list(zip(rng.integers(0, 6, size=3), rng.uniform(-1.5, 1.5, size=3)))
+
+            def phi(p, t, faults=faults):
+                out = np.sqrt(max(t, 0.0)) * (1.0 + p[:, 0])
+                for kind, above in faults:
+                    if t >= above:
+                        if kind == 4:
+                            raise ZeroDivisionError(f"at t={t}")
+                        out = [out + 0.5, out - 2.0, 0.1 * out,
+                               np.where(p[:, 0] > 0.5, np.nan, out), None, 0.25][kind]
+                return out
+
+            bad, t_max = Nonlinearity(phi), [0.5, 1.0, 3.0][seed % 3]
+            assert (outcome(lambda: bad.validate(points, t_max))
+                    == outcome(lambda: self.validate_probe_by_probe(bad, points, t_max))), seed
+
     def test_scalar_t_broadcasts(self):
         vals = RAMP(np.zeros((3, 1)), 2.0)
         np.testing.assert_allclose(vals, 2.0)
@@ -597,6 +651,30 @@ class TestMultigridNewton:
             warnings.simplefilter("error", RuntimeWarning)
             assert multigrid.pcg(J, free, np.ones(4), [], 1e-10) is None
         assert vcycles == [1]
+
+    def test_finest_level_shares_the_jacobian_arrays(self, monkeypatch):
+        # pcg runs CG and the finest level on the Jacobian's own arrays, no copy
+        received, finest = [], []
+        solve_jacobian, hierarchy = potential.GreenOperator.solve_jacobian, multigrid._hierarchy
+
+        def spy_solve(self, J, free, rhs, tol):
+            received.append(J)
+            return solve_jacobian(self, J, free, rhs, tol)
+
+        def spy_hierarchy(A, free, prolong):
+            levels, coarsest = hierarchy(A, free, prolong)
+            finest.append(levels[0][0])
+            return levels, coarsest
+
+        monkeypatch.setattr(potential.GreenOperator, "solve_jacobian", spy_solve)
+        monkeypatch.setattr(multigrid, "_hierarchy", spy_hierarchy)
+        _, gop = halfplane_sqrt(0.125, radius=4.0)
+        _, rep = solve_U(gop, 1.0, SQRT_N, tol=1e-10, scheme="newton")
+        assert rep.status == "converged" and max(rep.dead_set_history) > 0
+        assert len(finest) == len(received) == rep.iterations
+        for J, A in zip(received, finest):
+            assert all(np.shares_memory(getattr(A, a), getattr(J, a))
+                       for a in ("data", "indices", "indptr"))
 
     def test_hierarchy_is_freed_without_the_collector(self, monkeypatch):
         refs = []
