@@ -10,7 +10,9 @@ the same lines produce the same bytes. Run from the root of a checkout:
 
 With --check FILE it compares the digests with FILE, a list saved by an
 earlier run, instead of printing them. It exits nonzero, naming each file
-whose digest differs, is missing or is new.
+whose digest differs, is missing or is new. The test suite checks the list
+saved in tests/output_digests.txt; a change meant to move outputs saves a
+new one.
 """
 
 import argparse

@@ -14,6 +14,7 @@ non-integer exponent) raise DomainError instead.
 from __future__ import annotations
 
 import operator
+import re
 from dataclasses import dataclass
 
 import numpy as np
@@ -22,7 +23,7 @@ __all__ = ["Expr", "ParseError", "DomainError", "SPACE_VARS", "parse"]
 
 
 class ParseError(ValueError):
-    """Syntax or name error; .offset is the byte offset into the source."""
+    """Syntax or name error; .offset is the offending character's index in the source."""
 
     def __init__(self, message: str, offset: int):
         super().__init__(f"{message} (offset {offset})")
@@ -91,57 +92,40 @@ _FUNCS = {
     "exp": (1, np.exp), "log": (1, _log), "sqrt": (1, _sqrt), "abs": (1, np.abs),
     "min": (2, np.minimum), "max": (2, np.maximum), "pow": (2, _power),
 }
-# symbol -> token kind; the tokenizer tries them longest first, so "<=" before "<"
+# symbol -> token kind
 _SYMBOLS = {"(": "lparen", ")": "rparen", ",": "comma", **dict.fromkeys(_BINARY, "op")}
-_LONGEST_FIRST = sorted(_SYMBOLS, key=len, reverse=True)
+# one token after whitespace: a number (a run of digits and dots that starts with a
+# digit or with a dot before a digit, then an optional exponent; float() judges the
+# run), an identifier, or a symbol, longest first so "<=" before "<". A match with
+# no group is the end of the text or an unexpected character.
+_TOKEN = re.compile(
+    r"\s*(?:(?P<num>(?:\d|\.(?=\d))[\d.]*(?:[eE][+-]?\d+)?)"
+    r"|(?P<ident>[^\W\d]\w*)"
+    rf"|(?P<sym>{'|'.join(map(re.escape, sorted(_SYMBOLS, key=len, reverse=True)))}))?")
 
 
 # token kinds: num ident op lparen rparen comma end
 def _tokenize(text: str):
-    toks = []
-    i, n = 0, len(text)
-    while i < n:
-        ch = text[i]
-        if ch.isspace():
-            i += 1
-            continue
-        if ch.isdigit() or (ch == "." and i + 1 < n and text[i + 1].isdigit()):
-            j = i
-            while j < n and (text[j].isdigit() or text[j] == "."):
-                j += 1
-            if j < n and text[j] in "eE":
-                k = j + 1
-                if k < n and text[k] in "+-":
-                    k += 1
-                if k < n and text[k].isdigit():
-                    j = k
-                    while j < n and text[j].isdigit():
-                        j += 1
+    toks, i = [], 0
+    while True:
+        m = _TOKEN.match(text, i)
+        kind, i = m.lastgroup, m.end()
+        if kind is None:
+            if i < len(text):
+                raise ParseError(f"unexpected character {text[i]!r}", i)
+            toks.append(("end", "", i))
+            return toks
+        value, at = m[kind], m.start(kind)
+        if kind == "num":
             try:
-                val = float(text[i:j])
+                value = float(value)
             except ValueError:
-                raise ParseError(f"bad number literal {text[i:j]!r}", i) from None
-            if not np.isfinite(val):
-                raise ParseError(f"number literal {text[i:j]!r} overflows", i)
-            toks.append(("num", val, i))
-            i = j
-            continue
-        if ch.isalpha() or ch == "_":
-            j = i
-            while j < n and (text[j].isalnum() or text[j] == "_"):
-                j += 1
-            toks.append(("ident", text[i:j], i))
-            i = j
-            continue
-        for sym in _LONGEST_FIRST:
-            if text.startswith(sym, i):
-                break
-        else:
-            raise ParseError(f"unexpected character {ch!r}", i)
-        toks.append((_SYMBOLS[sym], sym, i))
-        i += len(sym)
-    toks.append(("end", "", n))
-    return toks
+                raise ParseError(f"bad number literal {m[kind]!r}", at) from None
+            if not np.isfinite(value):
+                raise ParseError(f"number literal {m[kind]!r} overflows", at)
+        elif kind == "sym":
+            kind = _SYMBOLS[value]
+        toks.append((kind, value, at))
 
 
 class _Parser:
@@ -239,7 +223,7 @@ class Expr:
 
 
 def parse(text: str) -> Expr:
-    """Parse an expression; raises ParseError with a byte offset on bad input."""
+    """Parse an expression; raises ParseError with the offset on bad input."""
     if not text or not text.strip():
         raise ParseError("empty expression", 0)
     p = _Parser(text)

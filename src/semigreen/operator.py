@@ -243,13 +243,32 @@ class SuperharmonicReport:
     worst_node: int
 
 
+def rounding_tol(op: DiscreteOperator, s: np.ndarray, tol: float) -> float:
+    """tol plus the rounding allowance of a check that compares L s with tol.
+
+    Entries of L grow like 1/h^2, so on a fine grid rounding alone moves L s
+    past a fixed tol. The allowance is Higham's bound gamma_n sum_j |L_ij| |s_j|
+    on the rounding of one row's sum of products (Accuracy and Stability of
+    Numerical Algorithms, 2002, sec. 3), with gamma_n <= n eps for the
+    n = 3**dim + 2 roundings (the stencil's products, the join of K's and B's
+    parts, s's own values), and sum_j |L_ij| <= 2.5 max(diag K): a row's
+    couplings add up to at most its diagonal, plus half of it for a cross
+    stencil, whose weight ellipticity bounds."""
+    n = 3**op.grid.dim + 2
+    scale = float(np.max(op.K.diagonal()))
+    return tol + n * np.finfo(float).eps * 2.5 * scale * float(np.max(np.abs(s)))
+
+
 def check_superharmonic(op: DiscreteOperator, s, tol: float = 1e-9) -> SuperharmonicReport:
-    """Check Ls <= tol at interior nodes (discrete superharmonicity of s >= 0)."""
-    vals = apply(op, op.grid.field(s, name="s"))
+    """Check Ls <= tol + n eps * 2.5 max(diag K) * max|s| at interior nodes
+    (discrete superharmonicity of s >= 0): tol plus rounding_tol's bound on
+    the rounding of one row of Ls, which grows like max|s| / h^2."""
+    s = op.grid.field(s, name="s")
+    vals = apply(op, s)
     worst = int(np.argmax(vals))
     mx = float(vals[worst])
     return SuperharmonicReport(
-        passed=bool(mx <= tol),
+        passed=bool(mx <= rounding_tol(op, s, tol)),
         max_residual=mx,
         worst_node=int(op.grid.interior_nodes[worst]),
     )

@@ -153,15 +153,12 @@ def _trend(values) -> tuple:
             ratios.append(0.0 if cur <= 0 else float("inf"))
         else:
             ratios.append(float(cur / prev))
-    if len(values) < MIN_TRUNCATIONS or not ratios:
-        return tuple(increments), tuple(ratios), "undecided"
-    last = ratios[-1]
-    if last <= BOUNDED_RATIO:
-        verdict = "bounded_trend"
-    elif last >= DIVERGING_RATIO:
-        verdict = "diverging_trend"
-    else:
-        verdict = "undecided"
+    verdict = "undecided"
+    if len(values) >= MIN_TRUNCATIONS:  # so at least two ratios
+        if ratios[-1] <= BOUNDED_RATIO:
+            verdict = "bounded_trend"
+        elif ratios[-1] >= DIVERGING_RATIO:
+            verdict = "diverging_trend"
     return tuple(increments), tuple(ratios), verdict
 
 

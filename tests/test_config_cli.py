@@ -10,8 +10,11 @@ import numpy as np
 import pytest
 
 import semigreen
+from semigreen import exhaustion
 from semigreen.cli import BLOCK_ROWS, _write_columns, main
 from semigreen.config import ConfigError, RunConfig, load_config
+from semigreen.solver import Nonlinearity, solve_U
+from semigreen.thinness import criterion_integral
 
 CONFIGS = Path(__file__).resolve().parent.parent / "configs"
 
@@ -252,6 +255,19 @@ class TestCliSolve:
         assert err.startswith("numerical failure: stage 0: solve ended with status 'max_iter'")
         assert not list(tmp_path.glob("*.csv"))
 
+    def test_exhaust_monotone_violation_exit_code(self, tmp_path, capsys, monkeypatch):
+        # a later stage above the previous one on shared nodes is a discretization failure
+        def raised_solve(gop, f, phi, **kw):
+            u, rep = solve_U(gop, f, phi, **kw)
+            return (u if kw["start"] is None else u + 1e-6), rep  # stage 1 on
+
+        monkeypatch.setattr(exhaustion, "solve_U", raised_solve)
+        cfg = write_ini(tmp_path, EXHAUST_INI)
+        assert main(["exhaust", "--config", cfg, "--out-dir", str(tmp_path)]) == 3
+        err = capsys.readouterr().err
+        assert err.startswith("numerical failure: stage 1: monotone decrease violated by 1.000e-06")
+        assert not list(tmp_path.glob("*.csv"))
+
     def test_missing_config_file(self, tmp_path):
         assert main(["solve", "--config", str(tmp_path / "nope.ini")]) == 2
 
@@ -289,6 +305,24 @@ scheme = newton
 [experiment]
 type = exhaust
 super_s = min(1, y^0.5)
+"""
+
+
+CRITERION_INTERVAL_INI = """\
+[domain]
+dim = 1
+spacing = 0.25
+bbox = 0, 1
+
+[nonlinearity]
+phi = max(t, 0)
+
+[experiment]
+type = criterion
+kernel = interval
+endpoints = 0, 1
+c0 = 1
+truncations = 0.125, 0.25, 0.375, 0.5
 """
 
 
@@ -355,6 +389,15 @@ class TestSolverSection:
         key = line.split(" = ")[0]
         assert f"[solver] {key}: unknown key" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("line, message", [
+        ("tol = 0", "[solver] tol: must be positive, got 0.0"),
+        ("max_iter = 0", "[solver] max_iter: must be >= 1, got 0"),
+    ])
+    def test_tol_and_max_iter_ranges_checked_at_load(self, tmp_path, capsys, line, message):
+        cfg = write_ini(tmp_path, SOLVE_INI + f"\n[solver]\n{line}\n")
+        assert main(["solve", "--config", cfg, "--out-dir", str(tmp_path)]) == 2
+        assert message in capsys.readouterr().err
+
     @pytest.mark.parametrize("omega", ["0", "-0.5", "7"])
     def test_omega_range_checked_at_load(self, tmp_path, capsys, omega):
         cfg = write_ini(tmp_path, SOLVE_INI + f"\n[solver]\nomega = {omega}\n")
@@ -394,6 +437,19 @@ class TestCliExperiments:
         assert len(rows) == 5
         values = [float(r[1]) for r in rows[1:]]
         assert values == sorted(values)
+
+    def test_criterion_interval_kernel(self, tmp_path, capsys):
+        # endpoints set the interval; the anchor defaults to its midpoint
+        assert main(["criterion", "--config", write_ini(tmp_path, CRITERION_INTERVAL_INI),
+                     "--out-dir", str(tmp_path)]) == 0
+        phi = Nonlinearity(lambda p, t: np.maximum(t, 0.0))
+        rep = criterion_integral(("interval", (0.0, 1.0)), phi, 1.0, None,
+                                 [0.125, 0.25, 0.375, 0.5], x0=(0.5,))
+        rows = read_csv(tmp_path / "criterion.csv")[1:]
+        assert [[float(x) if x else None for x in row] for row in rows] == [
+            [r, v, i, q] for r, v, i, q in zip(rep.radii, rep.values, (None, *rep.increments),
+                                               (None, None, *rep.ratios))]
+        assert capsys.readouterr().out == f"verdict={rep.verdict}\n"
 
     def test_green_interval(self, tmp_path, capsys):
         assert main(["green", "--config", str(CONFIGS / "green_interval.ini"),
@@ -626,6 +682,14 @@ class TestOutputDigests:
         assert digests.mismatches(saved, current) == [
             "added.csv: new", "b.csv: differs", "gone.csv: missing"]
         assert digests.mismatches(saved, dict(saved)) == []
+
+    def test_outputs_match_the_saved_digests(self):
+        # every shipped example, green --compare on both oracles included, byte for byte;
+        # a change meant to move outputs updates tests/output_digests.txt
+        digests = load_script("output_digests")
+        saved = digests.read_saved(str(Path(__file__).with_name("output_digests.txt")))
+        assert len(saved) == 12
+        assert digests.mismatches(saved, digests.digests()) == []
 
     def test_saved_list_reads_its_own_output(self, tmp_path):
         digests = load_script("output_digests")

@@ -16,7 +16,7 @@ from semigreen.geometry import (
     build_exhaustion,
     restrict,
 )
-from semigreen.operator import EllipticCoefficients, assemble
+from semigreen.operator import EllipticCoefficients, assemble, check_superharmonic
 from semigreen.potential import factorize
 from semigreen.solver import NonConvergence, Nonlinearity, condition_factor, solve_U
 
@@ -77,6 +77,19 @@ class TestRunExhaustion:
     def test_rejects_non_superharmonic_witness(self):
         with pytest.raises(ValueError, match="superharmonic"):
             run_exhaustion(halfplane_exh(), LAPLACE, ZERO, lambda p: p[:, 1] ** 2)
+
+    def test_constant_data_is_checked_on_every_stage(self, monkeypatch):
+        # constants get no pass under c_zero: the check's rounding allowance covers them
+        checked = []
+
+        def spy_check(op, s, tol):
+            rep = check_superharmonic(op, s, tol)
+            checked.append(rep.passed)
+            return rep
+
+        monkeypatch.setattr(exhaustion, "check_superharmonic", spy_check)
+        run_exhaustion(halfplane_exh(), LAPLACE, ZERO, 1.0)
+        assert checked == [True, True, True]
 
     def test_nonconvergence_names_stage(self):
         with pytest.raises(NonConvergence, match="stage 0"):
@@ -201,8 +214,7 @@ class TestCorrespondenceRoundtrip:
 
     def test_linear_data_2d(self):
         grid = build_box_grid(((0.0, 1.0), (0.0, 1.0)), 1 / 8)
-        u, rep = correspondence_roundtrip(grid, LAPLACE, SQRT, lambda p: p[:, 0],
-                                          tol=1e-11, max_iter=500)
+        u, rep = correspondence_roundtrip(grid, LAPLACE, SQRT, lambda p: p[:, 0], tol=1e-11)
         assert rep.passed
 
     def test_zero_data(self):
@@ -224,6 +236,13 @@ class TestCorrespondenceRoundtrip:
         grid = build_box_grid((0.0, 1.0), 1 / 16)
         with pytest.raises(ValueError, match="harmonicity"):
             correspondence_roundtrip(grid, LAPLACE, RAMP, lambda p: p[:, 0] ** 2)
+
+    @pytest.mark.parametrize("h", [5e-4, 2e-4, 1e-4])
+    def test_harmonic_line_passes_the_harmonicity_check_on_fine_grids(self, h):
+        # L(1 + x) = 0 exactly, but rounding reads 1.5e-8 at h = 2e-4, above HARMONICITY_TOL
+        grid = build_box_grid((0.0, 1.0), h)
+        u, rep = correspondence_roundtrip(grid, LAPLACE, RAMP, lambda p: 1.0 + p[:, 0])
+        assert 0 < rep.harmonicity_residual < 1e-7
 
     def test_negative_data_rejected(self):
         grid = build_box_grid((0.0, 1.0), 1 / 16)

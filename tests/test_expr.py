@@ -1,8 +1,10 @@
+import string
+
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
-from semigreen.expr import DomainError, ParseError, parse
+from semigreen.expr import _SYMBOLS, DomainError, ParseError, _tokenize, parse
 
 
 def ev(text, **bindings):
@@ -143,3 +145,102 @@ class TestRoundTrip:
         assert parse("x - (y - t)").ast == ("bin", "-", x, ("bin", "-", y, t))
         assert parse("2 ^ (3 ^ 2)").ast == ("bin", "^", two, ("bin", "^", three, two))
         assert parse("(2 ^ 3) ^ 2").ast == ("bin", "^", ("bin", "^", two, three), two)
+
+
+def _reference_tokenize(text: str):
+    """The character-by-character scanner that _tokenize's pattern replaced,
+    kept as the reference it is compared against."""
+    toks = []
+    i, n = 0, len(text)
+    while i < n:
+        ch = text[i]
+        if ch.isspace():
+            i += 1
+            continue
+        if ch.isdigit() or (ch == "." and i + 1 < n and text[i + 1].isdigit()):
+            j = i
+            while j < n and (text[j].isdigit() or text[j] == "."):
+                j += 1
+            if j < n and text[j] in "eE":
+                k = j + 1
+                if k < n and text[k] in "+-":
+                    k += 1
+                if k < n and text[k].isdigit():
+                    j = k
+                    while j < n and text[j].isdigit():
+                        j += 1
+            try:
+                val = float(text[i:j])
+            except ValueError:
+                raise ParseError(f"bad number literal {text[i:j]!r}", i) from None
+            if not np.isfinite(val):
+                raise ParseError(f"number literal {text[i:j]!r} overflows", i)
+            toks.append(("num", val, i))
+            i = j
+            continue
+        if ch.isalpha() or ch == "_":
+            j = i
+            while j < n and (text[j].isalnum() or text[j] == "_"):
+                j += 1
+            toks.append(("ident", text[i:j], i))
+            i = j
+            continue
+        for sym in sorted(_SYMBOLS, key=len, reverse=True):
+            if text.startswith(sym, i):
+                break
+        else:
+            raise ParseError(f"unexpected character {ch!r}", i)
+        toks.append((_SYMBOLS[sym], sym, i))
+        i += len(sym)
+    toks.append(("end", "", n))
+    return toks
+
+
+def _scan(tokenize, text):
+    """The tokens, or the ParseError's (message, offset)."""
+    try:
+        return tokenize(text)
+    except ParseError as exc:
+        return str(exc), exc.offset
+
+
+EDGE_CASES = ["1.2.3", "1e999", "2e+", "2e", "..5", ".5e-3", "1e+07x", "x<=y", "1 $ 2",
+              "\u0663+1", "", " \t", "max(t,0)^0.5", "_a1 >= 3.", "4.e2.1"]
+# printable ASCII, with the characters of numbers drawn more often
+scanner_text = st.text(st.sampled_from(string.printable) | st.sampled_from("0123456789.eE+-<="),
+                       max_size=16)
+
+
+class TestTokenizer:
+    @given(text=scanner_text)
+    @settings(max_examples=500, deadline=None)
+    @example(text="")
+    def test_pattern_matches_the_reference_scanner(self, text):
+        assert _scan(_tokenize, text) == _scan(_reference_tokenize, text)
+
+    @pytest.mark.parametrize("text", EDGE_CASES)
+    def test_edge_cases_match_the_reference_scanner(self, text):
+        assert _scan(_tokenize, text) == _scan(_reference_tokenize, text)
+
+    @pytest.mark.parametrize("text, message, offset", [
+        ("x + 1.2.3", "bad number literal '1.2.3'", 4),
+        ("2 * 1e999", "number literal '1e999' overflows", 4),
+        ("1 $ 2", "unexpected character '$'", 2),
+    ])
+    def test_errors_name_the_offset(self, text, message, offset):
+        with pytest.raises(ParseError) as ei:
+            parse(text)
+        assert ei.value.offset == offset and str(ei.value) == f"{message} (offset {offset})"
+
+    def test_superscript_digit_rejected_by_both(self):
+        # the one known difference: str.isdigit reads "\u00b2" as a digit and \d does
+        # not, so it scans as an identifier; both reject it at offset 0, with different messages
+        assert _scan(_reference_tokenize, "\u00b2") == ("bad number literal '\u00b2' (offset 0)", 0)
+        with pytest.raises(ParseError, match="unknown identifier") as ei:
+            parse("\u00b2")
+        assert ei.value.offset == 0
+
+    def test_exponent_needs_a_digit(self):
+        # "2e" is the number 2 and the identifier e, which the parser rejects
+        assert _tokenize("2e")[:2] == [("num", 2.0, 0), ("ident", "e", 1)]
+        assert ev("1.5e+2 + .5") == 150.5

@@ -5,7 +5,8 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from semigreen.geometry import build_box_grid, build_halfplane_truncation
-from semigreen.operator import EllipticCoefficients, apply, assemble, check_superharmonic
+from semigreen.operator import (EllipticCoefficients, apply, assemble, check_superharmonic,
+                                rounding_tol)
 
 
 def interval_op(h=0.25, **kw):
@@ -303,6 +304,37 @@ class TestCheckSuperharmonic:
             check_superharmonic(op, np.ones(3))
         with pytest.raises(ValueError, match="^s must be finite$"):
             check_superharmonic(op, np.full(grid.n_nodes, np.nan))
+
+
+class TestRoundingAllowance:
+    """Entries of L grow like 1/h^2, so the rounding of L s outgrows a fixed tol."""
+
+    @pytest.mark.parametrize("h", [5e-4, 2e-4, 1e-4])
+    def test_harmonic_line_passes_on_fine_grids(self, h):
+        # L(1 + x) = 0 exactly; rounding alone reads 2.8e-9 ... 6.0e-8 here
+        grid, op = interval_op(h=h, zero_order_mode="c_zero")
+        rep = check_superharmonic(op, lambda p: 1.0 + p[:, 0])
+        assert rep.passed and rep.max_residual > 1e-9
+
+    @pytest.mark.parametrize("h", [5e-4, 2e-4, 1e-4])
+    def test_convex_quadratic_still_fails(self, h):
+        grid, op = interval_op(h=h, zero_order_mode="c_zero")
+        rep = check_superharmonic(op, lambda p: p[:, 0] ** 2)
+        assert not rep.passed and rep.max_residual == pytest.approx(2.0, abs=1e-6)
+
+    @pytest.mark.parametrize("bbox", [(0.0, 1e-3), ((0.0, 1e-3), (0.0, 1e-3))])
+    def test_constant_passes_without_zero_order(self, bbox):
+        # in 2D the diagonal -4/h^2 rounds, and L 1 reads 3.8e-6 at h = 1e-5
+        grid = build_box_grid(bbox, 1e-5)
+        op = assemble(grid, EllipticCoefficients(zero_order_mode="c_zero"))
+        assert check_superharmonic(op, 1.0).passed
+
+    def test_allowance_is_added_to_tol_in_proportion_to_max_abs_s(self):
+        grid, op = interval_op(h=1e-3)
+        assert rounding_tol(op, np.zeros(grid.n_nodes), 1e-9) == 1e-9
+        one = rounding_tol(op, np.ones(grid.n_nodes), 0.0)
+        assert one == pytest.approx(5 * np.finfo(float).eps * 2.5 * 2e6)  # n = 3 + 2 in 1D
+        assert rounding_tol(op, np.full(grid.n_nodes, -2.0), 1e-9) == pytest.approx(1e-9 + 2 * one)
 
 
 class TestApplyFullFieldsOnly:
