@@ -102,6 +102,10 @@ def run_exhaustion(
     the previous stage's solution written onto the shared nodes: by that
     decrease it lies above the new solution, and on the new nodes H f <= s
     leaves the start at H f.
+    s's node field is made once per stage, for the superharmonic check and
+    the start; while solve_U runs, the stage holds s on the boundary and no
+    node field, and solve_U drops the start, handed on in the call, once
+    its first iterate exists.
     """
     fields, reports = [], []
     slack = sup_s = -np.inf
@@ -113,21 +117,12 @@ def run_exhaustion(
             op = gop = None
         op = assemble(grid, coeffs)
         gop = factorize(op)
-        sf = grid.field(s, name="supersolution s")
-        sup_s = max(sup_s, float(np.max(sf)))
-        rep = check_superharmonic(op, sf, tol=SUPERHARMONIC_TOL)
-        if not rep.passed:
-            raise ValueError(
-                f"stage {n}: supersolution data fails the superharmonic check "
-                f"(residual {rep.max_residual:.3e} at node {rep.worst_node})"
-            )
-        start = None
-        if prev_grid is not None:
-            shared = grid.index_of(prev_grid.nodes)
-            start = sf.copy()
-            start[shared] = fields[-1]
-        u, srep = solve_U(gop, sf, phi, tol=tol, max_iter=max_iter, scheme=scheme,
-                          start=start)
+        shared = None if prev_grid is None else grid.index_of(prev_grid.nodes)
+        sup, fb, start = _stage_data(n, op, s, shared, fields[-1] if fields else None)
+        sup_s = max(sup_s, sup)
+        # start is a one-item list emptied in the call, so the loop keeps no reference to it
+        u, srep = solve_U(gop, fb, phi, tol=tol, max_iter=max_iter, scheme=scheme,
+                          start=start.pop())
         srep.require_converged(f"stage {n}: solve")
         if prev_grid is not None:
             defect = float(np.max(u[shared] - fields[-1]))
@@ -150,6 +145,27 @@ def run_exhaustion(
         reports=tuple(reports),
         monotone_slack=float(slack) if np.isfinite(slack) else 0.0,
     )
+
+
+def _stage_data(n: int, op, s, shared, prev_u) -> tuple:
+    """(max s, s on the boundary nodes, [start]) on stage n's grid, once s
+    is found superharmonic there. The start is None on the first stage
+    (shared None), else s with the previous stage's solution prev_u written
+    onto the shared nodes (the grid's indices of the previous grid's nodes)."""
+    grid = op.grid
+    sf = grid.field(s, name="supersolution s")
+    rep = check_superharmonic(op, sf, tol=SUPERHARMONIC_TOL)
+    if not rep.passed:
+        raise ValueError(
+            f"stage {n}: supersolution data fails the superharmonic check "
+            f"(residual {rep.max_residual:.3e} at node {rep.worst_node})"
+        )
+    sup, fb = float(np.max(sf)), sf[grid.boundary_nodes]
+    if shared is None:
+        return sup, fb, [None]
+    start = sf.copy()  # sf may be a view on grid.nodes, as for s = lambda p: p[:, 1]
+    start[shared] = prev_u
+    return sup, fb, [start]
 
 
 def harmonic_majorant(exh: Exhaustion, coeffs: EllipticCoefficients, w, tol: float = 1e-9):
@@ -197,9 +213,13 @@ def correspondence_roundtrip(
     """Check the pairing between a nonnegative harmonic field h and the
     absorption solution with boundary data h.
 
-    Asserts the reconstruction u + G phi(u) == h up to kappa*tol, and probes
-    injectivity by bumping the data with a positive harmonic field (the
-    extension of boundary values 1; a constant when c vanishes).
+    Asserts the reconstruction u + G phi(u) == h up to
+    kappa*tol + (kappa - 1)*harmonicity_residual, and probes injectivity by
+    bumping the data with a positive harmonic field (the extension of
+    boundary values 1; a constant when c vanishes). The second term is
+    there because the reconstruction is compared with h itself, not with
+    the discrete extension H f of its boundary values: the two differ by
+    G (L h), at most max(G 1) * max|L h| = (kappa - 1) * harmonicity_residual.
 
     Returns (u, RoundtripReport).
     """
@@ -225,5 +245,6 @@ def correspondence_roundtrip(
     rep2.require_converged("roundtrip probe solve")
     monotone_ok = bool(np.min(u2 - u) >= -tol * kappa)
     gap = float(np.max(u2 - u))
-    passed = recon <= kappa * tol and monotone_ok and gap > 0 and np.min(bump) > 0
+    recon_ok = recon <= kappa * tol + (kappa - 1.0) * harm_res
+    passed = recon_ok and monotone_ok and gap > 0 and np.min(bump) > 0
     return u, RoundtripReport(passed, harm_res, recon, kappa, monotone_ok, gap)

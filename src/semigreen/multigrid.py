@@ -15,9 +15,15 @@ Stat. Comput. 4(4), 1983):
   interior points sits at fine index 2j + 1, so an axis keeps m // 2 points;
 * per solve, P_f = P[free rows][:, kept], where a coarse column is kept only
   when its injection node (its entry 1) is free: P_f then has full column
-  rank and every coarse operator P_f^T A P_f is SPD;
+  rank and every coarse operator P_f^T A P_f is SPD. A level restricts with
+  the CSC view P_f.T on P_f's arrays; the CSR copy of P_f^T lives only for
+  the Galerkin product that forms the next level;
 * damped Jacobi (OMEGA, SWEEPS before and after the coarse correction),
-  and a sparse LU on the coarsest level (COARSEST unknowns or fewer).
+  and a sparse LU on the coarsest level (COARSEST unknowns or fewer);
+* CG gives up, and the caller takes its LU, after MAX_ITER iterations or
+  as soon as STALL_WINDOW iterations cut the residual by less than
+  STALL_FALL, as on strongly anisotropic grids, where point Jacobi does
+  not smooth across the weak axis.
 
 The hierarchy lives for one solve; _vcycle is a module-level function, not
 a closure, so nothing holds it after pcg returns. Inner products are numpy
@@ -27,6 +33,7 @@ reductions, which stay on one thread.
 from __future__ import annotations
 
 import math
+from collections import deque
 
 import numpy as np
 import scipy.sparse as sp
@@ -37,6 +44,8 @@ SWEEPS = 2  # smoothing sweeps before and after each coarse correction
 COARSEST = 400  # a level of at most this many unknowns is factorized
 RTOL = 1e-2  # CG stops at ||r||_2 <= RTOL * tol * ||b||_2
 MAX_ITER = 50  # CG iterations before the caller falls back to its LU
+STALL_WINDOW, STALL_FALL = 5, 10.0  # CG gives up when STALL_WINDOW iterations cut ||r||_2
+# by less than STALL_FALL: shipped steps cut it by 3e4 or more, a 1:256 box by at most 5
 
 
 def prolongations(m: tuple) -> list:
@@ -68,8 +77,9 @@ def pcg(J, free: np.ndarray, b: np.ndarray, prolong: list, tol: float):
     symmetric CSC matrix and used through its transpose, which is the CSR
     form of the same matrix on the same arrays (no copy). Returns x,
     or None when CG does not reach RTOL * tol within MAX_ITER iterations,
-    when the coarsest operator cannot be factorized, or when CG breaks
-    down: the caller then solves with its LU."""
+    when it stalls (STALL_WINDOW iterations cut the residual by less than
+    STALL_FALL), when the coarsest operator cannot be factorized, or when
+    CG breaks down: the caller then solves with its LU."""
     x = np.zeros_like(b)
     if not b.any():
         return x
@@ -80,7 +90,9 @@ def pcg(J, free: np.ndarray, b: np.ndarray, prolong: list, tol: float):
     except RuntimeError:  # singular to working precision
         return None
     r = b.copy()
-    stop = RTOL * tol * math.sqrt((b * b).sum())
+    # ||r||_2 of the last STALL_WINDOW + 1 iterations, oldest first
+    norms = deque([math.sqrt((b * b).sum())], maxlen=STALL_WINDOW + 1)
+    stop = RTOL * tol * norms[0]
     p, rz = np.zeros_like(b), 1.0
     for _ in range(MAX_ITER):
         z = _vcycle(levels, lu, 0, r)
@@ -96,14 +108,20 @@ def pcg(J, free: np.ndarray, b: np.ndarray, prolong: list, tol: float):
         alpha = rz / pq
         x += alpha * p
         r -= alpha * q
-        if math.sqrt((r * r).sum()) <= stop:
+        norms.append(math.sqrt((r * r).sum()))
+        if norms[-1] <= stop:
             return x
+        if len(norms) > STALL_WINDOW and norms[-1] * STALL_FALL > norms[0]:
+            return None  # stalled
     return None
 
 
 def _hierarchy(A, free, prolong):
     """Levels (A, OMEGA / diag A, P_f, P_f^T), finest first, and the
-    coarsest operator; A is CSR."""
+    coarsest operator; A is CSR. The restriction P_f^T is the CSC view
+    Pf.T on P_f's arrays: its matvec adds each coarse entry's terms in
+    ascending fine index, as a CSR row does. The CSR copy of P_f^T lives
+    only for the Galerkin product that forms the next level."""
     levels = []
     for P, inj in prolong:
         if A.shape[0] <= COARSEST:
@@ -112,9 +130,8 @@ def _hierarchy(A, free, prolong):
         if not kept.any():
             break
         Pf = P[np.flatnonzero(free)][:, np.flatnonzero(kept)]
-        R = Pf.T.tocsr()
-        levels.append((A, OMEGA / A.diagonal(), Pf, R))
-        A = R @ (A @ Pf)
+        levels.append((A, OMEGA / A.diagonal(), Pf, Pf.T))
+        A = Pf.T.tocsr() @ (A @ Pf)
         free = kept
     return levels, A
 

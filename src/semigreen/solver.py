@@ -212,6 +212,11 @@ def solve_U(
     Returns (u, SolveReport); u is a full node field with u = f on the
     boundary. Non-convergence is reported in SolveReport.status, not
     raised: a stalled sandwich still returns verified envelope data.
+
+    Through each newton linear solve, solve_U holds only the boundary data,
+    the interior points, H f, the iterate u and p = phi(u): start, and its
+    interior copy, are dropped once the first iterate exists, and
+    G phi(u) once its residual is recorded.
     """
     if scheme not in SCHEMES:
         raise ValueError(f"unknown scheme {scheme!r}; expected one of {SCHEMES}")
@@ -232,14 +237,11 @@ def solve_U(
 
     hf = gop.solve(gop.op.B @ fb)
     u = hf if start is None else np.minimum(hf, start)
+    del start  # neither the caller's start nor its interior copy is kept through the solve
     residuals, dead_sizes = [], []
     if scheme == "newton":
-        step = _newton_step(gop, fb, pts, phi, tol, dead_sizes)
-    else:
-        w = 1.0 if scheme == "sandwich" else omega
-
-        def step(u, p, g):  # damped Picard: u <- (1 - w) u + w T u, T u = hf - g
-            return (1.0 - w) * u + w * (hf - g)
+        newton_step = _newton_step(gop, fb, pts, phi, tol, dead_sizes)
+    w = 1.0 if scheme == "sandwich" else omega
 
     for it in range(max_iter + 1):
         p = phi(pts, u)
@@ -248,23 +250,27 @@ def solve_U(
         residuals.append(res)
         if not (np.isfinite(res) and res > tol) or it == max_iter:
             break
-        u = step(u, p, g)  # p = phi(u), g = G p
+        if scheme == "newton":
+            del g  # the free-set step reads u and p = phi(u) only
+            u = newton_step(u, p)
+        else:  # damped Picard: u <- (1 - w) u + w T u, T u = hf - g
+            u = (1.0 - w) * u + w * (hf - g)
 
     status = "diverged" if not np.isfinite(res) else "converged" if res <= tol else "max_iter"
     return grid.join(u, fb), SolveReport(residuals, status, dead_sizes)
 
 
 def _newton_step(gop, fb, pts, phi, tol, dead_sizes):
-    """The free-set step of the module doc, as step(u, p, g) with p = phi(u)
-    (g = G p is not used); appends the dead set size |A| of every step to
-    dead_sizes. The slope and the right-hand side are formed in helpers, so
-    their temporaries are freed before the linear solve."""
+    """The free-set step of the module doc, as step(u, p) with p = phi(u);
+    appends the dead set size |A| of every step to dead_sizes. Through the
+    linear solve a step holds u, p, the dead and free sets, the right-hand
+    side and J: the slope, F(u) and diag K are formed in helpers and freed
+    before it, and solve_U drops G phi(u) before the step."""
     K = gop.op.K
-    kdiag = K.diagonal()
     bf = gop.op.B @ fb
 
-    def step(u, p, g):
-        dead, free, rhs = _free_system(K, kdiag, bf, u, p)
+    def step(u, p):
+        dead, free, rhs = _free_system(K, bf, u, p)
         dead_sizes.append(int(np.count_nonzero(dead)))
         # K.copy() is far cheaper than K[:, free][free], and steps without a dead core take
         # it; columns first is cheap on K's CSC and gives the same matrix as rows first
@@ -290,12 +296,12 @@ def _slope(phi, pts, u, p):
     return np.maximum(d, 0.0)
 
 
-def _free_system(K, kdiag, bf, u, p):
+def _free_system(K, bf, u, p):
     """(A, I, rhs): the predicted dead set A = {u <= F(u) / diag K} as a
     mask, with F(u) = K u + p - bf; the free set I (a slice of every node
     when A is empty); and the right-hand side K_IA u_A - F_I."""
     direct = K @ u + p - bf
-    dead = u <= direct / kdiag
+    dead = u <= direct / K.diagonal()
     if not dead.any():
         return dead, slice(None), -direct
     free = np.flatnonzero(~dead)

@@ -1,4 +1,5 @@
 import gc
+import sys
 import weakref
 
 import numpy as np
@@ -12,12 +13,13 @@ from semigreen.exhaustion import (
     run_exhaustion,
 )
 from semigreen.geometry import (
+    Grid,
     build_box_grid,
     build_exhaustion,
     restrict,
 )
 from semigreen.operator import EllipticCoefficients, assemble, check_superharmonic
-from semigreen.potential import factorize
+from semigreen.potential import GreenOperator, factorize
 from semigreen.solver import NonConvergence, Nonlinearity, condition_factor, solve_U
 
 LAPLACE = EllipticCoefficients(zero_order_mode="c_zero")
@@ -140,6 +142,63 @@ class TestRunExhaustion:
         assert len(run.stages) == len(refs) == 3
         assert alive == [[], [False], [False, False]]
 
+    def test_stage_fields_are_freed_before_the_first_newton_solve(self, monkeypatch):
+        # at each stage's first Newton solve the supersolution field, the warm
+        # start handed to solve_U and that iteration's G phi(u) are gone
+        sfs, starts, potentials, stages, alive = [], [], [], [], []
+        field, solve = Grid.field, GreenOperator.solve
+        solve_jacobian = GreenOperator.solve_jacobian
+
+        def spy_field(self, value, on="nodes", name="field"):
+            out = field(self, value, on=on, name=name)
+            if name == "supersolution s":
+                sfs.append(weakref.ref(out))
+            elif name == "start":
+                starts.append(weakref.ref(value))
+            return out
+
+        def spy_solve(self, rhs):
+            out = solve(self, rhs)
+            potentials.append(weakref.ref(out))
+            return out
+
+        def spy_jacobian(self, J, free, rhs, tol):
+            if not stages or stages[-1]() is not self:
+                stages.append(weakref.ref(self))
+                alive.append((any(r() is not None for r in sfs),
+                              any(r() is not None for r in starts),
+                              potentials[-1]() is not None))
+            return solve_jacobian(self, J, free, rhs, tol)
+
+        monkeypatch.setattr(Grid, "field", spy_field)
+        monkeypatch.setattr(GreenOperator, "solve", spy_solve)
+        monkeypatch.setattr(GreenOperator, "solve_jacobian", spy_jacobian)
+        gc.disable()
+        try:
+            run = run_exhaustion(halfplane_exh(), LAPLACE, SQRT_N, 1.0, scheme="newton")
+        finally:
+            gc.enable()
+        assert len(run.stages) == len(alive) == 3
+        assert len(starts) == 2 and len(sfs) == 3
+        assert [(sf, g) for sf, _, g in alive] == [(False, False)] * 3
+        # before CPython 3.11 a caller holds its call's arguments until the call
+        # returns, so the start handed to solve_U lives through it there
+        if sys.version_info >= (3, 11):
+            assert [start for _, start, _ in alive] == [False] * 3
+
+    def test_coordinate_supersolution_leaves_the_stages_unchanged(self):
+        # s = y is harmonic; its node field is a view on grid.nodes, into which
+        # the warm start must not write the previous stage's solution
+        exh = halfplane_exh()
+        nodes = [grid.nodes.copy() for grid in exh.stages]
+        run = run_exhaustion(exh, LAPLACE, SQRT_N, lambda p: p[:, 1], scheme="newton")
+        ref = run_exhaustion(halfplane_exh(), LAPLACE, SQRT_N, lambda p: p[:, 1] + 0.0,
+                             scheme="newton")
+        assert len(run.stages) == len(ref.stages) == 3
+        for (grid, u), (_, u_ref), x in zip(run.stages, ref.stages, nodes):
+            assert np.array_equal(grid.nodes, x)
+            assert np.array_equal(u, u_ref)
+
 
 class TestWarmStart:
     def test_stages_start_from_the_previous_solution(self):
@@ -243,6 +302,18 @@ class TestCorrespondenceRoundtrip:
         grid = build_box_grid((0.0, 1.0), h)
         u, rep = correspondence_roundtrip(grid, LAPLACE, RAMP, lambda p: 1.0 + p[:, 0])
         assert 0 < rep.harmonicity_residual < 1e-7
+
+    @pytest.mark.parametrize("h", [2e-4, 1e-4])
+    def test_harmonic_line_passes_the_reconstruction_check_on_fine_grids(self, h):
+        # u + G phi(u) is compared with h, which differs from H f by G (L h): 8.4e-10 at
+        # h = 2e-4, above kappa * tol = 1.1e-10, within (kappa - 1) * harmonicity_residual
+        grid = build_box_grid((0.0, 1.0), h)
+        u, rep = correspondence_roundtrip(grid, LAPLACE, RAMP, lambda p: 1.0 + p[:, 0],
+                                          tol=1e-10)
+        assert rep.passed
+        assert rep.reconstruction_residual > rep.kappa * 1e-10
+        assert rep.reconstruction_residual <= (rep.kappa * 1e-10
+                                               + (rep.kappa - 1.0) * rep.harmonicity_residual)
 
     def test_negative_data_rejected(self):
         grid = build_box_grid((0.0, 1.0), 1 / 16)

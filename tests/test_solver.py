@@ -607,7 +607,7 @@ class TestMultigridNewton:
 
     def test_anisotropic_box_falls_back_to_the_lu(self, monkeypatch):
         # cells 256 times wider than tall: point Jacobi does not smooth across
-        # the weak axis, CG reaches its cap and every step takes the LU
+        # the weak axis, CG stalls and every step takes the LU
         grid = build_box_grid(((0.0, 1.0), (0.0, 1.0)), (1 / 16, 1 / 256))
         gop = factorize(assemble(grid, EllipticCoefficients(zero_order_mode="c_zero")))
         monkeypatch.setattr(potential.GreenOperator, "solve_jacobian", lambda self, *a: None)
@@ -619,6 +619,29 @@ class TestMultigridNewton:
         assert len(calls) == len(lus) == rep.iterations > 0
         assert all(x is None for *_, x in calls)
         assert np.array_equal(u, ref)
+
+    def test_anisotropic_box_gives_up_when_cg_stalls(self, monkeypatch):
+        # there 5 iterations cut the residual by at most 5x: CG stops at the first
+        # such window (5 and 8 V-cycles) instead of running all MAX_ITER = 50
+        grid = build_box_grid(((0.0, 1.0), (0.0, 1.0)), (1 / 16, 1 / 256))
+        gop = factorize(assemble(grid, EllipticCoefficients(zero_order_mode="c_zero")))
+        per_step = []
+        vcycle, pcg = multigrid._vcycle, multigrid.pcg
+
+        def counting_vcycle(levels, lu, k, r):
+            per_step[-1] += k == 0
+            return vcycle(levels, lu, k, r)
+
+        def counting_pcg(*args):
+            per_step.append(0)
+            return pcg(*args)
+
+        monkeypatch.setattr(multigrid, "_vcycle", counting_vcycle)
+        monkeypatch.setattr(multigrid, "pcg", counting_pcg)
+        _, rep = solve_U(gop, 1.0, SQRT_N, tol=1e-10, scheme="newton")
+        assert rep.status == "converged"
+        assert len(per_step) == rep.iterations > 0
+        assert all(multigrid.STALL_WINDOW <= n <= 2 * multigrid.STALL_WINDOW for n in per_step)
 
     def test_singular_coarsest_level_falls_back_to_the_lu(self, monkeypatch):
         # a coarsest operator singular to working precision sends the step to
@@ -674,6 +697,24 @@ class TestMultigridNewton:
         assert len(finest) == len(received) == rep.iterations
         for J, A in zip(received, finest):
             assert all(np.shares_memory(getattr(A, a), getattr(J, a))
+                       for a in ("data", "indices", "indptr"))
+
+    def test_restriction_shares_the_prolongation_arrays(self, monkeypatch):
+        # every level restricts with P_f.T, a view on P_f's arrays, not a CSR copy
+        levels_seen = []
+        hierarchy = multigrid._hierarchy
+
+        def spy(A, free, prolong):
+            levels, coarsest = hierarchy(A, free, prolong)
+            levels_seen.extend(levels)
+            return levels, coarsest
+
+        monkeypatch.setattr(multigrid, "_hierarchy", spy)
+        _, gop = halfplane_sqrt(0.125, radius=4.0)
+        _, rep = solve_U(gop, 1.0, SQRT_N, tol=1e-10, scheme="newton")
+        assert rep.status == "converged" and levels_seen
+        for *_, P, R in levels_seen:
+            assert all(np.shares_memory(getattr(R, a), getattr(P, a))
                        for a in ("data", "indices", "indptr"))
 
     def test_hierarchy_is_freed_without_the_collector(self, monkeypatch):
