@@ -87,7 +87,7 @@ def _cmd_exhaust(args, cfg: RunConfig) -> int:
                    ["stage", "anchor_value", "identity_residual", "min_u", "max_u"],
                    [[str(n) for n in range(len(fields))],
                     run.anchor_values,
-                    np.array(run.tail_metrics, dtype=float),
+                    np.array([r.final_identity_residual for r in run.reports], dtype=float),
                     np.array([np.min(u) for u in fields]),
                     np.array([np.max(u) for u in fields])])
     verdict = f"verdict={run.triviality_verdict}"
@@ -218,10 +218,8 @@ def _build_parser():
 
 
 def _default_verify_config() -> RunConfig:
-    cfg = RunConfig(dim=1, spacing=0.125, bbox=((0.0, 1.0),),
-                    experiment="verify", experiment_opts={"suites": None, "trials": 25})
-    cfg.basename = "verify"
-    return cfg
+    return RunConfig(dim=1, spacing=0.125, bbox=((0.0, 1.0),), experiment="verify",
+                     experiment_opts={"suites": None, "trials": 25}, basename="verify")
 
 
 def main(argv=None) -> int:

@@ -140,8 +140,6 @@ class _Parser(configparser.ConfigParser):
 
 
 _KINDS = {float: "a number", int: "an integer", bool: "a boolean"}
-_BOOLS = {"true": True, "yes": True, "1": True, "on": True,
-          "false": False, "no": False, "0": False, "off": False}
 
 
 def _get(cp, section, key, default=None, required=False, kind=str, choices=None):
@@ -155,7 +153,7 @@ def _get(cp, section, key, default=None, required=False, kind=str, choices=None)
         return default
     raw = cp.get(section, key).strip()
     try:
-        value = raw if kind is str else _BOOLS[raw.lower()] if kind is bool else kind(raw)
+        value = raw if kind is str else cp.BOOLEAN_STATES[raw.lower()] if kind is bool else kind(raw)
     except (KeyError, ValueError) as exc:
         raise ConfigError(where, f"expected {_KINDS[kind]}, got {raw!r}") from exc
     if choices is not None and value not in choices:
@@ -302,7 +300,8 @@ def _output(cp, cfg_kw):
     if not 1 <= precision <= 17:
         raise ConfigError("[output] precision", f"must be in [1, 17], got {precision}")
     cfg_kw["precision"] = precision
-    cfg_kw["basename"] = _get(cp, "output", "basename")
+    cfg_kw["basename"] = _get(cp, "output", "basename",
+                              default=cfg_kw["experiment"].replace("-", "_"))
 
 
 def load_config(path: str) -> RunConfig:
@@ -333,7 +332,4 @@ def load_config(path: str) -> RunConfig:
         for key in cp.options(sec):
             if (sec, key) not in cp.read_keys:
                 raise ConfigError(f"[{sec}] {key}", "unknown key, or not used by this config")
-    cfg = RunConfig(**kw)
-    if cfg.basename is None:
-        cfg.basename = cfg.experiment.replace("-", "_")
-    return cfg
+    return RunConfig(**kw)

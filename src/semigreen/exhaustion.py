@@ -57,11 +57,6 @@ class ExhaustionRun:
         return self.stages[-1][1]
 
     @property
-    def tail_metrics(self) -> tuple:
-        """Per-stage identity residuals."""
-        return tuple(rep.final_identity_residual for rep in self.reports)
-
-    @property
     def triviality_verdict(self) -> str:
         """nontrivial | trivial_trend | undecided"""
         return _classify(self.anchor_values, self.sup_s)
@@ -114,11 +109,10 @@ def run_exhaustion(
         if gop is not None:
             # the finished stage's kappa, read before its operator is dropped
             prev_kappa = condition_factor(gop)
-            op = gop = None
-        op = assemble(grid, coeffs)
-        gop = factorize(op)
+            gop = None
+        gop = factorize(assemble(grid, coeffs))
         shared = None if prev_grid is None else grid.index_of(prev_grid.nodes)
-        sup, fb, start = _stage_data(n, op, s, shared, fields[-1] if fields else None)
+        sup, fb, start = _stage_data(n, gop.op, s, shared, fields[-1] if fields else None)
         sup_s = max(sup_s, sup)
         # start is a one-item list emptied in the call, so the loop keeps no reference to it
         u, srep = solve_U(gop, fb, phi, tol=tol, max_iter=max_iter, scheme=scheme,

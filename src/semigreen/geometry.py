@@ -228,7 +228,8 @@ def build_exhaustion(
     growth_factor: float,
     n_stages: int,
     spacing_rule: str = "fixed",
-    spacing=None,
+    *,
+    spacing,
     anchor=None,
     halfplane: bool = False,
     delta: float | None = None,
@@ -242,7 +243,7 @@ def build_exhaustion(
     n_stages : >= 2.
     spacing_rule : "fixed" keeps the stage-0 spacing on every stage;
         "halve" divides the spacing by 2 per stage. Both nest exactly.
-    spacing : stage-0 spacing (required).
+    spacing : stage-0 spacing.
     anchor : point that must be a lattice node of stage 0. Defaults to the
         box center (halfplane mode: one spacing unit above the bottom
         face midpoint).
@@ -253,8 +254,6 @@ def build_exhaustion(
         raise ValueError(f"growth_factor must be > 1, got {growth_factor}")
     if n_stages < 2:
         raise ValueError(f"n_stages must be >= 2, got {n_stages}")
-    if spacing is None:
-        raise ValueError("spacing is required")
     if spacing_rule not in SPACING_RULES:
         raise ValueError(f"unknown spacing_rule {spacing_rule!r}; expected one of {SPACING_RULES}")
 

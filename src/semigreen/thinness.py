@@ -16,6 +16,7 @@ import numpy as np
 
 from .geometry import Grid
 from .operator import assemble, check_superharmonic
+from .potential import interval_green
 from .solver import Nonlinearity
 
 __all__ = [
@@ -270,8 +271,6 @@ def _criterion_interval(endpoints, phi, c0, pred, radii, x0, cell):
     a, b = float(endpoints[0]), float(endpoints[1])
     if not (a < b):
         raise ValueError(f"bad interval endpoints ({a}, {b})")
-    from .potential import interval_green
-
     x0s = float(np.atleast_1d(np.asarray(x0, dtype=float))[0])
     n = _cell_count(b - a, cell, "interval length")
     centers = a + (np.arange(n) + 0.5) * cell

@@ -151,6 +151,14 @@ class TestLoadConfig:
             load_config(write_ini(tmp_path, SOLVE_INI.replace(old, new)))
         assert str(ei.value) == message
 
+    @pytest.mark.parametrize("spelling, value", [
+        ("true", True), ("Yes", True), ("1", True), ("ON", True),
+        ("false", False), ("no", False), ("0", False), ("Off", False),
+    ])
+    def test_boolean_spellings(self, tmp_path, spelling, value):
+        ini = SOLVE_INI.replace("differentiable = true", f"differentiable = {spelling}")
+        assert load_config(write_ini(tmp_path, ini)).phi.differentiable is value
+
     def test_bad_scheme(self, tmp_path):
         with pytest.raises(ConfigError, match=r"\[solver\] scheme"):
             load_config(write_ini(tmp_path, SOLVE_INI + "\n[solver]\nscheme = secant\n"))
@@ -282,6 +290,26 @@ class TestCliSolve:
         cfg = write_ini(tmp_path, SOLVE_INI.replace("max(t, 0)", "2*+3"))
         assert main(["solve", "--config", cfg, "--out-dir", str(tmp_path)]) == 2
         assert "parse error" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("old, new, message", [
+        ("boundary_f = 1", "boundary_f = t",
+         "[experiment] boundary_f: unknown variables ['t']; allowed ['x']"),
+        ("[experiment]", "[operator]\na11 = 1 + y\n\n[experiment]",
+         "[operator] a11: unknown variables ['y']; allowed ['x']"),
+        ("bbox = 0, 1", "bbox = 0, one", "[domain] bbox: expected numbers, got '0, one'"),
+        ("dim = 1\nspacing = 0.0625\nbbox = 0, 1", "dim = 2\nspacing = 0.0625\nbbox = 0, 1, 0",
+         "[domain] bbox: expected 4 numbers, got 3"),
+        ("bbox = 0, 1", "bbox = 0, 1\nhalfplane = true",
+         "[domain] halfplane: halfplane mode needs dim = 2"),
+        ("dim = 1", "dim 1", "bad config syntax"),
+    ], ids=["field_variable", "coefficient_variable", "bbox_word", "bbox_count",
+            "halfplane_1d", "ini_syntax"])
+    def test_config_rejected_at_load(self, tmp_path, capsys, old, new, message):
+        assert old in SOLVE_INI
+        cfg = write_ini(tmp_path, SOLVE_INI.replace(old, new))
+        assert main(["solve", "--config", cfg, "--out-dir", str(tmp_path)]) == 2
+        assert message in capsys.readouterr().err
+        assert not list(tmp_path.glob("*.csv"))
 
 
 EXHAUST_INI = """\
@@ -470,14 +498,18 @@ class TestCliExperiments:
         assert "interval oracle needs a 1D grid" in capsys.readouterr().err
         assert calls == []
 
-    def test_green_source_on_the_wall_rejected(self, tmp_path, capsys, monkeypatch):
+    @pytest.mark.parametrize("source, message", [
+        ("0, 0.125", "source (0.0, 0.125) is not interior"),
+        ("0.0625, 1", "point (0.0625, 1.0) is not a lattice node of this grid"),
+    ], ids=["wall", "off_lattice"])
+    def test_green_source_rejected(self, tmp_path, capsys, monkeypatch, source, message):
         calls = []
         monkeypatch.setattr("semigreen.cli.factorize", lambda op: calls.append(op))
         text = (CONFIGS / "green_halfplane.ini").read_text()
         assert "source = 0, 1\n" in text
-        cfg = write_ini(tmp_path, text.replace("source = 0, 1\n", "source = 0, 0.125\n"))
+        cfg = write_ini(tmp_path, text.replace("source = 0, 1\n", f"source = {source}\n"))
         assert main(["green", "--config", cfg, "--out-dir", str(tmp_path)]) == 2
-        assert "not interior" in capsys.readouterr().err
+        assert f"config error: [experiment] source: {message}" in capsys.readouterr().err
         assert calls == []
 
     @pytest.mark.parametrize("name, kind, old, new, where", [
@@ -512,6 +544,14 @@ class TestCliExperiments:
         cfg = write_ini(tmp_path, text.replace(old, new))
         assert main([kind, "--config", cfg, "--out-dir", str(tmp_path)]) == 2
         assert "non-finite number of cells" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("margin", ["0", "-0.25"])
+    def test_thin_check_nonpositive_margin_rejected(self, tmp_path, capsys, margin):
+        text = (CONFIGS / "sqrt_witness.ini").read_text()
+        cfg = write_ini(tmp_path, text.replace("margin = 0.25", f"margin = {margin}"))
+        assert main(["thin-check", "--config", cfg, "--out-dir", str(tmp_path)]) == 2
+        assert f"[experiment] margin: must be positive, got {float(margin)}" in \
+            capsys.readouterr().err
 
     @pytest.mark.parametrize("cell", ["0", "-0.125"])
     def test_criterion_nonpositive_cell_rejected(self, tmp_path, capsys, cell):
@@ -574,6 +614,14 @@ class TestCliExperiments:
         cfg = write_ini(tmp_path, text)
         assert main(["verify", "--config", cfg, "--out-dir", str(tmp_path)]) == 2
         assert f"[experiment] trials: must be >= 1, got {trials}\n" in capsys.readouterr().err
+        assert not list(tmp_path.glob("*.csv"))
+
+    def test_verify_unknown_suite_rejected(self, tmp_path, capsys):
+        text = ("[domain]\ndim = 1\nbbox = 0, 1\nspacing = 0.125\n\n"
+                "[experiment]\ntype = verify\nsuites = comparison, nope\n")
+        cfg = write_ini(tmp_path, text)
+        assert main(["verify", "--config", cfg, "--out-dir", str(tmp_path)]) == 2
+        assert "validation error: unknown suite 'nope'; available: [" in capsys.readouterr().err
         assert not list(tmp_path.glob("*.csv"))
 
     def test_console_entry_point(self, tmp_path):

@@ -1,5 +1,4 @@
 import gc
-import sys
 import weakref
 
 import numpy as np
@@ -67,8 +66,8 @@ class TestRunExhaustion:
             assert np.max(u) <= run.sup_s + 1e-12
             # each majorant dominates the limit field on its own stage
             assert np.all(h >= restrict(run.limit_estimate, final_grid, grid) - 1e-9)
-        assert len(run.tail_metrics) == 3
-        assert max(run.tail_metrics) <= 1e-10
+        assert len(run.reports) == 3
+        assert max(r.final_identity_residual for r in run.reports) <= 1e-10
 
     def test_interval_exhaustion(self):
         exh = build_exhaustion((-1.0, 1.0), 2.0, 3, spacing=0.125, anchor=(0.0,))
@@ -180,11 +179,9 @@ class TestRunExhaustion:
             gc.enable()
         assert len(run.stages) == len(alive) == 3
         assert len(starts) == 2 and len(sfs) == 3
-        assert [(sf, g) for sf, _, g in alive] == [(False, False)] * 3
-        # before CPython 3.11 a caller holds its call's arguments until the call
-        # returns, so the start handed to solve_U lives through it there
-        if sys.version_info >= (3, 11):
-            assert [start for _, start, _ in alive] == [False] * 3
+        # the start too: from CPython 3.11 (pyproject's floor) a caller does not
+        # hold its call's arguments, so solve_U's drop frees it
+        assert alive == [(False, False, False)] * 3
 
     def test_coordinate_supersolution_leaves_the_stages_unchanged(self):
         # s = y is harmonic; its node field is a view on grid.nodes, into which

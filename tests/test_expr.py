@@ -37,6 +37,15 @@ class TestParse:
         with pytest.raises(ParseError):
             parse("   ")
 
+    @pytest.mark.parametrize("text, message, offset", [
+        ("max(1)", r"max takes 2 argument\(s\), got 1", 0),
+        ("(1 + 2", "expected rparen, found ''", 6),
+    ], ids=["arity", "rparen"])
+    def test_call_and_group_errors(self, text, message, offset):
+        with pytest.raises(ParseError, match=message) as ei:
+            parse(text)
+        assert ei.value.offset == offset
+
     def test_trailing_garbage(self):
         with pytest.raises(ParseError, match="trailing"):
             parse("1 + 2 )")
@@ -94,6 +103,19 @@ class TestEval:
     def test_scalar_comparison(self):
         assert ev("x >= 2", x=3.0) == 1.0
         assert ev("x >= 2", x=1.0) == 0.0
+
+    def test_log_and_sqrt_of_valid_arguments(self):
+        assert ev("log(2)") == np.log(2.0)
+        assert ev("sqrt(4)") == 2.0
+
+    def test_pow_of_zero_to_a_negative_power(self):
+        with pytest.raises(DomainError, match=r"pow\(0, negative\)"):
+            ev("pow(0, -1)")
+
+    def test_nan_result_is_domain_error(self):
+        with np.errstate(over="ignore", invalid="ignore"):  # inf - inf
+            with pytest.raises(DomainError, match="produced NaN"):
+                ev("exp(800) - exp(800)")
 
 
 names = st.sampled_from(["x", "y", "t"])

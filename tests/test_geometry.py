@@ -38,6 +38,20 @@ class TestBuildBoxGrid:
         with pytest.raises(ValueError, match="degenerate"):
             build_box_grid((1.0, 1.0), 0.25)
 
+    @pytest.mark.parametrize("spacing", [0.0, -0.25])
+    def test_nonpositive_spacing_rejected(self, spacing):
+        with pytest.raises(ValueError, match=f"spacing must be positive, got {spacing}"):
+            build_box_grid((0.0, 1.0), spacing)
+
+    def test_three_axis_box_rejected(self):
+        with pytest.raises(ValueError, match="bbox must be"):
+            build_box_grid(((0, 1), (0, 1), (0, 1)), 0.5)
+
+    @pytest.mark.parametrize("radius, delta", [(0.0, 0.25), (-1.0, 0.25), (1.0, 0.0)])
+    def test_halfplane_truncation_needs_positive_sizes(self, radius, delta):
+        with pytest.raises(ValueError, match="radius and delta must be positive"):
+            build_halfplane_truncation(radius, delta, 0.25)
+
     def test_boundary_interior_disjoint(self):
         g = build_box_grid(((0, 2), (0, 1)), 0.25)
         assert not np.intersect1d(g.boundary_nodes, g.interior_nodes).size
@@ -118,6 +132,14 @@ class TestExhaustion:
         assert exh.stages[2].bbox == ((-16.0, 16.0), (0.25, 32.25))
         # default anchor one spacing above the bottom face midpoint
         assert exh.anchor == (0.0, 0.5)
+
+    @pytest.mark.parametrize("n_stages, rule, message", [
+        (1, "fixed", "n_stages must be >= 2, got 1"),
+        (3, "third", "unknown spacing_rule 'third'"),
+    ], ids=["one_stage", "spacing_rule"])
+    def test_bad_stage_plan_rejected(self, n_stages, rule, message):
+        with pytest.raises(ValueError, match=message):
+            build_exhaustion(((-1, 1), (-1, 1)), 2.0, n_stages, rule, spacing=0.5)
 
     def test_interior_counts_increase(self):
         exh = build_exhaustion(((-1, 1), (-1, 1)), 2.0, 4, spacing=0.25)

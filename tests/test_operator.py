@@ -244,6 +244,10 @@ class TestCoefficientValidation:
         with pytest.raises(ValueError):
             assemble(grid, EllipticCoefficients(c=0.5))
 
+    def test_unknown_zero_order_mode_rejected(self):
+        with pytest.raises(ValueError, match="unknown zero_order_mode 'x'"):
+            EllipticCoefficients(zero_order_mode="x")
+
     def test_c_zero_mode_is_strict(self):
         grid = build_box_grid((0.0, 1.0), 0.25)
         with pytest.raises(ValueError):

@@ -141,6 +141,12 @@ class TestSolveBasics:
         with pytest.raises(ValueError, match="scheme"):
             solve_U(gop, 1.0, RAMP, scheme="secant")
 
+    @pytest.mark.parametrize("omega", [0.0, 1.5])
+    def test_omega_out_of_range_rejected(self, omega):
+        grid, op, gop = laplace((0.0, 1.0), 0.125)
+        with pytest.raises(ValueError, match=r"omega must be in \(0, 1\]"):
+            solve_U(gop, 1.0, RAMP, scheme="damped_picard", omega=omega)
+
     def test_newton_needs_differentiable_flag(self):
         grid, op, gop = laplace((0.0, 1.0), 0.125)
         with pytest.raises(ValueError, match="differentiable"):
@@ -389,6 +395,11 @@ class TestComparisonChecks:
         assert v.reason == reason and v.passed == (not reason)
         assert (v.margin < 0) == (not v.passed)
 
+    def test_identical_fields_pass(self):
+        u, _ = solve_U(self.gop, 1.0, RAMP, tol=1e-12)
+        verdict = check_comparison(self.gop, u, u, RAMP)
+        assert verdict.passed and verdict.reason == ""
+
     def test_needs_full_fields(self):
         u, _ = solve_U(self.gop, 1.0, RAMP, tol=1e-12)
         with pytest.raises(ValueError, match="full node field"):
@@ -428,6 +439,15 @@ class TestComparisonChecks:
         # 1 + max x(1-x)/2 on the unit interval
         assert condition_factor(self.gop) == pytest.approx(1.125, abs=1e-12)
 
+    def test_condition_factor_solves_once_per_operator(self, monkeypatch):
+        solves = []
+        solve = potential.GreenOperator.solve
+        monkeypatch.setattr(potential.GreenOperator, "solve",
+                            lambda gop, rhs: solves.append(1) or solve(gop, rhs))
+        gop = factorize(self.op)
+        assert condition_factor(gop) == condition_factor(gop)
+        assert len(solves) == 1
+
 
 class TestFactorizationCount:
     def test_comparison_suite_factorizes_once_per_trial(self, splu_calls):
@@ -437,7 +457,6 @@ class TestFactorizationCount:
         assert len(splu_calls) == 5
 
     def test_comparison_suite_computes_kappa_once_per_trial(self, monkeypatch):
-        # both check_comparison calls of a trial read one cached kappa
         kappa_solves = []
         solve = potential.GreenOperator.solve
 
@@ -605,11 +624,7 @@ class TestMultigridNewton:
             ref = spla.spsolve(J, rhs, permc_spec=solver.ORDERING)
             assert np.max(np.abs(x - ref)) <= 1e-10 * np.max(np.abs(ref))
 
-    def test_anisotropic_box_falls_back_to_the_lu(self, monkeypatch):
-        # cells 256 times wider than tall: point Jacobi does not smooth across
-        # the weak axis, CG stalls and every step takes the LU
-        grid = build_box_grid(((0.0, 1.0), (0.0, 1.0)), (1 / 16, 1 / 256))
-        gop = factorize(assemble(grid, EllipticCoefficients(zero_order_mode="c_zero")))
+    def assert_every_step_takes_the_lu(self, monkeypatch, gop):
         monkeypatch.setattr(potential.GreenOperator, "solve_jacobian", lambda self, *a: None)
         ref, _ = solve_U(gop, 1.0, SQRT_N, tol=1e-10, scheme="newton")
         monkeypatch.undo()
@@ -619,6 +634,20 @@ class TestMultigridNewton:
         assert len(calls) == len(lus) == rep.iterations > 0
         assert all(x is None for *_, x in calls)
         assert np.array_equal(u, ref)
+
+    def test_anisotropic_box_falls_back_to_the_lu(self, monkeypatch):
+        # cells 256 times wider than tall: point Jacobi does not smooth across
+        # the weak axis, CG stalls and every step takes the LU
+        grid = build_box_grid(((0.0, 1.0), (0.0, 1.0)), (1 / 16, 1 / 256))
+        gop = factorize(assemble(grid, EllipticCoefficients(zero_order_mode="c_zero")))
+        self.assert_every_step_takes_the_lu(monkeypatch, gop)
+
+    def test_anisotropic_coefficient_falls_back_to_the_lu(self, monkeypatch):
+        # square cells, a22 / a11 = 64: the same weak coupling from the coefficients
+        grid = build_box_grid(((0.0, 1.0), (0.0, 1.0)), 1 / 32)
+        gop = factorize(assemble(grid, EllipticCoefficients(a22=64.0, zero_order_mode="c_zero")))
+        assert gop.op.stencil is not None
+        self.assert_every_step_takes_the_lu(monkeypatch, gop)
 
     def test_anisotropic_box_gives_up_when_cg_stalls(self, monkeypatch):
         # there 5 iterations cut the residual by at most 5x: CG stops at the first
