@@ -17,7 +17,7 @@ import numpy as np
 from .config import ConfigError, RunConfig, load_config
 from .expr import SPACE_VARS
 from .operator import assemble
-from .potential import ORACLE_DIMS, factorize, green_potential, halfplane_green
+from .potential import factorize, green_potential, halfplane_green
 from .solver import SCHEMES, solve_U
 from .exhaustion import run_exhaustion
 from .thinness import ThinnessCertificate, criterion_integral, verify_certificate
@@ -26,11 +26,12 @@ from .verification import run_suites
 __all__ = ["main"]
 
 BLOCK_ROWS = 1 << 14  # CSV rows formatted and written at a time
+FLOAT_FORMAT = "%.17g"  # every float the CLI writes; 17 digits read back as the same double
 
 
-def _write_columns(path: str, cfg: RunConfig, header, columns):
+def _write_columns(path: str, header, columns):
     """Write a CSV file from equal-length columns. A numpy array column is
-    written with cfg.float_format; any other column is a list of ready-made
+    written with FLOAT_FORMAT; any other column is a list of ready-made
     strings (stage numbers, statuses, empty cells), written as they are.
     Numbers and the program's own strings hold no comma, quote or newline,
     so no cell is quoted. Columns of unequal length raise ValueError before
@@ -39,7 +40,7 @@ def _write_columns(path: str, cfg: RunConfig, header, columns):
     lengths = [len(c) for c in columns]
     if len(set(lengths)) > 1:
         raise ValueError(f"columns of unequal length {lengths}")
-    row = ",".join(cfg.float_format if isinstance(c, np.ndarray) else "%s"
+    row = ",".join(FLOAT_FORMAT if isinstance(c, np.ndarray) else "%s"
                    for c in columns) + "\n"
     with open(path, "w", encoding="utf-8", newline="") as fh:
         fh.write(",".join(header) + "\n")
@@ -59,22 +60,20 @@ def _cmd_solve(args, cfg: RunConfig) -> int:
     gop = factorize(assemble(grid, cfg.coeffs))
     f = cfg.experiment_opts["boundary_f"](grid.nodes[grid.boundary_nodes])
     scheme = args.scheme or cfg.scheme
-    tol = args.tol if args.tol is not None else cfg.tol
-    max_iter = args.max_iter if args.max_iter is not None else cfg.max_iter
-    u, rep = solve_U(gop, f, cfg.phi, tol=tol, max_iter=max_iter,
+    u, rep = solve_U(gop, f, cfg.phi, tol=cfg.tol, max_iter=cfg.max_iter,
                      scheme=scheme, omega=cfg.omega)
 
-    _write_columns(_out(args, cfg, ".csv"), cfg, [*SPACE_VARS[:grid.dim], "u"],
+    _write_columns(_out(args, cfg, ".csv"), [*SPACE_VARS[:grid.dim], "u"],
                    list(grid.nodes.T) + [u])
     residuals = np.array(rep.residual_history, dtype=float)
     n = len(residuals)
     # under sandwich the step gap of each iterate is the envelope gap
     gaps = residuals if scheme == "sandwich" else [""] * n
-    _write_columns(_out(args, cfg, "_log.csv"), cfg,
+    _write_columns(_out(args, cfg, "_log.csv"),
                    ["iteration", "envelope_gap", "identity_residual"],
                    [[str(i) for i in range(n)], gaps, residuals])
     print(f"status={rep.status} iterations={rep.iterations} "
-          f"identity_residual={cfg.fmt(rep.final_identity_residual)}")
+          f"identity_residual={FLOAT_FORMAT % rep.final_identity_residual}")
     return 0 if rep.status == "converged" else 3
 
 
@@ -83,7 +82,7 @@ def _cmd_exhaust(args, cfg: RunConfig) -> int:
     run = run_exhaustion(exh, cfg.coeffs, cfg.phi, cfg.experiment_opts["super_s"],
                          tol=cfg.tol, max_iter=cfg.max_iter, scheme=cfg.scheme)
     fields = [u for _, u in run.stages]
-    _write_columns(_out(args, cfg, ".csv"), cfg,
+    _write_columns(_out(args, cfg, ".csv"),
                    ["stage", "anchor_value", "identity_residual", "min_u", "max_u"],
                    [[str(n) for n in range(len(fields))],
                     run.anchor_values,
@@ -103,10 +102,11 @@ def _cmd_thin_check(args, cfg: RunConfig) -> int:
     cert = ThinnessCertificate(set_A=opts["set_A"], witness_s=opts["witness_s"],
                                margin=opts["margin"])
     verdict = verify_certificate(grid, cfg.coeffs, cert)
-    _write_columns(_out(args, cfg, ".csv"), cfg, ["field", "value"], [
+    _write_columns(_out(args, cfg, ".csv"), ["field", "value"], [
         ["passed", "margin", "min_over_grid", "min_on_A", "superharmonic_residual"],
-        [str(verdict.passed).lower(), cfg.fmt(opts["margin"]), cfg.fmt(verdict.min_over_grid),
-         cfg.fmt(verdict.min_on_A), cfg.fmt(verdict.superharmonic_residual)],
+        [str(verdict.passed).lower()] + [FLOAT_FORMAT % v for v in (
+            opts["margin"], verdict.min_over_grid, verdict.min_on_A,
+            verdict.superharmonic_residual)],
     ])
     tail = "" if verdict.passed else " " + "; ".join(verdict.reasons)
     print(f"verdict={'pass' if verdict.passed else 'fail'}{tail}")
@@ -119,9 +119,9 @@ def _cmd_criterion(args, cfg: RunConfig) -> int:
                              opts["truncations"], x0=opts["x0"], cell=opts["cell"])
     n = len(rep.radii)
     # increments start on the second row, ratios on the third
-    increments = [""] * min(n, 1) + [cfg.fmt(x) for x in rep.increments]
-    ratios = [""] * min(n, 2) + [cfg.fmt(x) for x in rep.ratios]
-    _write_columns(_out(args, cfg, ".csv"), cfg, ["radius", "value", "increment", "ratio"],
+    increments = [""] * min(n, 1) + [FLOAT_FORMAT % x for x in rep.increments]
+    ratios = [""] * min(n, 2) + [FLOAT_FORMAT % x for x in rep.ratios]
+    _write_columns(_out(args, cfg, ".csv"), ["radius", "value", "increment", "ratio"],
                    [np.array(rep.radii, dtype=float), np.array(rep.values, dtype=float),
                     increments, ratios])
     print(f"verdict={rep.verdict}")
@@ -130,12 +130,9 @@ def _cmd_criterion(args, cfg: RunConfig) -> int:
 
 def _cmd_green(args, cfg: RunConfig) -> int:
     grid = cfg.grid()
-    oracle = args.oracle or cfg.experiment_opts["oracle"]
-    dim = ORACLE_DIMS[oracle]
-    if grid.dim != dim:
-        raise ConfigError("[experiment] oracle", f"{oracle} oracle needs a {dim}D grid")
+    oracle = cfg.experiment_opts["oracle"]
     if oracle == "halfplane":
-        source = cfg.experiment_opts["source"] or (0.0, 1.0)
+        source = cfg.experiment_opts["source"]
         try:
             j = grid.index_of(source)
         except ValueError as exc:
@@ -161,16 +158,16 @@ def _cmd_green(args, cfg: RunConfig) -> int:
         errs = np.abs(g[keep] - analytic[keep])
         header += ["analytic", "abs_error"]
         columns += [analytic[keep], errs]
-    _write_columns(_out(args, cfg, ".csv"), cfg, header, columns)
+    _write_columns(_out(args, cfg, ".csv"), header, columns)
     if args.compare:
-        print(f"max_abs_error={cfg.fmt(float(np.max(errs)))}")
+        print(f"max_abs_error={FLOAT_FORMAT % np.max(errs)}")
     return 0
 
 
 def _cmd_verify(args, cfg: RunConfig) -> int:
     opts = cfg.experiment_opts
     results = run_suites(names=opts["suites"], seed=args.seed, trials=opts["trials"])
-    _write_columns(_out(args, cfg, ".csv"), cfg, ["suite", "trials", "failures", "status"], [
+    _write_columns(_out(args, cfg, ".csv"), ["suite", "trials", "failures", "status"], [
         [r.name for r in results], [str(r.trials) for r in results],
         [str(r.failures) for r in results], ["pass" if r.passed else "fail" for r in results],
     ])
@@ -197,23 +194,19 @@ def _build_parser():
     common = argparse.ArgumentParser(add_help=False)
     common.add_argument("--config", help="path to the run-config file")
     common.add_argument("--out-dir", default=".", help="directory for CSV outputs")
-    common.add_argument("--seed", type=int, default=0,
-                        help="RNG seed for randomized suites")
     p = argparse.ArgumentParser(prog="semigreen",
                                 description="semilinear potential-theory toolkit")
     sub = p.add_subparsers(dest="command", required=True)
     sp = sub.add_parser("solve", parents=[common], help="single fixed-point solve")
     sp.add_argument("--scheme", choices=SCHEMES)
-    sp.add_argument("--tol", type=float)
-    sp.add_argument("--max-iter", type=int)
     sub.add_parser("exhaust", parents=[common], help="staged exhaustion run")
     sub.add_parser("thin-check", parents=[common], help="verify a thinness certificate")
     sub.add_parser("criterion", parents=[common], help="existence-criterion integral trend")
     gp = sub.add_parser("green", parents=[common], help="Green solve vs analytic oracle")
-    gp.add_argument("--oracle", choices=tuple(ORACLE_DIMS))
     gp.add_argument("--compare", action="store_true",
                     help="add analytic and abs_error columns")
-    sub.add_parser("verify", parents=[common], help="run the invariant suites")
+    vp = sub.add_parser("verify", parents=[common], help="run the invariant suites")
+    vp.add_argument("--seed", type=int, default=0, help="RNG seed for randomized suites")
     return p
 
 

@@ -1,8 +1,10 @@
 """Run-config parsing: flat INI sections -> validated model objects.
 
 Sections: [domain], [operator], [nonlinearity], [solver], [experiment],
-[output]. Every error names the offending "[section] key" so the CLI can
-map it to a validation exit; a key that no parser reads is an error too.
+[output]. Every experiment reads [domain], [experiment] and [output], and
+_READS lists the other sections it reads. Every error names the offending
+"[section] key" so the CLI can map it to a validation exit; a key that no
+parser reads is an error too.
 Expression values use the expr mini-language over the space variables
 expr.SPACE_VARS for fields, and over those and t for the nonlinearity.
 """
@@ -15,7 +17,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .expr import SPACE_VARS, Expr, ParseError, parse
-from .geometry import (DIMS, SPACING_RULES, Exhaustion, Grid, build_box_grid, build_exhaustion,
+from .geometry import (DIMS, Exhaustion, Grid, build_box_grid, build_exhaustion,
                        build_halfplane_truncation)
 from .operator import ZERO_ORDER_MODES, EllipticCoefficients, _coefficient_names
 from .potential import ORACLE_DIMS
@@ -24,7 +26,6 @@ from .solver import SCHEMES, Nonlinearity
 __all__ = ["ConfigError", "RunConfig", "load_config"]
 
 _SECTIONS = ("domain", "operator", "nonlinearity", "solver", "experiment", "output")
-_EXPERIMENTS = ("solve", "exhaust", "thin-check", "criterion", "green", "verify")
 
 
 class ConfigError(ValueError):
@@ -45,7 +46,7 @@ class RunConfig:
     radius: float = None
     delta: float = None
     anchor: tuple = None
-    exhaustion: dict = None  # factor, stages, spacing_rule; exhaust only
+    stages: int = None  # exhaust only
 
     coeffs: EllipticCoefficients = None
     phi: Nonlinearity = None
@@ -58,7 +59,6 @@ class RunConfig:
     experiment: str = "solve"
     experiment_opts: dict = field(default_factory=dict)
 
-    precision: int = 17
     basename: str = None
 
     def grid(self) -> Grid:
@@ -67,22 +67,9 @@ class RunConfig:
         return build_box_grid(self.bbox, self.spacing)
 
     def build_exhaustion(self) -> Exhaustion:
-        ex = self.exhaustion
         base = self.radius if self.halfplane else self.bbox
-        return build_exhaustion(
-            base, ex["factor"], ex["stages"],
-            spacing_rule=ex["spacing_rule"], spacing=self.spacing,
-            anchor=self.anchor, halfplane=self.halfplane, delta=self.delta,
-        )
-
-    @property
-    def float_format(self) -> str:
-        """printf template of every float the CLI writes: `%.{precision}g`,
-        which round-trips a float at precision 17"""
-        return f"%.{self.precision}g"
-
-    def fmt(self, value: float) -> str:
-        return self.float_format % value
+        return build_exhaustion(base, self.stages, spacing=self.spacing, anchor=self.anchor,
+                                halfplane=self.halfplane, delta=self.delta)
 
 
 def _parse_expr(raw: str, where: str, dim: int, with_t: bool = False) -> Expr:
@@ -183,22 +170,19 @@ def _domain(cp, cfg_kw):
         cfg_kw["bbox"] = bbox
 
     if cfg_kw["experiment"] == "exhaust":
-        exh = {
-            "factor": _get(cp, "domain", "exhaustion.factor", default=2.0, kind=float),
-            "stages": _get(cp, "domain", "exhaustion.stages", required=True, kind=int),
-            "spacing_rule": _get(cp, "domain", "exhaustion.spacing_rule", default="fixed",
-                                 choices=SPACING_RULES),
-        }
+        stages = _get(cp, "domain", "exhaustion.stages", required=True, kind=int)
         raw_anchor = _get(cp, "domain", "anchor")
         anchor = tuple(_floats(raw_anchor, "[domain] anchor", dim)) if raw_anchor else None
-        cfg_kw.update(exhaustion=exh, anchor=anchor)
+        cfg_kw.update(stages=stages, anchor=anchor)
 
 
 def _operator(cp, cfg_kw):
     dim = cfg_kw["dim"]
     mode = _get(cp, "operator", "zero_order_mode", default="c_nonpos", choices=ZERO_ORDER_MODES)
     kw = {"zero_order_mode": mode}
-    for key in _coefficient_names(dim):  # a key this dim does not use stays unread
+    # green's oracles are closed forms for the Laplacian, so it reads no coefficient
+    names = () if cfg_kw["experiment"] == "green" else _coefficient_names(dim)
+    for key in names:  # a key this dim does not use stays unread
         raw = _get(cp, "operator", key)
         if raw is not None:
             e = _parse_expr(raw, f"[operator] {key}", dim)
@@ -218,8 +202,6 @@ def _nonlinearity(cp, cfg_kw):
 
 
 def _solver(cp, cfg_kw):
-    if cfg_kw["experiment"] not in ("solve", "exhaust"):
-        return  # only solve and exhaust run the solver: its keys stay unread
     scheme = _get(cp, "solver", "scheme", default="sandwich", choices=SCHEMES)
     tol = _get(cp, "solver", "tol", default=1e-10, kind=float)
     max_iter = _get(cp, "solver", "max_iter", default=200, kind=int)
@@ -233,10 +215,6 @@ def _solver(cp, cfg_kw):
         if not 0 < omega <= 1:
             raise ConfigError("[solver] omega", f"must be in (0, 1], got {omega}")
         cfg_kw["omega"] = omega
-
-
-def _experiment_type(cp, cfg_kw):
-    cfg_kw["experiment"] = _get(cp, "experiment", "type", required=True, choices=_EXPERIMENTS)
 
 
 def _experiment(cp, cfg_kw):
@@ -282,9 +260,14 @@ def _experiment(cp, cfg_kw):
         else:
             opts["set_A"] = None
     elif kind == "green":
-        opts["oracle"] = _get(cp, "experiment", "oracle", default="interval", choices=ORACLE_DIMS)
-        raw = _get(cp, "experiment", "source")
-        opts["source"] = tuple(_floats(raw, "[experiment] source", 2)) if raw else None
+        oracle = _get(cp, "experiment", "oracle", default="interval", choices=ORACLE_DIMS)
+        if ORACLE_DIMS[oracle] != dim:
+            raise ConfigError("[experiment] oracle",
+                              f"{oracle} oracle needs a {ORACLE_DIMS[oracle]}D grid")
+        opts["oracle"] = oracle
+        if oracle == "halfplane":
+            raw = _get(cp, "experiment", "source", default="0, 1")
+            opts["source"] = tuple(_floats(raw, "[experiment] source", 2))
     elif kind == "verify":
         raw = _get(cp, "experiment", "suites")
         opts["suites"] = [s.strip() for s in raw.split(",")] if raw else None
@@ -296,12 +279,20 @@ def _experiment(cp, cfg_kw):
 
 
 def _output(cp, cfg_kw):
-    precision = _get(cp, "output", "precision", default=17, kind=int)
-    if not 1 <= precision <= 17:
-        raise ConfigError("[output] precision", f"must be in [1, 17], got {precision}")
-    cfg_kw["precision"] = precision
     cfg_kw["basename"] = _get(cp, "output", "basename",
                               default=cfg_kw["experiment"].replace("-", "_"))
+
+
+# the sections each experiment reads besides [domain], [experiment] and [output];
+# a key in any other section stays unread, so it is rejected
+_READS = {
+    "solve": (_operator, _nonlinearity, _solver),
+    "exhaust": (_operator, _nonlinearity, _solver),
+    "thin-check": (_operator,),
+    "criterion": (_nonlinearity,),
+    "green": (_operator, _nonlinearity),
+    "verify": (),
+}
 
 
 def load_config(path: str) -> RunConfig:
@@ -320,12 +311,11 @@ def load_config(path: str) -> RunConfig:
         if not cp.has_section(need):
             raise ConfigError(f"[{need}]", "required section is missing")
 
-    kw = {}
-    _experiment_type(cp, kw)  # [domain] reads the exhaustion keys for exhaust only
+    # [domain] reads the exhaustion keys for exhaust only
+    kw = {"experiment": _get(cp, "experiment", "type", required=True, choices=_READS)}
     _domain(cp, kw)
-    _operator(cp, kw)
-    _nonlinearity(cp, kw)
-    _solver(cp, kw)
+    for read in _READS[kw["experiment"]]:
+        read(cp, kw)
     _experiment(cp, kw)
     _output(cp, kw)
     for sec in cp.sections():

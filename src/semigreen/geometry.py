@@ -31,7 +31,6 @@ __all__ = [
 
 _COMMENSURATE_RTOL = 1e-9
 DIMS = (1, 2)  # the box dimensions build_box_grid accepts
-SPACING_RULES = ("fixed", "halve")  # build_exhaustion: keep or halve the spacing per stage
 
 
 @dataclass(frozen=True)
@@ -225,48 +224,40 @@ def build_halfplane_truncation(radius: float, delta: float, spacing) -> Grid:
 
 def build_exhaustion(
     base_bbox,
-    growth_factor: float,
     n_stages: int,
-    spacing_rule: str = "fixed",
     *,
     spacing,
     anchor=None,
     halfplane: bool = False,
     delta: float | None = None,
 ) -> Exhaustion:
-    """Build a nested sequence of grids with geometrically growing boxes.
+    """Build nested grids whose box doubles per stage on one spacing: the
+    dyadic shells of Wiener's test at infinity.
 
     Parameters
     ----------
-    base_bbox : box of stage 0 (for halfplane mode: the scalar radius R_0).
-    growth_factor : box scale ratio between consecutive stages, > 1.
+    base_bbox : box of stage 0 (for halfplane mode: the scalar radius R_0);
+        stage n scales it by 2**n.
     n_stages : >= 2.
-    spacing_rule : "fixed" keeps the stage-0 spacing on every stage;
-        "halve" divides the spacing by 2 per stage. Both nest exactly.
-    spacing : stage-0 spacing.
+    spacing : spacing of every stage.
     anchor : point that must be a lattice node of stage 0. Defaults to the
         box center (halfplane mode: one spacing unit above the bottom
         face midpoint).
     halfplane : grow upper half-plane truncations instead of centered boxes.
-    delta : half-plane bottom offset; defaults to the stage-0 spacing.
+    delta : half-plane bottom offset; defaults to the spacing.
     """
-    if not growth_factor > 1:
-        raise ValueError(f"growth_factor must be > 1, got {growth_factor}")
     if n_stages < 2:
         raise ValueError(f"n_stages must be >= 2, got {n_stages}")
-    if spacing_rule not in SPACING_RULES:
-        raise ValueError(f"unknown spacing_rule {spacing_rule!r}; expected one of {SPACING_RULES}")
 
     stages = []
     for n in range(n_stages):
-        scale = growth_factor**n
-        h = spacing if spacing_rule == "fixed" else spacing / (2.0**n)
+        scale = 2.0**n
         if halfplane:
             r0 = float(np.asarray(base_bbox).ravel()[0])
             d = spacing if delta is None else delta
-            g = build_halfplane_truncation(r0 * scale, d, h)
+            g = build_halfplane_truncation(r0 * scale, d, spacing)
         else:
-            g = build_box_grid(np.asarray(base_bbox, dtype=float) * scale, h)
+            g = build_box_grid(np.asarray(base_bbox, dtype=float) * scale, spacing)
         stages.append(g)
 
     for inner, outer in zip(stages, stages[1:]):

@@ -320,14 +320,14 @@ class CheckVerdict:
         return self.margin >= 0
 
 
-def check_comparison(gop: GreenOperator, u, v, phi: Nonlinearity, boundary_gap: float = 0.0,
+def check_comparison(gop: GreenOperator, u, v, phi: Nonlinearity,
                      tol: float = 1e-9) -> CheckVerdict:
     """Discrete comparison check for Lu - phi(.,u) <= Lv - phi(.,v).
 
     Passes iff all three hold:
       residual premise   (Lu - phi(u)) <= (Lv - phi(v)) + tol at interior nodes,
-      boundary premise   u >= v - boundary_gap on the boundary,
-      conclusion         u >= v - boundary_gap - kappa*tol in the interior.
+      boundary premise   u >= v on the boundary,
+      conclusion         u >= v - kappa*tol in the interior.
     u and v take any form Grid.field accepts on the nodes.
     """
     grid = gop.grid
@@ -342,10 +342,10 @@ def check_comparison(gop: GreenOperator, u, v, phi: Nonlinearity, boundary_gap: 
     # violated row fails the check, and the margin is the slack difference - bound
     table = [
         (rv - ru, grid.interior_nodes, -tol, "residual premise violated"),
-        (u[grid.boundary_nodes] - v[grid.boundary_nodes], grid.boundary_nodes, -boundary_gap,
+        (u[grid.boundary_nodes] - v[grid.boundary_nodes], grid.boundary_nodes, 0.0,
          "boundary premise violated"),
-        (u[grid.interior_nodes] - v[grid.interior_nodes], grid.interior_nodes,
-         -(boundary_gap + kappa * tol), "interior conclusion violated"),
+        (u[grid.interior_nodes] - v[grid.interior_nodes], grid.interior_nodes, -kappa * tol,
+         "interior conclusion violated"),
     ]
     for diff, nodes, bound, reason in table:
         k = int(np.argmin(diff))

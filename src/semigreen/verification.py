@@ -170,7 +170,7 @@ def _criterion_monotone(rng) -> str:
 def _exhaustion_nesting():
     """One trial per stage of a single phi = 0 run: the stage solution and
     the harmonic majorant both reproduce the data 1."""
-    exh = build_exhaustion(2.0, 2.0, 3, spacing=0.25, halfplane=True, delta=0.25)
+    exh = build_exhaustion(2.0, 3, spacing=0.25, halfplane=True, delta=0.25)
     coeffs = EllipticCoefficients(zero_order_mode="c_zero")
     phi0 = Nonlinearity(phi=lambda p, t: np.zeros(p.shape[0]), differentiable=True)
     run = run_exhaustion(exh, coeffs, phi0, 1.0, tol=1e-11)

@@ -2,6 +2,7 @@ import csv
 import filecmp
 import importlib.util
 import os
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -11,10 +12,11 @@ import pytest
 
 import semigreen
 from semigreen import exhaustion
-from semigreen.cli import BLOCK_ROWS, _write_columns, main
-from semigreen.config import ConfigError, RunConfig, load_config
+from semigreen.cli import BLOCK_ROWS, FLOAT_FORMAT, _write_columns, main
+from semigreen.config import ConfigError, load_config
 from semigreen.solver import Nonlinearity, solve_U
 from semigreen.thinness import criterion_integral
+from semigreen.verification import run_suites
 
 CONFIGS = Path(__file__).resolve().parent.parent / "configs"
 
@@ -71,13 +73,12 @@ class TestLoadConfig:
         assert cfg.radius == pytest.approx(4.0)
         assert cfg.delta == pytest.approx(0.25)
         assert cfg.anchor == pytest.approx((0.0, 0.5))
-        assert cfg.exhaustion["factor"] == pytest.approx(2.0)
-        assert cfg.exhaustion["stages"] == 4
+        assert cfg.stages == 4
         assert cfg.scheme == "newton"
         assert cfg.experiment == "exhaust"
         assert cfg.basename == "thin_support"
         exh = cfg.build_exhaustion()
-        assert len(exh.stages) == 4
+        assert [g.bbox[0] for g in exh.stages] == [(-4, 4), (-8, 8), (-16, 16), (-32, 32)]
         assert exh.stages[-1].shape == (257, 257)
 
     def test_shipped_solve_config(self):
@@ -96,14 +97,8 @@ class TestLoadConfig:
         assert cfg.scheme == "sandwich"
         assert cfg.tol == pytest.approx(1e-10)
         assert cfg.max_iter == 200
-        assert cfg.precision == 17
         assert cfg.basename == "solve"
         assert cfg.coeffs.zero_order_mode == "c_nonpos"
-
-    def test_fmt_honors_precision(self, tmp_path):
-        ini = SOLVE_INI + "\n[output]\nprecision = 4\n"
-        cfg = load_config(write_ini(tmp_path, ini))
-        assert cfg.fmt(1 / 3) == "0.3333"
 
     def test_missing_file(self):
         with pytest.raises(ConfigError, match="cannot read"):
@@ -162,10 +157,6 @@ class TestLoadConfig:
     def test_bad_scheme(self, tmp_path):
         with pytest.raises(ConfigError, match=r"\[solver\] scheme"):
             load_config(write_ini(tmp_path, SOLVE_INI + "\n[solver]\nscheme = secant\n"))
-
-    def test_precision_range(self, tmp_path):
-        with pytest.raises(ConfigError, match="precision"):
-            load_config(write_ini(tmp_path, SOLVE_INI + "\n[output]\nprecision = 99\n"))
 
     @pytest.mark.parametrize("section, key", [
         ("domain", "spacng"),
@@ -249,10 +240,8 @@ class TestCliSolve:
         assert filecmp.cmp(a / "solve_log.csv", b / "solve_log.csv", shallow=False)
 
     def test_nonconvergence_exit_code(self, tmp_path):
-        cfg = write_ini(tmp_path, SOLVE_INI)
-        rc = main(["solve", "--config", cfg, "--out-dir", str(tmp_path),
-                   "--max-iter", "1", "--tol", "1e-14"])
-        assert rc == 3
+        cfg = write_ini(tmp_path, SOLVE_INI + "\n[solver]\nmax_iter = 1\ntol = 1e-14\n")
+        assert main(["solve", "--config", cfg, "--out-dir", str(tmp_path)]) == 3
 
     def test_exhaust_nonconvergence_exit_code(self, tmp_path, capsys):
         # a stage solve that stops at max_iter is a numerical failure of the run
@@ -320,7 +309,6 @@ halfplane = true
 radius = 2
 delta = 0.25
 anchor = 0, 0.5
-exhaustion.factor = 2
 exhaustion.stages = 2
 
 [nonlinearity]
@@ -333,6 +321,19 @@ scheme = newton
 [experiment]
 type = exhaust
 super_s = min(1, y^0.5)
+"""
+
+
+VERIFY_INI = """\
+[domain]
+dim = 1
+bbox = 0, 1
+spacing = 0.125
+
+[experiment]
+type = verify
+suites = comparison
+trials = 2
 """
 
 
@@ -365,8 +366,8 @@ def shipped_with(tmp_path, name, section, lines):
 class TestKeysOfAnotherDomain:
     @pytest.mark.parametrize("key", ["a22", "a12", "b2"])
     def test_1d_config_rejects_2d_operator_keys(self, tmp_path, capsys, key):
-        cfg = shipped_with(tmp_path, "green_interval", "operator", f"{key} = 3\n")
-        assert main(["green", "--config", cfg, "--out-dir", str(tmp_path)]) == 2
+        cfg = shipped_with(tmp_path, "cosh_benchmark", "operator", f"{key} = 3\n")
+        assert main(["solve", "--config", cfg, "--out-dir", str(tmp_path)]) == 2
         assert f"[operator] {key}: unknown key" in capsys.readouterr().err
 
     @pytest.mark.parametrize("line", ["anchor = 0.5", "exhaustion.stages = 3",
@@ -378,11 +379,82 @@ class TestKeysOfAnotherDomain:
         assert f"[domain] {key}: unknown key" in capsys.readouterr().err
 
 
+class TestOneSourcePerSetting:
+    """A setting that had no second value in use, or no effect on the run, is
+    gone: its key or flag exits 2 like any other unknown one."""
+
+    @pytest.mark.parametrize("section, line", [
+        ("domain", "exhaustion.factor = 2"),
+        ("domain", "exhaustion.spacing_rule = fixed"),
+        ("output", "precision = 17"),
+    ])
+    def test_removed_key_rejected(self, tmp_path, capsys, section, line):
+        cfg = shipped_with(tmp_path, "sqrt_decay", section, line + "\n")
+        where = f"[{section}] {line.split(' = ')[0]}: unknown key"
+        with pytest.raises(ConfigError, match=re.escape(where)):
+            load_config(cfg)
+        assert main(["exhaust", "--config", cfg, "--out-dir", str(tmp_path)]) == 2
+        assert where in capsys.readouterr().err
+        assert not list(tmp_path.glob("*.csv"))
+
+    @pytest.mark.parametrize("kind, name, flag", [
+        ("solve", "cosh_benchmark", ["--tol", "1e-3"]),
+        ("solve", "cosh_benchmark", ["--max-iter", "5"]),
+        ("green", "green_interval", ["--oracle", "interval"]),
+        ("solve", "cosh_benchmark", ["--seed", "1"]),
+        ("exhaust", "sqrt_decay", ["--seed", "1"]),
+        ("thin-check", "sqrt_witness", ["--seed", "1"]),
+        ("criterion", "strip_criterion", ["--seed", "1"]),
+        ("green", "green_interval", ["--seed", "1"]),
+    ], ids=["tol", "max_iter", "oracle", "seed_solve", "seed_exhaust", "seed_thin_check",
+            "seed_criterion", "seed_green"])
+    def test_removed_flag_rejected(self, tmp_path, capsys, kind, name, flag):
+        with pytest.raises(SystemExit) as ei:
+            main([kind, "--config", str(CONFIGS / f"{name}.ini"),
+                  "--out-dir", str(tmp_path)] + flag)
+        assert ei.value.code == 2
+        assert f"unrecognized arguments: {' '.join(flag)}" in capsys.readouterr().err
+        assert not list(tmp_path.glob("*.csv"))
+
+    def test_verify_takes_the_seed(self, tmp_path, monkeypatch):
+        seeds = []
+
+        def spy(names, seed, trials):
+            seeds.append(seed)
+            return run_suites(names=names, seed=seed, trials=trials)
+
+        monkeypatch.setattr("semigreen.cli.run_suites", spy)
+        cfg = write_ini(tmp_path, VERIFY_INI)
+        assert main(["verify", "--config", cfg, "--out-dir", str(tmp_path), "--seed", "3"]) == 0
+        assert main(["verify", "--config", cfg, "--out-dir", str(tmp_path)]) == 0
+        assert seeds == [3, 0]
+
+    @pytest.mark.parametrize("name, kind, section, lines", [
+        ("green_interval", "green", "experiment", "source = 0.5\n"),
+        ("strip_criterion", "criterion", "operator", "zero_order_mode = c_zero\n"),
+        ("sqrt_witness", "thin-check", "nonlinearity", "phi = 7 * max(t, 0)\n"),
+        ("verify", "verify", "operator", "zero_order_mode = c_zero\n"),
+        ("verify", "verify", "nonlinearity", "phi = 0\n"),
+        # both oracles are closed forms for the Laplacian
+        ("green_interval", "green", "operator", "a11 = 2\n"),
+        ("green_interval", "green", "operator", "b1 = 3\nc = -2\n"),
+    ], ids=["green_interval_source", "criterion_operator", "thin_check_nonlinearity",
+            "verify_operator", "verify_nonlinearity", "green_a11", "green_b1_c"])
+    def test_section_the_run_ignores_rejected(self, tmp_path, capsys, name, kind, section, lines):
+        text = VERIFY_INI if name == "verify" else (CONFIGS / f"{name}.ini").read_text()
+        header = f"[{section}]\n"
+        text = text.replace(header, header + lines) if header in text else \
+            f"{text}\n{header}{lines}"
+        cfg = write_ini(tmp_path, text)
+        assert main([kind, "--config", cfg, "--out-dir", str(tmp_path)]) == 2
+        key = lines.split(" = ")[0]
+        assert f"config error: [{section}] {key}: unknown key" in capsys.readouterr().err
+        assert not list(tmp_path.glob("*.csv"))
+
+
 class TestEnumeratedKeys:
     @pytest.mark.parametrize("name, kind, where, old, new", [
         ("green_interval", "green", "[domain] dim", "dim = 1", "dim = 3"),
-        ("sqrt_decay", "exhaust", "[domain] exhaustion.spacing_rule", "exhaustion.stages = 4",
-         "exhaustion.stages = 4\nexhaustion.spacing_rule = third"),
         ("green_interval", "green", "[operator] zero_order_mode",
          "zero_order_mode = c_zero", "zero_order_mode = c_pos"),
         ("sqrt_decay", "exhaust", "[solver] scheme", "scheme = newton", "scheme = secant"),
@@ -391,7 +463,7 @@ class TestEnumeratedKeys:
          "kernel = ball"),
         ("green_interval", "green", "[experiment] oracle", "oracle = interval",
          "oracle = sphere"),
-    ], ids=["dim", "spacing_rule", "zero_order_mode", "scheme", "type", "kernel", "oracle"])
+    ], ids=["dim", "zero_order_mode", "scheme", "type", "kernel", "oracle"])
     def test_unknown_value_names_its_key(self, tmp_path, capsys, name, kind, where, old, new):
         text = (CONFIGS / f"{name}.ini").read_text()
         assert f"\n{old}\n" in text
@@ -493,9 +565,13 @@ class TestCliExperiments:
             self, tmp_path, capsys, monkeypatch):
         calls = []
         monkeypatch.setattr("semigreen.cli.factorize", lambda op: calls.append(op))
-        assert main(["green", "--config", str(CONFIGS / "green_halfplane.ini"),
-                     "--out-dir", str(tmp_path), "--oracle", "interval"]) == 2
-        assert "interval oracle needs a 1D grid" in capsys.readouterr().err
+        text = (CONFIGS / "green_halfplane.ini").read_text()
+        assert "oracle = halfplane\nsource = 0, 1\n" in text
+        cfg = write_ini(tmp_path, text.replace("oracle = halfplane\nsource = 0, 1\n",
+                                               "oracle = interval\n"))
+        assert main(["green", "--config", cfg, "--out-dir", str(tmp_path)]) == 2
+        assert ("config error: [experiment] oracle: interval oracle needs a 1D grid"
+                in capsys.readouterr().err)
         assert calls == []
 
     @pytest.mark.parametrize("source, message", [
@@ -653,13 +729,9 @@ EDGE_VALUES = [-0.0, 0.0, 5e-324, 2.2250738585072014e-308, 1e300, -1e300, 3, 10,
                float("nan"), float("inf"), float("-inf")]
 
 
-def output_config(precision=17):
-    return RunConfig(dim=1, spacing=0.5, precision=precision)
-
-
 def csv_writer_reference(path, header, rows):
     # the former row-by-row output: csv.writer fed strings made by
-    # format(value, f".{precision}g") one value at a time
+    # format(value, ".17g") one value at a time
     with open(path, "w", encoding="utf-8", newline="") as fh:
         w = csv.writer(fh, lineterminator="\n")
         w.writerow(header)
@@ -667,50 +739,43 @@ def csv_writer_reference(path, header, rows):
 
 
 class TestColumnWriter:
-    @pytest.mark.parametrize("precision", [1, 4, 17])
-    def test_bytes_match_the_csv_writer(self, tmp_path, precision):
-        cfg = output_config(precision)
+    def test_bytes_match_the_csv_writer(self, tmp_path):
         n = len(EDGE_VALUES)
         labels = [str(k) for k in range(n)]
         gaps = [""] * n
         columns = [labels, np.array(EDGE_VALUES, dtype=float), gaps,
                    np.array(EDGE_VALUES[::-1], dtype=float), np.arange(n) * 7]
-        _write_columns(str(tmp_path / "new.csv"), cfg, ["k", "a", "gap", "b", "m"], columns)
-        fmt = f".{precision}g"
-        rows = [[labels[k], format(EDGE_VALUES[k], fmt), "", format(EDGE_VALUES[n - 1 - k], fmt),
-                 format(7 * k, fmt)] for k in range(n)]
+        _write_columns(str(tmp_path / "new.csv"), ["k", "a", "gap", "b", "m"], columns)
+        rows = [[labels[k], format(EDGE_VALUES[k], ".17g"), "",
+                 format(EDGE_VALUES[n - 1 - k], ".17g"), format(7 * k, ".17g")] for k in range(n)]
         csv_writer_reference(str(tmp_path / "old.csv"), ["k", "a", "gap", "b", "m"], rows)
         assert (tmp_path / "new.csv").read_bytes() == (tmp_path / "old.csv").read_bytes()
-        assert [cfg.fmt(v) for v in EDGE_VALUES] == [format(v, fmt) for v in EDGE_VALUES]
+        assert [FLOAT_FORMAT % v for v in EDGE_VALUES] == [format(v, ".17g") for v in EDGE_VALUES]
 
     def test_precision_17_round_trips(self, tmp_path):
         values = np.concatenate([np.array(EDGE_VALUES, dtype=float),
                                  np.random.default_rng(5).standard_normal(200) * 1e5])
-        _write_columns(str(tmp_path / "v.csv"), output_config(), ["v"], [values])
+        _write_columns(str(tmp_path / "v.csv"), ["v"], [values])
         read = np.array([float(r[0]) for r in read_csv(tmp_path / "v.csv")[1:]])
         assert np.array_equal(read, values, equal_nan=True)
         assert np.array_equal(np.signbit(read), np.signbit(values))
 
-    @pytest.mark.parametrize("precision", [1, 4, 17])
-    def test_bytes_match_the_csv_writer_across_blocks(self, tmp_path, precision):
-        cfg = output_config(precision)
+    def test_bytes_match_the_csv_writer_across_blocks(self, tmp_path):
         n = 2 * BLOCK_ROWS + 123
-        values = np.random.default_rng(precision).standard_normal(n) * 1e3
+        values = np.random.default_rng(17).standard_normal(n) * 1e3
         values[BLOCK_ROWS - len(EDGE_VALUES) // 2:][:len(EDGE_VALUES)] = EDGE_VALUES
         labels = [str(k) for k in range(n)]
         statuses = ["pass" if k % 3 else "" for k in range(n)]
         columns = [labels, values, statuses, values[::-1].copy()]
-        _write_columns(str(tmp_path / "new.csv"), cfg, ["k", "a", "s", "b"], columns)
-        fmt = f".{precision}g"
-        rows = [[labels[k], format(values[k], fmt), statuses[k], format(values[n - 1 - k], fmt)]
-                for k in range(n)]
+        _write_columns(str(tmp_path / "new.csv"), ["k", "a", "s", "b"], columns)
+        rows = [[labels[k], format(values[k], ".17g"), statuses[k],
+                 format(values[n - 1 - k], ".17g")] for k in range(n)]
         csv_writer_reference(str(tmp_path / "old.csv"), ["k", "a", "s", "b"], rows)
         assert (tmp_path / "new.csv").read_bytes() == (tmp_path / "old.csv").read_bytes()
 
     def test_columns_of_unequal_length_rejected(self, tmp_path):
         with pytest.raises(ValueError):
-            _write_columns(str(tmp_path / "v.csv"), output_config(), ["a", "b"],
-                           [np.zeros(3), ["x", "y"]])
+            _write_columns(str(tmp_path / "v.csv"), ["a", "b"], [np.zeros(3), ["x", "y"]])
         assert not (tmp_path / "v.csv").exists()
 
 

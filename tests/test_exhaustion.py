@@ -34,7 +34,7 @@ STRIP_OFF = Nonlinearity(
 
 
 def halfplane_exh(r0=2.0, stages=3, h=0.25):
-    return build_exhaustion(r0, 2.0, stages, spacing=h, halfplane=True, delta=0.25)
+    return build_exhaustion(r0, stages, spacing=h, halfplane=True, delta=0.25)
 
 
 def sqrt_cap(pts):
@@ -70,7 +70,7 @@ class TestRunExhaustion:
         assert max(r.final_identity_residual for r in run.reports) <= 1e-10
 
     def test_interval_exhaustion(self):
-        exh = build_exhaustion((-1.0, 1.0), 2.0, 3, spacing=0.125, anchor=(0.0,))
+        exh = build_exhaustion((-1.0, 1.0), 3, spacing=0.125, anchor=(0.0,))
         run = run_exhaustion(exh, LAPLACE, SQRT_N, 1.0, scheme="newton")
         assert np.all(np.diff(run.anchor_values) < 0)
         assert run.limit_estimate.shape == (run.stages[-1][0].n_nodes,)
@@ -200,7 +200,7 @@ class TestRunExhaustion:
 class TestWarmStart:
     def test_stages_start_from_the_previous_solution(self):
         # the base stage is wide enough to hold a dead core
-        exh = build_exhaustion(8.0, 2.0, 3, spacing=0.5, halfplane=True, delta=0.5)
+        exh = build_exhaustion(8.0, 3, spacing=0.5, halfplane=True, delta=0.5)
         tol = 1e-10
         run = run_exhaustion(exh, LAPLACE, SQRT_N, 1.0, tol=tol, scheme="newton")
         assert all(rep.dead_set_history[0] > 0 for rep in run.reports[1:])
@@ -398,7 +398,7 @@ class TestRefinementLadder:
             return vcycle(levels, lu, k, r)
 
         monkeypatch.setattr(multigrid, "_vcycle", counting)
-        exh = build_exhaustion(4.0, 2.0, 2, spacing=h, halfplane=True, delta=0.25,
+        exh = build_exhaustion(4.0, 2, spacing=h, halfplane=True, delta=0.25,
                                anchor=(0.0, 0.5))
         run = run_exhaustion(exh, LAPLACE, SQRT_N, 1.0, scheme="newton")
         assert [rep.status for rep in run.reports] == ["converged"] * 2

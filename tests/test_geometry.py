@@ -115,82 +115,64 @@ class TestIndexOf:
 
 class TestExhaustion:
     def test_boxes_grow_geometrically(self):
-        exh = build_exhaustion(((-1, 1), (-1, 1)), 2.0, 3, spacing=0.5)
+        # each stage doubles the box on the stage-0 spacing
+        exh = build_exhaustion(((-1, 1), (-1, 1)), 3, spacing=0.5)
         boxes = [g.bbox for g in exh.stages]
         assert boxes[0] == ((-1, 1), (-1, 1))
         assert boxes[1] == ((-2, 2), (-2, 2))
         assert boxes[2] == ((-4, 4), (-4, 4))
-
-    def test_growth_factor_one_rejected(self):
-        with pytest.raises(ValueError, match="growth_factor"):
-            build_exhaustion(((-1, 1), (-1, 1)), 1.0, 3, spacing=0.5)
+        assert [g.spacing for g in exh.stages] == [(0.5, 0.5)] * 3
+        assert [g.shape for g in exh.stages] == [(5, 5), (9, 9), (17, 17)]
 
     def test_halfplane_mode_boxes(self):
-        exh = build_exhaustion(4.0, 2.0, 3, spacing=0.25, halfplane=True)
+        exh = build_exhaustion(4.0, 3, spacing=0.25, halfplane=True)
         assert exh.stages[0].bbox == ((-4.0, 4.0), (0.25, 8.25))
         assert exh.stages[1].bbox == ((-8.0, 8.0), (0.25, 16.25))
         assert exh.stages[2].bbox == ((-16.0, 16.0), (0.25, 32.25))
         # default anchor one spacing above the bottom face midpoint
         assert exh.anchor == (0.0, 0.5)
 
-    @pytest.mark.parametrize("n_stages, rule, message", [
-        (1, "fixed", "n_stages must be >= 2, got 1"),
-        (3, "third", "unknown spacing_rule 'third'"),
-    ], ids=["one_stage", "spacing_rule"])
-    def test_bad_stage_plan_rejected(self, n_stages, rule, message):
-        with pytest.raises(ValueError, match=message):
-            build_exhaustion(((-1, 1), (-1, 1)), 2.0, n_stages, rule, spacing=0.5)
+    @pytest.mark.parametrize("n_stages", [1, 0], ids=["one_stage", "no_stage"])
+    def test_bad_stage_plan_rejected(self, n_stages):
+        with pytest.raises(ValueError, match=f"n_stages must be >= 2, got {n_stages}"):
+            build_exhaustion(((-1, 1), (-1, 1)), n_stages, spacing=0.5)
 
     def test_interior_counts_increase(self):
-        exh = build_exhaustion(((-1, 1), (-1, 1)), 2.0, 4, spacing=0.25)
+        exh = build_exhaustion(((-1, 1), (-1, 1)), 4, spacing=0.25)
         counts = [g.n_interior for g in exh.stages]
         assert all(a < b for a, b in zip(counts, counts[1:]))
 
     def test_misaligned_stage_lattices_rejected(self):
         # stage 1 spans [-1.2, 0.8]: stage 0's node -0.6 sits 2.4 cells into it
         with pytest.raises(ValueError, match=r"point \(-0.6,\) is not a lattice node"):
-            build_exhaustion((-0.6, 0.4), 2.0, 2, spacing=0.25)
+            build_exhaustion((-0.6, 0.4), 2, spacing=0.25)
 
     def test_stage_box_not_containing_the_previous_rejected(self):
         # stage 1 spans [2, 4] and misses stage 0's nodes below 2
         with pytest.raises(ValueError, match=r"point \(1.0,\) is not a lattice node"):
-            build_exhaustion((1.0, 2.0), 2.0, 2, spacing=0.25)
+            build_exhaustion((1.0, 2.0), 2, spacing=0.25)
 
     def test_anchor_must_be_shared_node(self):
         with pytest.raises(ValueError, match="lattice node"):
-            build_exhaustion(((-1, 1), (-1, 1)), 2.0, 2, spacing=0.5, anchor=(0.3, 0.0))
+            build_exhaustion(((-1, 1), (-1, 1)), 2, spacing=0.5, anchor=(0.3, 0.0))
 
-    def test_halve_rule_nests(self):
-        exh = build_exhaustion((0.0, 1.0), 2.0, 3, spacing_rule="halve", spacing=0.25, anchor=(0.5,))
-        hs = [g.spacing[0] for g in exh.stages]
-        assert hs == [0.25, 0.125, 0.0625]
-        oi = exh.stages[1].index_of(exh.stages[0].nodes)
-        np.testing.assert_allclose(exh.stages[0].nodes[:, 0], exh.stages[1].nodes[oi, 0])
-
-
-    def test_shared_nodes_2d_halve_rule(self):
-        exh = build_exhaustion(((-1, 1), (-0.5, 1.5)), 2.0, 3, spacing_rule="halve",
-                               spacing=0.5, anchor=(0.0, 0.5))
-        for inner, outer in zip(exh.stages, exh.stages[1:]):
-            oi = outer.index_of(inner.nodes)
-            np.testing.assert_array_equal(inner.nodes, outer.nodes[oi])
 
 class TestRestrict:
     def test_constant_restricts_to_constant(self):
-        exh = build_exhaustion(((-1, 1), (-1, 1)), 2.0, 2, spacing=0.5)
+        exh = build_exhaustion(((-1, 1), (-1, 1)), 2, spacing=0.5)
         big, small = exh.stages[1], exh.stages[0]
         out = restrict(np.full(big.n_nodes, 3.0), big, small)
         np.testing.assert_array_equal(out, 3.0)
 
     def test_coordinate_field_exact(self):
-        exh = build_exhaustion(((-2, 2), (-2, 2)), 2.0, 2, spacing=0.25)
+        exh = build_exhaustion(((-2, 2), (-2, 2)), 2, spacing=0.25)
         big, small = exh.stages[1], exh.stages[0]
         out = restrict(big.nodes[:, 0].copy(), big, small)
         # bit-identical, not merely close
         np.testing.assert_array_equal(out, small.nodes[:, 0])
 
     def test_field_of_another_length_rejected(self):
-        exh = build_exhaustion(((-1, 1), (-1, 1)), 2.0, 2, spacing=0.5)
+        exh = build_exhaustion(((-1, 1), (-1, 1)), 2, spacing=0.5)
         big, small = exh.stages[1], exh.stages[0]
         with pytest.raises(ValueError, match="field has 25 values, grid has 81 nodes"):
             restrict(np.zeros(small.n_nodes), big, small)
@@ -202,7 +184,7 @@ class TestRestrict:
             restrict(np.zeros(b.n_nodes), b, a)
 
     def test_halfplane_shared_nodes_exact(self):
-        exh = build_exhaustion(2.0, 2.0, 3, spacing=0.25, halfplane=True)
+        exh = build_exhaustion(2.0, 3, spacing=0.25, halfplane=True)
         f = exh.stages[2].nodes[:, 1] ** 2
         mid = restrict(f, exh.stages[2], exh.stages[1])
         small = restrict(mid, exh.stages[1], exh.stages[0])

@@ -246,7 +246,10 @@ class TestSolvePath:
     @pytest.mark.parametrize("path", sorted(CONFIGS.glob("*.ini")), ids=lambda p: p.stem)
     def test_shipped_configs_skip_lu(self, path, splu_calls):
         cfg = load_config(str(path))
-        factorize(assemble(cfg.grid(), cfg.coeffs))
+        if cfg.experiment == "criterion":
+            assert cfg.coeffs is None  # the criterion integral assembles no operator
+        else:
+            factorize(assemble(cfg.grid(), cfg.coeffs))
         assert splu_calls == []
 
     @pytest.mark.parametrize("case", sorted(NOT_SEPARABLE))

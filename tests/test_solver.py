@@ -358,13 +358,6 @@ class TestComparisonChecks:
         assert not verdict.passed
         assert "residual" in verdict.reason
 
-    def test_boundary_gap_allowance(self):
-        u1, _ = solve_U(self.gop, 1.0, RAMP, tol=1e-12)
-        u2, _ = solve_U(self.gop, 1.5, RAMP, tol=1e-12)
-        # the smaller solution dominates the larger one up to the data gap
-        assert check_comparison(self.gop, u1, u2, RAMP, boundary_gap=0.5).passed
-        assert not check_comparison(self.gop, u1, u2, RAMP, boundary_gap=0.4).passed
-
     def verdict(self, case):
         u1, _ = solve_U(self.gop, 1.0, RAMP, tol=1e-12)
         u2, _ = solve_U(self.gop, 1.5, RAMP, tol=1e-12)
@@ -379,16 +372,15 @@ class TestComparisonChecks:
             "pass": lambda: check_comparison(self.gop, u2, u1, RAMP),
             "residual": lambda: check_comparison(self.gop, u1 - dent, u1, RAMP),
             "boundary": lambda: check_comparison(self.gop, u1, u2, RAMP),
-            "gap": lambda: check_comparison(self.gop, u1, u2, RAMP, boundary_gap=0.4),
             "conclusion": lambda: check_comparison(self.gop, -dent, 0.0, falling),
             "monotone": lambda: check_monotone_in_data(self.gop, 1.0, 2.0, RAMP, tol=1e-9),
         }[case]()
 
     @pytest.mark.parametrize("case, reason", [
         ("pass", ""), ("residual", "residual premise violated"),
-        ("boundary", "boundary premise violated"), ("gap", "boundary premise violated"),
+        ("boundary", "boundary premise violated"),
         ("conclusion", "interior conclusion violated"), ("monotone", ""),
-    ], ids=["pass", "residual", "boundary", "gap", "conclusion", "monotone"])
+    ], ids=["pass", "residual", "boundary", "conclusion", "monotone"])
     def test_margin_is_negative_exactly_on_failure(self, case, reason):
         # the margin is the slack of the deciding inequality in every verdict
         v = self.verdict(case)

@@ -298,7 +298,7 @@ class TestNecessaryDirectionProbe:
     def confined_run(stages=4):
         phi = Nonlinearity(lambda p, t: (p[:, 1] > 1.0) * np.maximum(t, 0.0),
                            differentiable=True)
-        exh = build_exhaustion(2.0, 2.0, stages, spacing=0.25, halfplane=True, delta=0.25)
+        exh = build_exhaustion(2.0, stages, spacing=0.25, halfplane=True, delta=0.25)
         cap = lambda p: np.minimum(1.0, np.sqrt(p[:, 1]))
         return run_exhaustion(exh, LAPLACE, phi, cap, scheme="newton")
 
@@ -320,7 +320,7 @@ class TestNecessaryDirectionProbe:
 
     def test_flat_solution_rejected(self):
         zero = Nonlinearity(lambda p, t: np.zeros(p.shape[0]), differentiable=True)
-        exh = build_exhaustion(2.0, 2.0, 3, spacing=0.25, halfplane=True, delta=0.25)
+        exh = build_exhaustion(2.0, 3, spacing=0.25, halfplane=True, delta=0.25)
         run = run_exhaustion(exh, LAPLACE, zero, 1.0)
         assert run.triviality_verdict == "nontrivial"
         with pytest.raises(ValueError, match="no valid"):
