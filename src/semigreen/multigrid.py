@@ -16,8 +16,9 @@ Stat. Comput. 4(4), 1983):
 * per solve, P_f = P[free rows][:, kept], where a coarse column is kept only
   when its injection node (its entry 1) is free: P_f then has full column
   rank and every coarse operator P_f^T A P_f is SPD. A level restricts with
-  the CSC view P_f.T on P_f's arrays; the CSR copy of P_f^T lives only for
-  the Galerkin product that forms the next level;
+  the CSR copy R = P_f^T and prolongs with R.T, the CSC view on R's
+  arrays; the CSR P_f lives only for the Galerkin product that forms the
+  next level;
 * damped Jacobi (OMEGA, SWEEPS before and after the coarse correction),
   and a sparse LU on the coarsest level (COARSEST unknowns or fewer);
 * CG gives up, and the caller takes its LU, after MAX_ITER iterations or
@@ -80,16 +81,15 @@ def pcg(J, free: np.ndarray, b: np.ndarray, prolong: list, tol: float):
     when it stalls (STALL_WINDOW iterations cut the residual by less than
     STALL_FALL), when the coarsest operator cannot be factorized, or when
     CG breaks down: the caller then solves with its LU."""
-    x = np.zeros_like(b)
     if not b.any():
-        return x
+        return np.zeros_like(b)
     J = J.T  # CSR view: J is symmetric
     levels, coarsest = _hierarchy(J, free, prolong)
     try:
         lu = spla.splu(coarsest.tocsc())
     except RuntimeError:  # singular to working precision
         return None
-    r = b.copy()
+    x, r = np.zeros_like(b), b.copy()
     # ||r||_2 of the last STALL_WINDOW + 1 iterations, oldest first
     norms = deque([math.sqrt((b * b).sum())], maxlen=STALL_WINDOW + 1)
     stop = RTOL * tol * norms[0]
@@ -118,10 +118,11 @@ def pcg(J, free: np.ndarray, b: np.ndarray, prolong: list, tol: float):
 
 def _hierarchy(A, free, prolong):
     """Levels (A, OMEGA / diag A, P_f, P_f^T), finest first, and the
-    coarsest operator; A is CSR. The restriction P_f^T is the CSC view
-    Pf.T on P_f's arrays: its matvec adds each coarse entry's terms in
-    ascending fine index, as a CSR row does. The CSR copy of P_f^T lives
-    only for the Galerkin product that forms the next level."""
+    coarsest operator; A is CSR. The restriction R = P_f^T is a CSR copy,
+    and the prolongation is R.T, the CSC view on R's arrays: its matvec
+    adds each fine entry's terms in ascending coarse index, as a CSR row
+    of P_f does. The CSR P_f lives only for the Galerkin product that
+    forms the next level."""
     levels = []
     for P, inj in prolong:
         if A.shape[0] <= COARSEST:
@@ -130,8 +131,9 @@ def _hierarchy(A, free, prolong):
         if not kept.any():
             break
         Pf = P[np.flatnonzero(free)][:, np.flatnonzero(kept)]
-        levels.append((A, OMEGA / A.diagonal(), Pf, Pf.T))
-        A = Pf.T.tocsr() @ (A @ Pf)
+        R = Pf.T.tocsr()
+        levels.append((A, OMEGA / A.diagonal(), R.T, R))
+        A = R @ (A @ Pf)
         free = kept
     return levels, A
 

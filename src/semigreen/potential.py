@@ -14,9 +14,11 @@ interior (one diagonal value and one neighbour coupling per axis, nothing
 else; constant a_ii and c, no drift, no cross term), the DST-I diagonalizes
 it exactly (Buzbee, Golub and Nielson, SIAM J. Numer. Anal. 7(4), 1970) and
 a solve is a forward transform, a division by the eigenvalues and an
-inverse transform. Every other K (drift, variable coefficients, a cross
-term) gets a sparse LU factorization. That is the only sparse LU of a Green
-solve.
+inverse transform. The DST-I runs on numpy's real FFT (_dstn), which is
+loaded at start-up and gives the bits of scipy's dstn; SciPy's FFT
+module is never imported. Every other K (drift, variable coefficients, a
+cross term) gets a sparse LU factorization. That is the only sparse LU of
+a Green solve.
 
 The newton scheme of solver.py hands each Jacobian K_II + diag(d)_I to
 GreenOperator.solve_jacobian first. On a separable K it is solved by
@@ -50,6 +52,7 @@ __all__ = [
 # the closed-form Green functions by name, and the dimension of the grid each lives
 # on: the oracles of `semigreen green` and the kernels of criterion_integral
 ORACLE_DIMS = {"interval": 1, "halfplane": 2}
+DST_BLOCK_ROWS = 32  # rows per rfft call of _dstn: a block of 511^2 rows stays in cache
 
 
 def _separable_eigenvalues(op: DiscreteOperator) -> np.ndarray:
@@ -66,6 +69,39 @@ def _separable_eigenvalues(op: DiscreteOperator) -> np.ndarray:
         k = np.arange(1, m[ax] + 1).reshape((-1,) + (1,) * (len(m) - ax - 1))
         lam = lam + 2.0 * neighbour[ax] * np.cos(math.pi * k / (m[ax] + 1))
     return lam
+
+
+def _dstn(x: np.ndarray, inverse: bool = False, out: np.ndarray | None = None) -> np.ndarray:
+    """DST-I over every axis of x, axis 0 first, written to out (a new array
+    by default; out may be x): SciPy's dstn(x, type=1), or with inverse
+    its idstn(x, type=1), bit for bit.
+
+    A DST-I of a row c of length m is the real DFT of its odd extension
+    (0, c, 0, -reversed c) of length 2(m + 1): its values are
+    -rfft(ext).imag[1:m + 1]. pocketfft computes scipy's DST-I that way,
+    and numpy.fft.rfft runs the same pocketfft. The inverse scales by
+    1 / prod(2(m + 1)) in the first pass only, as pocketfft does.
+    """
+    if out is None:
+        out = np.empty(x.shape)
+    fct = 1.0 / math.prod(2 * (m + 1) for m in x.shape) if inverse else 1.0
+    for ax, m in enumerate(x.shape):
+        # the rows along axis ax, as 2D views (no copy in dimension 1 and 2)
+        rows = np.moveaxis(x, ax, -1).reshape(-1, m)
+        dst = np.moveaxis(out, ax, -1).reshape(-1, m)
+        b = min(DST_BLOCK_ROWS, rows.shape[0])
+        ext = np.zeros((b, 2 * m + 2))  # columns 0 and m + 1 stay 0
+        spec = np.empty((b, m + 2), dtype=complex)
+        for i in range(0, rows.shape[0], b):
+            n = min(b, rows.shape[0] - i)
+            e = ext[:n]
+            e[:, 1:m + 1] = rows[i:i + n]
+            np.negative(e[:, m:0:-1], out=e[:, m + 2:])
+            np.fft.rfft(e, axis=-1, out=spec[:n])
+            # y * -fct is -(fct * y) bit for bit: rounding is symmetric in sign
+            np.multiply(spec.imag[:n, 1:m + 1], -fct, out=dst[i:i + n])
+        x, fct = out, 1.0
+    return out
 
 
 @dataclass
@@ -100,11 +136,9 @@ class GreenOperator:
         rhs = np.asarray(rhs, dtype=float)
         if self._lu is not None:
             return self._lu.solve(rhs)
-        import scipy.fft  # imported on first use: it adds to the CLI's start-up time
-
-        coef = scipy.fft.dstn(rhs.reshape(self._lam.shape), type=1)
+        coef = _dstn(rhs.reshape(self._lam.shape))
         coef /= self._lam
-        return scipy.fft.idstn(coef, type=1, overwrite_x=True).ravel()
+        return _dstn(coef, inverse=True, out=coef).ravel()
 
     def solve_jacobian(self, J, free: np.ndarray, rhs: np.ndarray, tol: float):
         """Newton's step J x = rhs, J = K_II + diag(d)_I with d >= 0 on the
@@ -114,7 +148,7 @@ class GreenOperator:
         factorizes J."""
         if self.op.stencil is None:
             return None
-        from . import multigrid  # imported on first use, as scipy.fft is
+        from . import multigrid  # imported on first use: it adds to the CLI's start-up time
 
         if self._prolong is None:
             self._prolong = multigrid.prolongations(tuple(n - 2 for n in self.grid.shape))

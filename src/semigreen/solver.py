@@ -216,7 +216,8 @@ def solve_U(
     Through each newton linear solve, solve_U holds only the boundary data,
     the interior points, H f, the iterate u and p = phi(u): start, and its
     interior copy, are dropped once the first iterate exists, and
-    G phi(u) once its residual is recorded.
+    G phi(u) once its residual is recorded. The step itself keeps no node
+    array between steps (see _newton_step).
     """
     if scheme not in SCHEMES:
         raise ValueError(f"unknown scheme {scheme!r}; expected one of {SCHEMES}")
@@ -240,7 +241,7 @@ def solve_U(
     del start  # neither the caller's start nor its interior copy is kept through the solve
     residuals, dead_sizes = [], []
     if scheme == "newton":
-        newton_step = _newton_step(gop, fb, pts, phi, tol, dead_sizes)
+        newton_step = _newton_step(gop, phi, tol, dead_sizes)
     w = 1.0 if scheme == "sandwich" else omega
 
     for it in range(max_iter + 1):
@@ -251,8 +252,8 @@ def solve_U(
         if not (np.isfinite(res) and res > tol) or it == max_iter:
             break
         if scheme == "newton":
-            del g  # the free-set step reads u and p = phi(u) only
-            u = newton_step(u, p)
+            del g  # the free-set step does not read G phi(u)
+            u = newton_step(u, p, fb, pts)
         else:  # damped Picard: u <- (1 - w) u + w T u, T u = hf - g
             u = (1.0 - w) * u + w * (hf - g)
 
@@ -260,24 +261,25 @@ def solve_U(
     return grid.join(u, fb), SolveReport(residuals, status, dead_sizes)
 
 
-def _newton_step(gop, fb, pts, phi, tol, dead_sizes):
-    """The free-set step of the module doc, as step(u, p) with p = phi(u);
-    appends the dead set size |A| of every step to dead_sizes. Through the
-    linear solve a step holds u, p, the dead and free sets, the right-hand
-    side and J: the slope, F(u) and diag K are formed in helpers and freed
-    before it, and solve_U drops G phi(u) before the step."""
+def _newton_step(gop, phi, tol, dead_sizes):
+    """The free-set step of the module doc, as step(u, p, fb, pts) with
+    p = phi(u), boundary data fb and interior points pts; appends the dead
+    set size |A| of every step to dead_sizes. Between steps it holds no node
+    array: B fb is formed per step. Through the linear solve a step holds u,
+    p, the dead set and free mask, the right-hand side and J: the slope,
+    B fb, F(u) and diag K are formed in helpers and freed before it, and
+    solve_U drops G phi(u) before the step."""
     K = gop.op.K
-    bf = gop.op.B @ fb
 
-    def step(u, p):
-        dead, free, rhs = _free_system(K, bf, u, p)
+    def step(u, p, fb, pts):
+        dead, free, rhs = _free_system(K, gop.op.B @ fb, u, p)
         dead_sizes.append(int(np.count_nonzero(dead)))
         # K.copy() is far cheaper than K[:, free][free], and steps without a dead core take
         # it; columns first is cheap on K's CSC and gives the same matrix as rows first
         J = K[:, free][free] if dead_sizes[-1] else K.copy()
         # in place: K stores each diagonal entry once
         J.setdiag(J.diagonal() + _slope(phi, pts, u, p)[free])
-        delta = gop.solve_jacobian(J, ~dead, rhs, tol)
+        delta = gop.solve_jacobian(J, free, rhs, tol)
         if delta is None:
             delta = spla.spsolve(J, rhs, permc_spec=ORDERING)
         new = np.zeros_like(u)
@@ -297,14 +299,14 @@ def _slope(phi, pts, u, p):
 
 
 def _free_system(K, bf, u, p):
-    """(A, I, rhs): the predicted dead set A = {u <= F(u) / diag K} as a
-    mask, with F(u) = K u + p - bf; the free set I (a slice of every node
-    when A is empty); and the right-hand side K_IA u_A - F_I."""
+    """(A, I, rhs): the predicted dead set A = {u <= F(u) / diag K} and the
+    free set I = ~A as boolean masks, with F(u) = K u + p - bf; and the
+    right-hand side K_IA u_A - F_I."""
     direct = K @ u + p - bf
     dead = u <= direct / K.diagonal()
+    free = ~dead
     if not dead.any():
-        return dead, slice(None), -direct
-    free = np.flatnonzero(~dead)
+        return dead, free, -direct
     return dead, free, (K @ np.where(dead, u, 0.0))[free] - direct[free]
 
 

@@ -711,8 +711,8 @@ class TestCliExperiments:
         assert "status=converged" in proc.stdout
 
     def test_import_leaves_fft_unloaded(self):
-        # scipy.fft is loaded by the first DST solve and semigreen.multigrid by
-        # newton's first step on a separable K, not at start-up
+        # semigreen.multigrid is loaded by newton's first step on a separable K,
+        # not at start-up; scipy.fft is never loaded (the DST-I runs on numpy.fft)
         proc = subprocess.run(
             [sys.executable, "-c", "import sys, semigreen.cli; "
              "print([m for m in ('scipy.fft', 'semigreen.multigrid') if m in sys.modules])"],
@@ -720,6 +720,23 @@ class TestCliExperiments:
         )
         assert proc.returncode == 0, proc.stderr
         assert proc.stdout.strip() == "[]"
+
+    def test_dst_solves_leave_scipy_fft_and_special_unloaded(self, tmp_path):
+        # an exhaust (newton on multigrid) and a green --compare run every Green solve
+        # as a DST-I; neither imports scipy.fft, nor scipy.special through it
+        exhaust = ["exhaust", "--config", str(CONFIGS / "sqrt_decay.ini"),
+                   "--out-dir", str(tmp_path)]
+        green = ["green", "--config", str(CONFIGS / "green_halfplane.ini"), "--compare",
+                 "--out-dir", str(tmp_path)]
+        proc = subprocess.run(
+            [sys.executable, "-c", "import sys; from semigreen.cli import main; "
+             f"assert main({exhaust!r}) == 0 and main({green!r}) == 0; "
+             "print([m for m in ('scipy.fft', 'scipy.special', 'semigreen.multigrid') "
+             "if m in sys.modules])"],
+            capture_output=True, text=True, env=child_env(),
+        )
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stdout.strip().splitlines()[-1] == "['semigreen.multigrid']"
 
 
 # every float form the CLI writes: signed zero, subnormal, huge, integral,

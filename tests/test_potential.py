@@ -10,6 +10,7 @@ from semigreen.config import load_config
 from semigreen.geometry import build_box_grid, build_halfplane_truncation
 from semigreen.operator import EllipticCoefficients, assemble
 from semigreen.potential import (
+    _dstn,
     factorize,
     green_potential,
     halfplane_green,
@@ -298,3 +299,24 @@ class TestSolvePath:
             x, ref = gop.solve(rhs), lu.solve(rhs)
             assert np.max(np.abs(x - ref)) <= 1e-12 * np.max(np.abs(ref))
             assert np.max(np.abs(op.K @ x - rhs)) <= 10.0 * np.max(np.abs(op.K @ ref - rhs))
+
+
+# every 1D length, and every 2D shape, on which _dstn is checked against scipy's DST-I
+DST_SHAPES = ([(m,) for m in (1, 2, 3, 7, 15, 23, 24, 31, 63, 100, 127, 255, 511, 1023)]
+              + [(a, b) for a in (7, 15, 31, 63, 127, 255) for b in (7, 15, 31, 63, 127, 255)]
+              + [(10, 17), (23, 41), (99, 100), (63, 255), (511, 511)])
+
+
+class TestDst:
+    @pytest.mark.parametrize("shape", DST_SHAPES, ids=lambda s: "x".join(map(str, s)))
+    def test_equals_scipy_bit_for_bit(self, shape):
+        # the reference transform: the package itself runs the DST-I on numpy.fft
+        import scipy.fft
+
+        x = np.random.default_rng(sum(shape)).standard_normal(shape)
+        assert np.array_equal(_dstn(x), scipy.fft.dstn(x, type=1))
+        inv = scipy.fft.idstn(x, type=1)
+        assert np.array_equal(_dstn(x, inverse=True), inv)
+        y = x.copy()
+        assert _dstn(y, inverse=True, out=y) is y
+        assert np.array_equal(y, inv)

@@ -720,8 +720,9 @@ class TestMultigridNewton:
             assert all(np.shares_memory(getattr(A, a), getattr(J, a))
                        for a in ("data", "indices", "indptr"))
 
-    def test_restriction_shares_the_prolongation_arrays(self, monkeypatch):
-        # every level restricts with P_f.T, a view on P_f's arrays, not a CSR copy
+    def test_prolongation_shares_the_restriction_arrays(self, monkeypatch):
+        # every level restricts with the CSR copy R of P_f^T and prolongs with R.T,
+        # a view on R's arrays, not a second copy
         levels_seen = []
         hierarchy = multigrid._hierarchy
 
@@ -735,8 +736,33 @@ class TestMultigridNewton:
         _, rep = solve_U(gop, 1.0, SQRT_N, tol=1e-10, scheme="newton")
         assert rep.status == "converged" and levels_seen
         for *_, P, R in levels_seen:
-            assert all(np.shares_memory(getattr(R, a), getattr(P, a))
+            assert all(np.shares_memory(getattr(P, a), getattr(R, a))
                        for a in ("data", "indices", "indptr"))
+
+    def test_step_keeps_no_node_array_between_steps(self, monkeypatch):
+        # the step forms B f per step and closes over no array; the free set is a mask
+        frees, steps = [], []
+        free_system, newton_step = solver._free_system, solver._newton_step
+
+        def spy_free_system(K, bf, u, p):
+            dead, free, rhs = free_system(K, bf, u, p)
+            frees.append((dead, free))
+            return dead, free, rhs
+
+        def spy_newton_step(*args):
+            steps.append(newton_step(*args))
+            return steps[-1]
+
+        monkeypatch.setattr(solver, "_free_system", spy_free_system)
+        monkeypatch.setattr(solver, "_newton_step", spy_newton_step)
+        _, gop = halfplane_sqrt(0.125, radius=4.0)
+        _, rep = solve_U(gop, 1.0, SQRT_N, tol=1e-10, scheme="newton")
+        assert rep.status == "converged" and max(rep.dead_set_history) > 0
+        [step] = steps
+        assert not any(isinstance(c.cell_contents, np.ndarray) for c in step.__closure__)
+        assert len(frees) == rep.iterations
+        for dead, free in frees:
+            assert free.dtype == bool and np.array_equal(free, ~dead)
 
     def test_hierarchy_is_freed_without_the_collector(self, monkeypatch):
         refs = []
