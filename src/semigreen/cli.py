@@ -211,8 +211,8 @@ def _build_parser():
 
 
 def _default_verify_config() -> RunConfig:
-    return RunConfig(dim=1, spacing=0.125, bbox=((0.0, 1.0),), experiment="verify",
-                     experiment_opts={"suites": None, "trials": 25}, basename="verify")
+    return RunConfig(experiment="verify", experiment_opts={"suites": None, "trials": 25},
+                     basename="verify")
 
 
 def main(argv=None) -> int:

@@ -1,10 +1,10 @@
 """Run-config parsing: flat INI sections -> validated model objects.
 
 Sections: [domain], [operator], [nonlinearity], [solver], [experiment],
-[output]. Every experiment reads [domain], [experiment] and [output], and
-_READS lists the other sections it reads. Every error names the offending
-"[section] key" so the CLI can map it to a validation exit; a key that no
-parser reads is an error too.
+[output]. _READS lists the sections each experiment reads: [domain] only
+where the run builds a grid (and for verify), since a criterion's dimension
+is its kernel's. Every error names the offending "[section] key" so the CLI
+can map it to a validation exit; a key that no parser reads is an error too.
 Expression values use the expr mini-language over the space variables
 expr.SPACE_VARS for fields, and over those and t for the nonlinearity.
 """
@@ -39,8 +39,8 @@ class RunConfig:
     """Validated run description; expression values are already turned
     into callables."""
 
-    dim: int
-    spacing: float
+    dim: int = None
+    spacing: float = None  # None where the run builds no grid (criterion, verify's default)
     bbox: tuple = None  # ((lo,hi),...) or None in halfplane mode
     halfplane: bool = False
     radius: float = None
@@ -218,7 +218,7 @@ def _solver(cp, cfg_kw):
 
 
 def _experiment(cp, cfg_kw):
-    dim, kind = cfg_kw["dim"], cfg_kw["experiment"]
+    dim, kind = cfg_kw.get("dim"), cfg_kw["experiment"]
     opts = {}
 
     if kind == "solve":
@@ -239,6 +239,7 @@ def _experiment(cp, cfg_kw):
         opts["margin"] = margin
     elif kind == "criterion":
         kernel = _get(cp, "experiment", "kernel", required=True, choices=ORACLE_DIMS)
+        cfg_kw["dim"] = dim = ORACLE_DIMS[kernel]  # read by [nonlinearity] phi too
         if kernel == "interval":
             pts = _floats(_get(cp, "experiment", "endpoints", required=True),
                           "[experiment] endpoints", 2)
@@ -255,8 +256,7 @@ def _experiment(cp, cfg_kw):
         opts["cell"] = _get(cp, "experiment", "cell", default=0.125, kind=float)
         raw = _get(cp, "experiment", "set_A")
         if raw is not None:
-            e = _parse_expr(raw, "[experiment] set_A", ORACLE_DIMS[kernel])
-            opts["set_A"] = _bind(e)
+            opts["set_A"] = _bind(_parse_expr(raw, "[experiment] set_A", dim))
         else:
             opts["set_A"] = None
     elif kind == "green":
@@ -283,15 +283,16 @@ def _output(cp, cfg_kw):
                               default=cfg_kw["experiment"].replace("-", "_"))
 
 
-# the sections each experiment reads besides [domain], [experiment] and [output];
-# a key in any other section stays unread, so it is rejected
+# every section each experiment reads, in order; a key in any other section stays
+# unread, so it is rejected. criterion reads [experiment] first, as its kernel sets
+# dim; verify reads a [domain] it never uses, which the benchmark's verify INI carries
 _READS = {
-    "solve": (_operator, _nonlinearity, _solver),
-    "exhaust": (_operator, _nonlinearity, _solver),
-    "thin-check": (_operator,),
-    "criterion": (_nonlinearity,),
-    "green": (_operator, _nonlinearity),
-    "verify": (),
+    "solve": (_domain, _operator, _nonlinearity, _solver, _experiment, _output),
+    "exhaust": (_domain, _operator, _nonlinearity, _solver, _experiment, _output),
+    "thin-check": (_domain, _operator, _experiment, _output),
+    "criterion": (_experiment, _nonlinearity, _output),
+    "green": (_domain, _operator, _nonlinearity, _experiment, _output),
+    "verify": (_domain, _experiment, _output),
 }
 
 
@@ -307,17 +308,12 @@ def load_config(path: str) -> RunConfig:
     for sec in cp.sections():
         if sec not in _SECTIONS:
             raise ConfigError(f"[{sec}]", f"unknown section; expected {_SECTIONS}")
-    for need in ("domain", "experiment"):
-        if not cp.has_section(need):
-            raise ConfigError(f"[{need}]", "required section is missing")
+    if not cp.has_section("experiment"):
+        raise ConfigError("[experiment]", "required section is missing")
 
-    # [domain] reads the exhaustion keys for exhaust only
     kw = {"experiment": _get(cp, "experiment", "type", required=True, choices=_READS)}
-    _domain(cp, kw)
     for read in _READS[kw["experiment"]]:
         read(cp, kw)
-    _experiment(cp, kw)
-    _output(cp, kw)
     for sec in cp.sections():
         for key in cp.options(sec):
             if (sec, key) not in cp.read_keys:

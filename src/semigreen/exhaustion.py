@@ -163,19 +163,18 @@ def _stage_data(n: int, op, s, shared, prev_u) -> tuple:
 
 
 def harmonic_majorant(exh: Exhaustion, coeffs: EllipticCoefficients, w, tol: float = 1e-9):
-    """Least-harmonic-majorant family of a solution field.
+    """Least-harmonic-majorant family of a solution field: the harmonic
+    extension h_n of w on every stage n.
 
-    w: either one field on the final stage (restricted down internally) or a
-    list of per-stage fields. Returns (family, h_N); the family is checked
-    to be increasing in n on shared nodes.
+    w takes any form Grid.field accepts on the final stage, and is
+    restricted from there to each stage. Returns the family [h_0, ..., h_N],
+    checked to be increasing in n on shared nodes.
     """
-    if isinstance(w, np.ndarray):
-        w = [restrict(w, exh.stages[-1], g) for g in exh.stages]
-    elif len(w) != len(exh.stages):
-        raise ValueError(f"expected {len(exh.stages)} stage fields, got {len(w)}")
+    final = exh.stages[-1]
+    w = final.field(w, name="w")
     family = []
-    for n, (grid, wn) in enumerate(zip(exh.stages, w)):
-        h = harmonic_extension(factorize(assemble(grid, coeffs)), wn)
+    for n, grid in enumerate(exh.stages):
+        h = harmonic_extension(factorize(assemble(grid, coeffs)), restrict(w, final, grid))
         if family:
             shared = grid.index_of(exh.stages[n - 1].nodes)
             defect = float(np.min(h[shared] - family[-1]))
@@ -184,7 +183,7 @@ def harmonic_majorant(exh: Exhaustion, coeffs: EllipticCoefficients, w, tol: flo
                     f"stage {n}: majorant family not increasing "
                     f"(drop {defect:.3e} beyond {tol:.1e})")
         family.append(h)
-    return family, family[-1]
+    return family
 
 
 @dataclass(frozen=True)

@@ -240,8 +240,6 @@ def solve_U(
     u = hf if start is None else np.minimum(hf, start)
     del start  # neither the caller's start nor its interior copy is kept through the solve
     residuals, dead_sizes = [], []
-    if scheme == "newton":
-        newton_step = _newton_step(gop, phi, tol, dead_sizes)
     w = 1.0 if scheme == "sandwich" else omega
 
     for it in range(max_iter + 1):
@@ -253,7 +251,8 @@ def solve_U(
             break
         if scheme == "newton":
             del g  # the free-set step does not read G phi(u)
-            u = newton_step(u, p, fb, pts)
+            u, n_dead = _newton_step(gop, phi, tol, u, p, fb, pts)
+            dead_sizes.append(n_dead)
         else:  # damped Picard: u <- (1 - w) u + w T u, T u = hf - g
             u = (1.0 - w) * u + w * (hf - g)
 
@@ -261,32 +260,27 @@ def solve_U(
     return grid.join(u, fb), SolveReport(residuals, status, dead_sizes)
 
 
-def _newton_step(gop, phi, tol, dead_sizes):
-    """The free-set step of the module doc, as step(u, p, fb, pts) with
-    p = phi(u), boundary data fb and interior points pts; appends the dead
-    set size |A| of every step to dead_sizes. Between steps it holds no node
-    array: B fb is formed per step. Through the linear solve a step holds u,
-    p, the dead set and free mask, the right-hand side and J: the slope,
-    B fb, F(u) and diag K are formed in helpers and freed before it, and
-    solve_U drops G phi(u) before the step."""
+def _newton_step(gop, phi, tol, u, p, fb, pts):
+    """The free-set step of the module doc from u, with p = phi(u), boundary
+    data fb and interior points pts: returns (new u, |A|). B fb is formed
+    here, so no node array lives between steps. Through the linear solve a
+    step holds u, p, the dead set and free mask, the right-hand side and J:
+    the slope, B fb, F(u) and diag K are formed in helpers and freed before
+    it, and solve_U drops G phi(u) before the step."""
     K = gop.op.K
-
-    def step(u, p, fb, pts):
-        dead, free, rhs = _free_system(K, gop.op.B @ fb, u, p)
-        dead_sizes.append(int(np.count_nonzero(dead)))
-        # K.copy() is far cheaper than K[:, free][free], and steps without a dead core take
-        # it; columns first is cheap on K's CSC and gives the same matrix as rows first
-        J = K[:, free][free] if dead_sizes[-1] else K.copy()
-        # in place: K stores each diagonal entry once
-        J.setdiag(J.diagonal() + _slope(phi, pts, u, p)[free])
-        delta = gop.solve_jacobian(J, free, rhs, tol)
-        if delta is None:
-            delta = spla.spsolve(J, rhs, permc_spec=ORDERING)
-        new = np.zeros_like(u)
-        new[free] = u[free] + delta
-        return np.where(new <= 0.0, THETA * u, new)
-
-    return step
+    dead, free, rhs = _free_system(K, gop.op.B @ fb, u, p)
+    n_dead = int(np.count_nonzero(dead))
+    # K.copy() is far cheaper than K[:, free][free], and steps without a dead core take
+    # it; columns first is cheap on K's CSC and gives the same matrix as rows first
+    J = K[:, free][free] if n_dead else K.copy()
+    # in place: K stores each diagonal entry once
+    J.setdiag(J.diagonal() + _slope(phi, pts, u, p)[free])
+    delta = gop.solve_jacobian(J, free, rhs, tol)
+    if delta is None:
+        delta = spla.spsolve(J, rhs, permc_spec=ORDERING)
+    new = np.zeros_like(u)
+    new[free] = u[free] + delta
+    return np.where(new <= 0.0, THETA * u, new), n_dead
 
 
 def _slope(phi, pts, u, p):

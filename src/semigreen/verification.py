@@ -174,7 +174,7 @@ def _exhaustion_nesting():
     coeffs = EllipticCoefficients(zero_order_mode="c_zero")
     phi0 = Nonlinearity(phi=lambda p, t: np.zeros(p.shape[0]), differentiable=True)
     run = run_exhaustion(exh, coeffs, phi0, 1.0, tol=1e-11)
-    family, _ = harmonic_majorant(exh, coeffs, run.limit_estimate)
+    family = harmonic_majorant(exh, coeffs, run.limit_estimate)
     for (_, u), h in zip(run.stages, family):
         bad = np.max(np.abs(u - 1.0)) > TOL or np.max(np.abs(h - 1.0)) > TOL
         yield "phi=0 run must reproduce the harmonic data" if bad else ""

@@ -1,5 +1,6 @@
 import csv
 import filecmp
+import hashlib
 import importlib.util
 import os
 import re
@@ -338,11 +339,6 @@ trials = 2
 
 
 CRITERION_INTERVAL_INI = """\
-[domain]
-dim = 1
-spacing = 0.25
-bbox = 0, 1
-
 [nonlinearity]
 phi = max(t, 0)
 
@@ -450,6 +446,37 @@ class TestOneSourcePerSetting:
         key = lines.split(" = ")[0]
         assert f"config error: [{section}] {key}: unknown key" in capsys.readouterr().err
         assert not list(tmp_path.glob("*.csv"))
+
+
+class TestCriterionReadsNoDomain:
+    """The criterion integral builds no grid: its dimension is its kernel's,
+    and a [domain] key in a criterion config is unknown."""
+
+    @pytest.mark.parametrize("line", ["dim = 2", "spacing = 0.25", "bbox = 0, 1, 0, 1",
+                                      "halfplane = true", "radius = 4", "delta = 0.25"])
+    def test_domain_key_rejected(self, tmp_path, capsys, line):
+        text = (CONFIGS / "strip_criterion.ini").read_text()
+        cfg = write_ini(tmp_path, f"[domain]\n{line}\n\n{text}")
+        assert main(["criterion", "--config", cfg, "--out-dir", str(tmp_path)]) == 2
+        key = line.split(" = ")[0]
+        assert f"config error: [domain] {key}: unknown key" in capsys.readouterr().err
+        assert not list(tmp_path.glob("*.csv"))
+
+    def test_interval_phi_takes_x_only(self, tmp_path):
+        bad = CRITERION_INTERVAL_INI.replace("phi = max(t, 0)", "phi = y * max(t, 0)")
+        with pytest.raises(ConfigError, match=re.escape("[nonlinearity] phi: unknown variables")):
+            load_config(write_ini(tmp_path, bad))
+        assert load_config(write_ini(tmp_path, CRITERION_INTERVAL_INI)).dim == 1
+
+    def test_halfplane_config_is_2d_and_writes_the_shipped_bytes(self, tmp_path):
+        path = CONFIGS / "strip_criterion.ini"
+        assert "[domain]" not in path.read_text()
+        assert load_config(str(path)).dim == 2
+        assert main(["criterion", "--config", str(path), "--out-dir", str(tmp_path)]) == 0
+        saved = load_script("output_digests").read_saved(
+            str(Path(__file__).with_name("output_digests.txt")))
+        body = (tmp_path / "strip_criterion.csv").read_bytes()
+        assert hashlib.sha256(body).hexdigest() == saved["strip_criterion.csv"]
 
 
 class TestEnumeratedKeys:

@@ -46,7 +46,7 @@ class TestRunExhaustion:
         exh = halfplane_exh()
         run = run_exhaustion(exh, LAPLACE, ZERO, 1.0)
         np.testing.assert_allclose(run.anchor_values, 1.0, atol=1e-12)
-        family, _ = harmonic_majorant(exh, LAPLACE, run.limit_estimate)
+        family = harmonic_majorant(exh, LAPLACE, run.limit_estimate)
         for (grid, u), h in zip(run.stages, family):
             np.testing.assert_allclose(u, 1.0, atol=1e-12)
             np.testing.assert_allclose(h, 1.0, atol=1e-12)
@@ -60,7 +60,7 @@ class TestRunExhaustion:
         assert np.all(np.diff(a) < 0)  # larger domain, more absorption seen
         assert run.sup_s == pytest.approx(1.0)
         final_grid = run.stages[-1][0]
-        family, _ = harmonic_majorant(exh, LAPLACE, run.limit_estimate)
+        family = harmonic_majorant(exh, LAPLACE, run.limit_estimate)
         for (grid, u), h in zip(run.stages, family):
             assert np.min(u) >= -1e-12
             assert np.max(u) <= run.sup_s + 1e-12
@@ -232,10 +232,9 @@ class TestHarmonicMajorant:
     def test_family_increases_and_dominates(self):
         exh = halfplane_exh()
         run = run_exhaustion(exh, LAPLACE, STRIP_OFF, sqrt_cap, scheme="newton")
-        family, h_final = harmonic_majorant(exh, LAPLACE, run.limit_estimate)
+        family = harmonic_majorant(exh, LAPLACE, run.limit_estimate)
         assert len(family) == len(exh.stages)
-        np.testing.assert_allclose(family[-1], h_final)
-        assert np.all(h_final >= run.limit_estimate - 1e-9)
+        assert np.all(family[-1] >= run.limit_estimate - 1e-9)
         for (g1, h1), (g2, h2) in zip(zip(exh.stages, family), zip(exh.stages[1:], family[1:])):
             shared = g2.index_of(g1.nodes)
             assert np.min(h2[shared] - h1) >= -1e-9
@@ -243,19 +242,28 @@ class TestHarmonicMajorant:
     def test_harmonic_input_is_its_own_majorant(self):
         exh = halfplane_exh()
         ones = np.ones(exh.stages[-1].n_nodes)
-        family, h_final = harmonic_majorant(exh, LAPLACE, ones)
-        np.testing.assert_allclose(h_final, 1.0, atol=1e-12)
+        family = harmonic_majorant(exh, LAPLACE, ones)
+        np.testing.assert_allclose(family[-1], 1.0, atol=1e-12)
 
-    def test_per_stage_input_length_checked(self):
+    def test_scalar_field_is_read_on_the_final_stage(self):
+        # w takes any form Grid.field accepts, a scalar included
         exh = halfplane_exh()
-        with pytest.raises(ValueError, match="stage fields"):
-            harmonic_majorant(exh, LAPLACE, [np.ones(g.n_nodes) for g in exh.stages[:-1]])
+        family = harmonic_majorant(exh, LAPLACE, 1.0)
+        assert [h.shape for h in family] == [(g.n_nodes,) for g in exh.stages]
+        for h in family:
+            np.testing.assert_allclose(h, 1.0, atol=1e-12)
+
+    def test_final_field_length_checked(self):
+        exh = halfplane_exh()
+        with pytest.raises(ValueError, match="w must be a scalar, a callable or a full node"):
+            harmonic_majorant(exh, LAPLACE, np.ones(exh.stages[-2].n_nodes))
 
     def test_decreasing_family_rejected(self):
+        # -y^2 is superharmonic, so each stage's extension lies below it, and below the
+        # extension on the stage before
         exh = halfplane_exh()
-        w = [c * np.ones(g.n_nodes) for c, g in zip((2.0, 1.0, 1.0), exh.stages)]
-        with pytest.raises(RuntimeError, match="not increasing"):
-            harmonic_majorant(exh, LAPLACE, w)
+        with pytest.raises(RuntimeError, match="stage 1: majorant family not increasing"):
+            harmonic_majorant(exh, LAPLACE, lambda p: -p[:, 1] ** 2)
 
 
 class TestCorrespondenceRoundtrip:
