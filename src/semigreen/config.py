@@ -193,7 +193,9 @@ def _operator(cp, cfg_kw):
 def _nonlinearity(cp, cfg_kw):
     dim = cfg_kw["dim"]
     raw = _get(cp, "nonlinearity", "phi")
-    differentiable = _get(cp, "nonlinearity", "differentiable", default=False, kind=bool)
+    # criterion never solves, so there the key stays unread
+    differentiable = (cfg_kw["experiment"] != "criterion"
+                      and _get(cp, "nonlinearity", "differentiable", default=False, kind=bool))
     if raw is None:
         cfg_kw["phi"] = Nonlinearity(phi=lambda p, t: 0.0, differentiable=True)
         return

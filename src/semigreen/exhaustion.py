@@ -1,18 +1,20 @@
 """Exhaustion-limit constructions on increasing domain families.
 
 Solves the absorption problem stage by stage with the same supersolution
-data, enforces the monotone-decrease law between consecutive stages, and
+data, each large stage started from its own solve at twice the spacing,
+enforces the monotone-decrease law between consecutive stages, and
 classifies the anchor trace as nontrivial / trivial_trend / undecided.
 harmonic_majorant builds the harmonic-majorant family of a field on demand.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
 
-from .geometry import Exhaustion, Grid, restrict
+from .geometry import Exhaustion, Grid, build_box_grid, restrict
 from .operator import EllipticCoefficients, apply, assemble, check_superharmonic, rounding_tol
 from .potential import condition_factor, factorize, harmonic_extension
 from .solver import Nonlinearity, solve_U
@@ -93,14 +95,12 @@ def run_exhaustion(
     discretization, not the math, is wrong. Only that kappa, kept as a
     number, outlives a stage: its operator is dropped before the next one
     is assembled.
-    Each stage after the first is warm-started (solve_U's start) from s with
-    the previous stage's solution written onto the shared nodes: by that
-    decrease it lies above the new solution, and on the new nodes H f <= s
-    leaves the start at H f.
-    s's node field is made once per stage, for the superharmonic check and
-    the start; while solve_U runs, the stage holds s on the boundary and no
-    node field, and solve_U drops the start, handed on in the call, once
-    its first iterate exists.
+    A stage large enough starts (solve_U's start) from the solve of the
+    same box at twice the spacing, itself started the same way (see
+    _coarse_start); a smaller one starts cold, from H f. Every coarse
+    operator and field is dropped before the stage's own solve, and s's
+    node field, made once per stage for the superharmonic check, too: while
+    solve_U runs, the stage holds s on the boundary only.
     """
     fields, reports = [], []
     slack = sup_s = -np.inf
@@ -111,14 +111,16 @@ def run_exhaustion(
             prev_kappa = condition_factor(gop)
             gop = None
         gop = factorize(assemble(grid, coeffs))
-        shared = None if prev_grid is None else grid.index_of(prev_grid.nodes)
-        sup, fb, start = _stage_data(n, gop.op, s, shared, fields[-1] if fields else None)
+        sup, fb = _stage_data(n, gop.op, s)
         sup_s = max(sup_s, sup)
-        # start is a one-item list emptied in the call, so the loop keeps no reference to it
+        # the start is made in the call, so the loop keeps no reference to it
+        # (keywords spelled out: a **-unpacked call would hold it in its dict)
         u, srep = solve_U(gop, fb, phi, tol=tol, max_iter=max_iter, scheme=scheme,
-                          start=start.pop())
+                          start=_coarse_start(f"stage {n}", gop, coeffs, phi, s,
+                                              tol=tol, max_iter=max_iter, scheme=scheme))
         srep.require_converged(f"stage {n}: solve")
         if prev_grid is not None:
+            shared = grid.index_of(prev_grid.nodes)
             defect = float(np.max(u[shared] - fields[-1]))
             slack = max(slack, defect)
             bound = prev_kappa * tol
@@ -141,25 +143,43 @@ def run_exhaustion(
     )
 
 
-def _stage_data(n: int, op, s, shared, prev_u) -> tuple:
-    """(max s, s on the boundary nodes, [start]) on stage n's grid, once s
-    is found superharmonic there. The start is None on the first stage
-    (shared None), else s with the previous stage's solution prev_u written
-    onto the shared nodes (the grid's indices of the previous grid's nodes)."""
-    grid = op.grid
-    sf = grid.field(s, name="supersolution s")
+def _stage_data(n: int, op, s) -> tuple:
+    """(max s, s on the boundary nodes) on stage n's grid, once s is found
+    superharmonic there."""
+    sf = op.grid.field(s, name="supersolution s")
     rep = check_superharmonic(op, sf, tol=SUPERHARMONIC_TOL)
     if not rep.passed:
         raise ValueError(
             f"stage {n}: supersolution data fails the superharmonic check "
             f"(residual {rep.max_residual:.3e} at node {rep.worst_node})"
         )
-    sup, fb = float(np.max(sf)), sf[grid.boundary_nodes]
-    if shared is None:
-        return sup, fb, [None]
-    start = sf.copy()  # sf may be a view on grid.nodes, as for s = lambda p: p[:, 1]
-    start[shared] = prev_u
-    return sup, fb, [start]
+    return float(np.max(sf)), sf[op.grid.boundary_nodes]
+
+
+def _coarse_start(what: str, gop, coeffs, phi, s, **solve_kw):
+    """solve_U's start on gop's grid by nested iteration (Brandt, Math.
+    Comp. 31, 1977): solve the same box at twice the spacing with data s on
+    its boundary, started the same way, and return H_h f - P (H_2h f - u_2h)
+    on the interior, P the prolongation of multigrid.prolongation, clipped
+    at 0 as the solution is nonnegative (newton's THETA rule keeps a
+    negative node negative). None (a cold start) unless every axis has an
+    even number of cells and the box at twice the spacing has more than
+    multigrid.COARSEST interior nodes. The coarse operator and fields are
+    dropped on return."""
+    from . import multigrid  # imported on first use, as by GreenOperator.solve_jacobian
+
+    grid = gop.grid
+    cells = [k - 1 for k in grid.shape]
+    if any(c % 2 for c in cells) or math.prod(c // 2 - 1 for c in cells) <= multigrid.COARSEST:
+        return None
+    coarse = factorize(assemble(build_box_grid(grid.bbox, [2 * h for h in grid.spacing]),
+                                coeffs))
+    u, rep = solve_U(coarse, s, phi, **solve_kw,
+                     start=_coarse_start(what, coarse, coeffs, phi, s, **solve_kw))
+    rep.require_converged(f"{what}: solve at spacing {coarse.grid.spacing}")
+    defect = (harmonic_extension(coarse, s) - u)[coarse.grid.interior_nodes]
+    P, _ = multigrid.prolongation(tuple(c - 1 for c in cells))
+    return np.maximum(harmonic_extension(gop, s)[grid.interior_nodes] - P @ defect, 0.0)
 
 
 def harmonic_majorant(exh: Exhaustion, coeffs: EllipticCoefficients, w, tol: float = 1e-9):

@@ -12,7 +12,8 @@ Stat. Comput. 4(4), 1983):
 
 * the whole-lattice prolongations, built once per operator, are Kronecker
   products of 1D linear interpolation; coarse node j of an axis of m
-  interior points sits at fine index 2j + 1, so an axis keeps m // 2 points;
+  interior points sits at fine index 2j + 1, so an axis keeps m // 2 points
+  (exhaustion.py prolongs its coarse solves with the same prolongation);
 * per solve, P_f = P[free rows][:, kept], where a coarse column is kept only
   when its injection node (its entry 1) is free: P_f then has full column
   rank and every coarse operator P_f^T A P_f is SPD. A level restricts with
@@ -50,26 +51,32 @@ STALL_WINDOW, STALL_FALL = 5, 10.0  # CG gives up when STALL_WINDOW iterations c
 
 
 def prolongations(m: tuple) -> list:
-    """(P, inj) per coarsening of the interior shape m, finest first: P maps
-    a coarse field to the finer one, and inj holds the fine index of each
-    coarse node. Coarsening stops at COARSEST unknowns or when an axis has
-    fewer than 3 points."""
+    """prolongation(m) of each coarsening of the interior shape m, finest
+    first. Coarsening stops at COARSEST unknowns or when an axis has fewer
+    than 3 points."""
     levels = []
     while math.prod(m) > COARSEST and min(m) >= 3:
-        mc = tuple(k // 2 for k in m)
-        P = sp.csr_matrix(np.ones((1, 1)))
-        for k, kc in zip(m, mc):
-            j = np.arange(kc)
-            rows = np.concatenate([2 * j + 1, 2 * j, 2 * j + 2])
-            vals = np.repeat([1.0, 0.5, 0.5], kc)
-            inside = rows < k
-            P1 = sp.csr_matrix((vals[inside], (rows[inside], np.tile(j, 3)[inside])),
-                               shape=(k, kc))
-            P = sp.kron(P, P1, format="csr")
-        inj = np.arange(math.prod(m)).reshape(m)[tuple(slice(1, 2 * kc, 2) for kc in mc)]
-        levels.append((P, inj.ravel()))
-        m = mc
+        levels.append(prolongation(m))
+        m = tuple(k // 2 for k in m)
     return levels
+
+
+def prolongation(m: tuple) -> tuple:
+    """(P, inj) for one coarsening of the interior shape m to m // 2 per
+    axis: P maps a coarse field to the finer one by 1D linear interpolation
+    on each axis, and inj holds the fine index of each coarse node."""
+    mc = tuple(k // 2 for k in m)
+    P = sp.csr_matrix(np.ones((1, 1)))
+    for k, kc in zip(m, mc):
+        j = np.arange(kc)
+        rows = np.concatenate([2 * j + 1, 2 * j, 2 * j + 2])
+        vals = np.repeat([1.0, 0.5, 0.5], kc)
+        inside = rows < k
+        P1 = sp.csr_matrix((vals[inside], (rows[inside], np.tile(j, 3)[inside])),
+                           shape=(k, kc))
+        P = sp.kron(P, P1, format="csr")
+    inj = np.arange(math.prod(m)).reshape(m)[tuple(slice(1, 2 * kc, 2) for kc in mc)]
+    return P, inj.ravel()
 
 
 def pcg(J, free: np.ndarray, b: np.ndarray, prolong: list, tol: float):

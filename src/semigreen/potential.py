@@ -86,9 +86,12 @@ def _dstn(x: np.ndarray, inverse: bool = False, out: np.ndarray | None = None) -
         out = np.empty(x.shape)
     fct = 1.0 / math.prod(2 * (m + 1) for m in x.shape) if inverse else 1.0
     for ax, m in enumerate(x.shape):
-        # the rows along axis ax, as 2D views (no copy in dimension 1 and 2)
+        # the rows along axis ax as 2D arrays: views, except along an inner axis
+        # (the middle one in dimension 3), where reshape copies; such a copy of
+        # out is written back after the pass
         rows = np.moveaxis(x, ax, -1).reshape(-1, m)
-        dst = np.moveaxis(out, ax, -1).reshape(-1, m)
+        moved = np.moveaxis(out, ax, -1)
+        dst = moved.reshape(-1, m)
         b = min(DST_BLOCK_ROWS, rows.shape[0])
         ext = np.zeros((b, 2 * m + 2))  # columns 0 and m + 1 stay 0
         spec = np.empty((b, m + 2), dtype=complex)
@@ -100,6 +103,8 @@ def _dstn(x: np.ndarray, inverse: bool = False, out: np.ndarray | None = None) -
             np.fft.rfft(e, axis=-1, out=spec[:n])
             # y * -fct is -(fct * y) bit for bit: rounding is symmetric in sign
             np.multiply(spec.imag[:n, 1:m + 1], -fct, out=dst[i:i + n])
+        if not np.may_share_memory(dst, out):
+            moved[...] = dst.reshape(moved.shape)
         x, fct = out, 1.0
     return out
 

@@ -34,12 +34,13 @@ schemes share one loop and differ only in the step it takes:
   falls back to that LU, which orders columns by minimum degree on
   A^T + A (ORDERING), as the Jacobian is structurally symmetric.
 
-Every scheme starts from min(H f, start); a start above the solution, such
-as the solution on a smaller domain with the same data, keeps the envelopes
-bracketing and lets newton predict the dead set from its first step. Each
-pass of the loop evaluates phi(u) and G phi(u), records the identity
-residual ||u + G phi(u) - H f||_inf of u, and stops when it is <= tol or
-not finite, or after max_iter steps; otherwise it takes the scheme's step.
+Every scheme starts from min(H f, start); a start above the solution keeps
+the envelopes bracketing, and a start near it, such as run_exhaustion's
+prolonged solve at twice the spacing, lets newton predict the dead set from
+its first step. Each pass of the loop evaluates phi(u) and G phi(u),
+records the identity residual ||u + G phi(u) - H f||_inf of u, and stops
+when it is <= tol or not finite, or after max_iter steps; otherwise it
+takes the scheme's step.
 So the returned field is always the one the last recorded residual
 describes, and SolveReport.iterations counts steps.
 """
@@ -204,10 +205,10 @@ def solve_U(
 
     Every scheme starts from min(H_D f, start) on the interior (H_D f when
     start is None); start takes any form Grid.field accepts on the
-    interior. It should lie above the solution for the sandwich envelopes
-    to bracket it: a solution on a smaller domain with the same
-    superharmonic data does, which is how run_exhaustion warm-starts each
-    stage.
+    interior. A start above the solution keeps the sandwich envelopes
+    bracketing it; none is needed for convergence, and run_exhaustion
+    hands each large stage the prolonged solve of its box at twice the
+    spacing, which may lie below the solution.
 
     Returns (u, SolveReport); u is a full node field with u = f on the
     boundary. Non-convergence is reported in SolveReport.status, not

@@ -257,7 +257,8 @@ class TestCliSolve:
         # a later stage above the previous one on shared nodes is a discretization failure
         def raised_solve(gop, f, phi, **kw):
             u, rep = solve_U(gop, f, phi, **kw)
-            return (u if kw["start"] is None else u + 1e-6), rep  # stage 1 on
+            # stage 1 on: stage 0 is the 17 x 17 grid
+            return (u if gop.grid.shape == (17, 17) else u + 1e-6), rep
 
         monkeypatch.setattr(exhaustion, "solve_U", raised_solve)
         cfg = write_ini(tmp_path, EXHAUST_INI)
@@ -449,8 +450,9 @@ class TestOneSourcePerSetting:
 
 
 class TestCriterionReadsNoDomain:
-    """The criterion integral builds no grid: its dimension is its kernel's,
-    and a [domain] key in a criterion config is unknown."""
+    """The criterion integral builds no grid and solves nothing: its
+    dimension is its kernel's, and a [domain] key or [nonlinearity]
+    differentiable in a criterion config is unknown."""
 
     @pytest.mark.parametrize("line", ["dim = 2", "spacing = 0.25", "bbox = 0, 1, 0, 1",
                                       "halfplane = true", "radius = 4", "delta = 0.25"])
@@ -460,6 +462,16 @@ class TestCriterionReadsNoDomain:
         assert main(["criterion", "--config", cfg, "--out-dir", str(tmp_path)]) == 2
         key = line.split(" = ")[0]
         assert f"config error: [domain] {key}: unknown key" in capsys.readouterr().err
+        assert not list(tmp_path.glob("*.csv"))
+
+    def test_differentiable_rejected(self, tmp_path, capsys):
+        text = (CONFIGS / "strip_criterion.ini").read_text()
+        assert "differentiable" not in text
+        text = text.replace("[nonlinearity]\n", "[nonlinearity]\ndifferentiable = true\n")
+        cfg = write_ini(tmp_path, text)
+        assert main(["criterion", "--config", cfg, "--out-dir", str(tmp_path)]) == 2
+        err = capsys.readouterr().err
+        assert "config error: [nonlinearity] differentiable: unknown key" in err
         assert not list(tmp_path.glob("*.csv"))
 
     def test_interval_phi_takes_x_only(self, tmp_path):

@@ -1,4 +1,5 @@
 import gc
+import re
 import weakref
 
 import numpy as np
@@ -119,7 +120,8 @@ class TestRunExhaustion:
 
 
     def test_earlier_stage_operators_are_freed_before_a_stage_solves(self, monkeypatch):
-        # only the previous stage's kappa, a number, outlives its operator
+        # only the previous stage's kappa, a number, outlives its operator, and a
+        # stage's coarse operator is dropped before the stage's own solve
         refs, alive = [], []
 
         def spy_factorize(op):
@@ -128,7 +130,7 @@ class TestRunExhaustion:
             return gop
 
         def spy_solve(gop, *args, **kw):
-            alive.append([r() is not None for r in refs[:-1]])
+            alive.append([r() is not None for r in refs if r() is not gop])
             return solve_U(gop, *args, **kw)
 
         monkeypatch.setattr(exhaustion, "factorize", spy_factorize)
@@ -138,15 +140,36 @@ class TestRunExhaustion:
             run = run_exhaustion(halfplane_exh(), LAPLACE, SQRT_N, 1.0, scheme="newton")
         finally:
             gc.enable()
-        assert len(run.stages) == len(refs) == 3
-        assert alive == [[], [False], [False, False]]
+        # stage 2 (64 x 64 cells) solves its box at twice the spacing first, while
+        # its own operator, assembled for the superharmonic check, waits
+        assert len(run.stages) == 3 and len(refs) == 4
+        assert alive == [[], [False], [False, False, True], [False, False, False]]
 
     def test_stage_fields_are_freed_before_the_first_newton_solve(self, monkeypatch):
-        # at each stage's first Newton solve the supersolution field, the warm
-        # start handed to solve_U and that iteration's G phi(u) are gone
-        sfs, starts, potentials, stages, alive = [], [], [], [], []
-        field, solve = Grid.field, GreenOperator.solve
-        solve_jacobian = GreenOperator.solve_jacobian
+        # at each stage's first Newton solve the supersolution field, the start
+        # handed to solve_U, that iteration's G phi(u), and every operator and
+        # field of the coarse solve that made the start are gone
+        exh = halfplane_exh()
+        stage_grids = [id(grid) for grid in exh.stages]
+        sfs, starts, potentials, coarse, stages, alive = [], [], [], [], [], []
+        field, join, solve = Grid.field, Grid.join, GreenOperator.solve
+        solve_jacobian, prolongation = GreenOperator.solve_jacobian, multigrid.prolongation
+
+        class SpyProlongation:
+            # P for multigrid's indexing; records P and the field of a product P @ x
+            def __init__(self, P):
+                self.P = P
+
+            def __getitem__(self, key):
+                return self.P[key]
+
+            def __matmul__(self, x):
+                coarse.extend([weakref.ref(self.P), weakref.ref(x)])
+                return self.P @ x
+
+        def spy_prolongation(m):
+            P, inj = prolongation(m)
+            return SpyProlongation(P), inj
 
         def spy_field(self, value, on="nodes", name="field"):
             out = field(self, value, on=on, name=name)
@@ -156,36 +179,48 @@ class TestRunExhaustion:
                 starts.append(weakref.ref(value))
             return out
 
+        def spy_join(self, interior, boundary=0.0):
+            out = join(self, interior, boundary)
+            if id(self) not in stage_grids:
+                coarse.append(weakref.ref(out))
+            return out
+
         def spy_solve(self, rhs):
             out = solve(self, rhs)
             potentials.append(weakref.ref(out))
+            if id(self.grid) not in stage_grids:
+                coarse.extend([weakref.ref(self), weakref.ref(out)])
             return out
 
         def spy_jacobian(self, J, free, rhs, tol):
-            if not stages or stages[-1]() is not self:
+            if id(self.grid) in stage_grids and (not stages or stages[-1]() is not self):
                 stages.append(weakref.ref(self))
                 alive.append((any(r() is not None for r in sfs),
                               any(r() is not None for r in starts),
-                              potentials[-1]() is not None))
+                              potentials[-1]() is not None,
+                              any(r() is not None for r in coarse)))
             return solve_jacobian(self, J, free, rhs, tol)
 
         monkeypatch.setattr(Grid, "field", spy_field)
+        monkeypatch.setattr(Grid, "join", spy_join)
         monkeypatch.setattr(GreenOperator, "solve", spy_solve)
         monkeypatch.setattr(GreenOperator, "solve_jacobian", spy_jacobian)
+        monkeypatch.setattr(multigrid, "prolongation", spy_prolongation)
         gc.disable()
         try:
-            run = run_exhaustion(halfplane_exh(), LAPLACE, SQRT_N, 1.0, scheme="newton")
+            run = run_exhaustion(exh, LAPLACE, SQRT_N, 1.0, scheme="newton")
         finally:
             gc.enable()
         assert len(run.stages) == len(alive) == 3
-        assert len(starts) == 2 and len(sfs) == 3
+        # only stage 2 (64 x 64 cells) is started from a coarse solve
+        assert len(starts) == 1 and len(sfs) == 3 and coarse
         # the start too: from CPython 3.11 (pyproject's floor) a caller does not
         # hold its call's arguments, so solve_U's drop frees it
-        assert alive == [(False, False, False)] * 3
+        assert alive == [(False, False, False, False)] * 3
 
     def test_coordinate_supersolution_leaves_the_stages_unchanged(self):
         # s = y is harmonic; its node field is a view on grid.nodes, into which
-        # the warm start must not write the previous stage's solution
+        # no stage may write
         exh = halfplane_exh()
         nodes = [grid.nodes.copy() for grid in exh.stages]
         run = run_exhaustion(exh, LAPLACE, SQRT_N, lambda p: p[:, 1], scheme="newton")
@@ -197,18 +232,41 @@ class TestRunExhaustion:
             assert np.array_equal(u, u_ref)
 
 
-class TestWarmStart:
-    def test_stages_start_from_the_previous_solution(self):
-        # the base stage is wide enough to hold a dead core
-        exh = build_exhaustion(8.0, 3, spacing=0.5, halfplane=True, delta=0.5)
+class TestCoarseStart:
+    def test_coarse_started_stage_beats_a_cold_solve(self):
+        # stage 0 (32 x 32 cells) starts cold: its box at twice the spacing has
+        # 15^2 <= multigrid.COARSEST interior nodes; stage 1 (64 x 64) does not
+        exh = build_exhaustion(4.0, 2, spacing=0.25, halfplane=True, delta=0.25)
         tol = 1e-10
         run = run_exhaustion(exh, LAPLACE, SQRT_N, 1.0, tol=tol, scheme="newton")
-        assert all(rep.dead_set_history[0] > 0 for rep in run.reports[1:])
-        for (grid, u), rep in zip(run.stages, run.reports):
+        colds = []
+        for grid, _ in run.stages:
             gop = factorize(assemble(grid, LAPLACE))
-            cold, cold_rep = solve_U(gop, 1.0, SQRT_N, tol=tol, scheme="newton")
-            assert rep.iterations == cold_rep.iterations
-            assert np.max(np.abs(u - cold)) <= condition_factor(gop) * tol
+            colds.append((gop, *solve_U(gop, 1.0, SQRT_N, tol=tol, scheme="newton")))
+        (_, cold0, rep0), (gop1, cold1, rep1) = colds
+        assert np.array_equal(run.stages[0][1], cold0)
+        assert run.reports[0].iterations == rep0.iterations
+        assert run.reports[1].iterations < rep1.iterations
+        assert np.max(np.abs(run.stages[1][1] - cold1)) <= condition_factor(gop1) * tol
+
+    def test_coarse_nonconvergence_names_stage_and_spacing(self):
+        # stage 0 converges in 12 steps; stage 1's box at spacing 0.5 needs 15
+        exh = build_exhaustion(4.0, 2, spacing=0.25, halfplane=True, delta=0.25)
+        with pytest.raises(NonConvergence, match=re.escape(
+                "stage 1: solve at spacing (0.5, 0.5) ended with status 'max_iter'")):
+            run_exhaustion(exh, LAPLACE, SQRT_N, 1.0, scheme="newton", max_iter=13)
+
+    @pytest.mark.parametrize("cells, coarse", [(41, False), (42, False), (44, True)])
+    def test_stopping_rule(self, cells, coarse):
+        # even cells on every axis, and more than COARSEST interior nodes at 2h:
+        # 20^2 = 400 stays cold, 21^2 = 441 does not
+        grid = build_box_grid(((0.0, cells / 4), (0.0, cells / 4)), 0.25)
+        gop = factorize(assemble(grid, LAPLACE))
+        start = exhaustion._coarse_start("stage 0", gop, LAPLACE, ZERO, 1.0,
+                                         tol=1e-10, max_iter=200, scheme="newton")
+        assert (start is not None) == coarse
+        if coarse:  # no absorption: the start is H f itself
+            np.testing.assert_allclose(start, 1.0, atol=1e-12)
 
 
 class TestTrendClassifier:
@@ -332,9 +390,9 @@ class TestCorrespondenceRoundtrip:
 
 
 class TestShippedNewtonRuns:
-    def test_thin_support_takes_two_steps_per_stage(self, shipped_run):
+    def test_thin_support_takes_one_step_on_each_coarse_started_stage(self, shipped_run):
         _, run, _ = shipped_run("thin_support")
-        assert [rep.iterations for rep in run.reports] == [2, 2, 2, 2]
+        assert [rep.iterations for rep in run.reports] == [2, 1, 1, 1]
 
     def test_sqrt_decay_anchors_and_verdict(self, shipped_run):
         # anchors of the projected-Newton runs this scheme replaced
@@ -346,6 +404,10 @@ class TestShippedNewtonRuns:
         assert np.all(np.abs(run.anchor_values - before) <= kappa * cfg.tol)
         assert run.triviality_verdict == "nontrivial"
         assert max(rep.iterations for rep in run.reports) <= 20
+
+    def test_sqrt_decay_takes_nine_steps_on_each_coarse_started_stage(self, shipped_run):
+        _, run, _ = shipped_run("sqrt_decay")
+        assert [rep.iterations for rep in run.reports] == [12, 9, 9, 9]
 
 
 class TestWallProfile:
@@ -395,20 +457,37 @@ class TestWallProfile:
 
 class TestRefinementLadder:
     """sqrt absorption, wall data 1, R = 4 and 8: Newton's steps and its
-    multigrid V-cycles per step barely grow as the grid is refined."""
+    multigrid V-cycles per step do not grow as the grid is refined."""
 
-    @pytest.mark.parametrize("h, steps", [(1 / 4, [12, 15]), (1 / 8, [14, 15])])
+    @staticmethod
+    def run(h):
+        exh = build_exhaustion(4.0, 2, spacing=h, halfplane=True, delta=0.25,
+                               anchor=(0.0, 0.5))
+        return run_exhaustion(exh, LAPLACE, SQRT_N, 1.0, scheme="newton")
+
+    @pytest.mark.parametrize("h, steps", [(1 / 4, [12, 9]), (1 / 8, [9, 9])])
     def test_newton_steps_and_vcycles(self, monkeypatch, h, steps):
-        vcycle, top_level = multigrid._vcycle, []
+        # V-cycles per step are bounded on every solve, the coarse ones included
+        vcycle, top_level, solves = multigrid._vcycle, [], []
 
         def counting(levels, lu, k, r):
             top_level.append(k == 0)
             return vcycle(levels, lu, k, r)
 
+        def spy_solve(gop, f, phi, **kw):
+            before = sum(top_level)
+            u, rep = solve_U(gop, f, phi, **kw)
+            solves.append((rep.iterations, sum(top_level) - before))
+            return u, rep
+
         monkeypatch.setattr(multigrid, "_vcycle", counting)
-        exh = build_exhaustion(4.0, 2, spacing=h, halfplane=True, delta=0.25,
-                               anchor=(0.0, 0.5))
-        run = run_exhaustion(exh, LAPLACE, SQRT_N, 1.0, scheme="newton")
+        monkeypatch.setattr(exhaustion, "solve_U", spy_solve)
+        run = self.run(h)
         assert [rep.status for rep in run.reports] == ["converged"] * 2
         assert [rep.iterations for rep in run.reports] == steps
-        assert sum(top_level) <= 12 * sum(steps)
+        assert all(v <= 12 * it for it, v in solves)
+
+    def test_later_stages_take_as_many_steps_on_the_finer_grid(self):
+        coarse, fine = self.run(1 / 4), self.run(1 / 8)
+        assert ([rep.iterations for rep in coarse.reports[1:]]
+                == [rep.iterations for rep in fine.reports[1:]])

@@ -301,10 +301,11 @@ class TestSolvePath:
             assert np.max(np.abs(op.K @ x - rhs)) <= 10.0 * np.max(np.abs(op.K @ ref - rhs))
 
 
-# every 1D length, and every 2D shape, on which _dstn is checked against scipy's DST-I
+# every 1D length, every 2D shape and the 3D shape on which _dstn is checked against scipy's DST-I
 DST_SHAPES = ([(m,) for m in (1, 2, 3, 7, 15, 23, 24, 31, 63, 100, 127, 255, 511, 1023)]
               + [(a, b) for a in (7, 15, 31, 63, 127, 255) for b in (7, 15, 31, 63, 127, 255)]
-              + [(10, 17), (23, 41), (99, 100), (63, 255), (511, 511)])
+              + [(10, 17), (23, 41), (99, 100), (63, 255), (511, 511)]
+              + [(7, 5, 9)])
 
 
 class TestDst:
