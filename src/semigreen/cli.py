@@ -115,8 +115,9 @@ def _cmd_thin_check(args, cfg: RunConfig) -> int:
 
 def _cmd_criterion(args, cfg: RunConfig) -> int:
     opts = cfg.experiment_opts
+    kw = {k: opts[k] for k in ("x0", "cell") if k in opts}  # else criterion's defaults
     rep = criterion_integral(opts["kernel"], cfg.phi, opts["c0"], opts["set_A"],
-                             opts["truncations"], x0=opts["x0"], cell=opts["cell"])
+                             opts["truncations"], **kw)
     n = len(rep.radii)
     # increments start on the second row, ratios on the third
     increments = [""] * min(n, 1) + [FLOAT_FORMAT % x for x in rep.increments]
@@ -210,11 +211,6 @@ def _build_parser():
     return p
 
 
-def _default_verify_config() -> RunConfig:
-    return RunConfig(experiment="verify", experiment_opts={"suites": None, "trials": 25},
-                     basename="verify")
-
-
 def main(argv=None) -> int:
     args = _build_parser().parse_args(argv)
     try:
@@ -224,8 +220,8 @@ def main(argv=None) -> int:
                 raise ConfigError("[experiment] type",
                                   f"config declares {cfg.experiment!r} but the "
                                   f"{args.command!r} subcommand was invoked")
-        elif args.command == "verify":
-            cfg = _default_verify_config()
+        elif args.command == "verify":  # every suite at the default trial count
+            cfg = load_config("<verify defaults>", "[experiment]\ntype = verify\n")
         else:
             raise ConfigError("--config", f"the {args.command} subcommand needs a config file")
         return _COMMANDS[args.command](args, cfg)

@@ -2,9 +2,10 @@
 
 Sections: [domain], [operator], [nonlinearity], [solver], [experiment],
 [output]. _READS lists the sections each experiment reads: [domain] only
-where the run builds a grid (and for verify), since a criterion's dimension
-is its kernel's. Every error names the offending "[section] key" so the CLI
-can map it to a validation exit; a key that no parser reads is an error too.
+where the run builds a grid (and for verify, when present), since a
+criterion's dimension is its kernel's. Every error names the offending
+"[section] key" so the CLI can map it to a validation exit; a key that no
+parser reads is an error too.
 Expression values use the expr mini-language over the space variables
 expr.SPACE_VARS for fields, and over those and t for the nonlinearity.
 """
@@ -40,7 +41,7 @@ class RunConfig:
     into callables."""
 
     dim: int = None
-    spacing: float = None  # None where the run builds no grid (criterion, verify's default)
+    spacing: float = None  # None where the run builds no grid (criterion, verify)
     bbox: tuple = None  # ((lo,hi),...) or None in halfplane mode
     halfplane: bool = False
     radius: float = None
@@ -149,6 +150,8 @@ def _get(cp, section, key, default=None, required=False, kind=str, choices=None)
 
 
 def _domain(cp, cfg_kw):
+    if cfg_kw["experiment"] == "verify" and not cp.has_section("domain"):
+        return  # verify builds no grid: its [domain] is optional
     dim = _get(cp, "domain", "dim", required=True, kind=int, choices=DIMS)
     spacing = _get(cp, "domain", "spacing", required=True, kind=float)
     halfplane = _get(cp, "domain", "halfplane", default=False, kind=bool)
@@ -246,21 +249,18 @@ def _experiment(cp, cfg_kw):
             pts = _floats(_get(cp, "experiment", "endpoints", required=True),
                           "[experiment] endpoints", 2)
             opts["kernel"] = ("interval", tuple(pts))
-            opts["x0"] = (_get(cp, "experiment", "anchor",
-                               default=(pts[0] + pts[1]) / 2.0, kind=float),)
         else:
             opts["kernel"] = "halfplane"
-            raw = _get(cp, "experiment", "anchor", default="0, 2")
-            opts["x0"] = tuple(_floats(raw, "[experiment] anchor", 2))
+        # x0 and cell only where the INI sets them: criterion_integral holds the defaults
+        if (raw := _get(cp, "experiment", "anchor")) is not None:
+            opts["x0"] = tuple(_floats(raw, "[experiment] anchor", dim))
         opts["c0"] = _get(cp, "experiment", "c0", required=True, kind=float)
         opts["truncations"] = _floats(_get(cp, "experiment", "truncations", required=True),
                                       "[experiment] truncations")
-        opts["cell"] = _get(cp, "experiment", "cell", default=0.125, kind=float)
+        if (cell := _get(cp, "experiment", "cell", kind=float)) is not None:
+            opts["cell"] = cell
         raw = _get(cp, "experiment", "set_A")
-        if raw is not None:
-            opts["set_A"] = _bind(_parse_expr(raw, "[experiment] set_A", dim))
-        else:
-            opts["set_A"] = None
+        opts["set_A"] = None if raw is None else _bind(_parse_expr(raw, "[experiment] set_A", dim))
     elif kind == "green":
         oracle = _get(cp, "experiment", "oracle", default="interval", choices=ORACLE_DIMS)
         if ORACLE_DIMS[oracle] != dim:
@@ -287,7 +287,7 @@ def _output(cp, cfg_kw):
 
 # every section each experiment reads, in order; a key in any other section stays
 # unread, so it is rejected. criterion reads [experiment] first, as its kernel sets
-# dim; verify reads a [domain] it never uses, which the benchmark's verify INI carries
+# dim; verify uses no [domain], but loads and validates one that is present
 _READS = {
     "solve": (_domain, _operator, _nonlinearity, _solver, _experiment, _output),
     "exhaust": (_domain, _operator, _nonlinearity, _solver, _experiment, _output),
@@ -298,11 +298,15 @@ _READS = {
 }
 
 
-def load_config(path: str) -> RunConfig:
+def load_config(path: str, text: str | None = None) -> RunConfig:
+    """The RunConfig of the INI file at path, or of text when it is given;
+    path then only names the config in errors."""
     cp = _Parser()
     try:
-        with open(path, "r", encoding="utf-8") as fh:
-            cp.read_file(fh)
+        if text is None:
+            with open(path, "r", encoding="utf-8") as fh:
+                text = fh.read()
+        cp.read_string(text, str(path))
     except OSError as exc:
         raise ConfigError(str(path), f"cannot read config: {exc}") from exc
     except configparser.Error as exc:

@@ -104,7 +104,7 @@ def run_exhaustion(
     """
     fields, reports = [], []
     slack = sup_s = -np.inf
-    prev_grid = gop = None
+    gop = None
     for n, grid in enumerate(exh.stages):
         if gop is not None:
             # the finished stage's kappa, read before its operator is dropped
@@ -119,8 +119,8 @@ def run_exhaustion(
                           start=_coarse_start(f"stage {n}", gop, coeffs, phi, s,
                                               tol=tol, max_iter=max_iter, scheme=scheme))
         srep.require_converged(f"stage {n}: solve")
-        if prev_grid is not None:
-            shared = grid.index_of(prev_grid.nodes)
+        if n:
+            shared = grid.index_of(exh.stages[n - 1].nodes)
             defect = float(np.max(u[shared] - fields[-1]))
             slack = max(slack, defect)
             bound = prev_kappa * tol
@@ -130,7 +130,6 @@ def run_exhaustion(
                     f"(allowed {bound:.3e}); discretization problem")
         fields.append(u)
         reports.append(srep)
-        prev_grid = grid
 
     return ExhaustionRun(
         stages=tuple(zip(exh.stages, fields)),
@@ -166,7 +165,7 @@ def _coarse_start(what: str, gop, coeffs, phi, s, **solve_kw):
     even number of cells and the box at twice the spacing has more than
     multigrid.COARSEST interior nodes. The coarse operator and fields are
     dropped on return."""
-    from . import multigrid  # imported on first use, as by GreenOperator.solve_jacobian
+    from . import multigrid  # imported on first use, as by solver.solve_free
 
     grid = gop.grid
     cells = [k - 1 for k in grid.shape]

@@ -270,8 +270,7 @@ def build_exhaustion(
         else:
             anchor = tuple((lo + hi) / 2.0 for lo, hi in g0.bbox)
     anchor = tuple(float(v) for v in np.atleast_1d(anchor))
-    for g in stages:
-        g.index_of(anchor)  # raises if the anchor is not a shared node
+    g0.index_of(anchor)  # raises unless a node of stage 0, so of every nested stage
     return Exhaustion(stages=tuple(stages), anchor=anchor)
 
 

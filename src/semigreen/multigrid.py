@@ -2,18 +2,19 @@
 
 On a separable K (GreenOperator's DST path) K is symmetric, so the Jacobian
 J = K_II + diag(d)_I of a free set I, with d >= 0, is symmetric positive
-definite. J arrives as the symmetric CSC matrix solver.py builds; its
-transpose J.T is the same matrix in CSR, a view on J's arrays, and CG and
-the finest level use it with no copy. CG solves J with one Galerkin
+definite. J arrives as the symmetric CSC matrix solver.solve_free builds;
+its transpose J.T is the same matrix in CSR, a view on J's arrays, and CG
+and the finest level use it with no copy. CG solves J with one Galerkin
 V-cycle per iteration as the preconditioner (Trottenberg, Oosterlee and
 Schueller, *Multigrid*, 2001), the hierarchy built on the free set only,
 as in multigrid for free-boundary problems (Brandt and Cryer, SIAM J. Sci.
 Stat. Comput. 4(4), 1983):
 
-* the whole-lattice prolongations, built once per operator, are Kronecker
-  products of 1D linear interpolation; coarse node j of an axis of m
-  interior points sits at fine index 2j + 1, so an axis keeps m // 2 points
-  (exhaustion.py prolongs its coarse solves with the same prolongation);
+* the whole-lattice prolongations, built once per operator (kept by
+  GreenOperator), are Kronecker products of 1D linear interpolation;
+  coarse node j of an axis of m interior points sits at fine index 2j + 1,
+  so an axis keeps m // 2 points (exhaustion.py prolongs its coarse
+  solves with the same prolongation);
 * per solve, P_f = P[free rows][:, kept], where a coarse column is kept only
   when its injection node (its entry 1) is free: P_f then has full column
   rank and every coarse operator P_f^T A P_f is SPD. A level restricts with

@@ -18,13 +18,8 @@ inverse transform. The DST-I runs on numpy's real FFT (_dstn), which is
 loaded at start-up and gives the bits of scipy's dstn; SciPy's FFT
 module is never imported. Every other K (drift, variable coefficients, a
 cross term) gets a sparse LU factorization. That is the only sparse LU of
-a Green solve.
-
-The newton scheme of solver.py hands each Jacobian K_II + diag(d)_I to
-GreenOperator.solve_jacobian first. On a separable K it is solved by
-multigrid-preconditioned CG (multigrid.py). On any other K, or when CG does
-not converge, the method returns None and solver.py factorizes the Jacobian
-with spla.spsolve.
+a Green solve; newton's linear step is solver.solve_free, which reads K
+and, on a separable K, GreenOperator.prolongations.
 """
 
 from __future__ import annotations
@@ -117,9 +112,8 @@ class GreenOperator:
     with a plus sign and L(G psi) = -psi. Building one picks the solve path
     from op.stencil: the DST-I when assemble recorded the separable
     constant-coefficient stencil (see _separable_eigenvalues), otherwise a
-    sparse LU factorization, the only one of a Green solve. The same
-    record selects multigrid CG for newton's Jacobian (solve_jacobian),
-    whose prolongations are built on first use and kept.
+    sparse LU factorization, the only one of a Green solve. On a separable
+    K it also keeps multigrid's prolongations (see prolongations).
     """
 
     op: DiscreteOperator
@@ -145,19 +139,14 @@ class GreenOperator:
         coef /= self._lam
         return _dstn(coef, inverse=True, out=coef).ravel()
 
-    def solve_jacobian(self, J, free: np.ndarray, rhs: np.ndarray, tol: float):
-        """Newton's step J x = rhs, J = K_II + diag(d)_I with d >= 0 on the
-        free set I (a boolean mask over the interior) as a CSC matrix, by
-        multigrid CG on J's own arrays (see multigrid.py). Returns None when
-        K is not separable or CG did not converge; the caller then
-        factorizes J."""
-        if self.op.stencil is None:
-            return None
-        from . import multigrid  # imported on first use: it adds to the CLI's start-up time
-
+    @property
+    def prolongations(self) -> list:
+        """multigrid.prolongations of the interior shape, built on first read."""
         if self._prolong is None:
+            from . import multigrid  # imported on first use: it adds to the CLI's start-up time
+
             self._prolong = multigrid.prolongations(tuple(n - 2 for n in self.grid.shape))
-        return multigrid.pcg(J, free, rhs, self._prolong, tol)
+        return self._prolong
 
     @property
     def grid(self):

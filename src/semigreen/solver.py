@@ -28,11 +28,10 @@ schemes share one loop and differ only in the step it takes:
   larger of an absolute-step and a relative-step secant; for concave phi
   this is tangent-quality, which keeps the descent monotone even on
   degenerate dead-core problems where an absolute step alone chatters.
-  The linear step is multigrid-preconditioned CG when K is separable
-  (op.stencil is not None; GreenOperator.solve_jacobian) and a sparse LU
-  otherwise. A step whose CG does not converge within its iteration cap
-  falls back to that LU, which orders columns by minimum degree on
-  A^T + A (ORDERING), as the Jacobian is structurally symmetric.
+  solve_free forms and solves every step's system: by multigrid CG when K
+  is separable (op.stencil is not None; multigrid.py), else, or when CG
+  does not converge, by a sparse LU that orders columns by minimum degree
+  on A^T + A (ORDERING), as the Jacobian is structurally symmetric.
 
 Every scheme starts from min(H f, start); a start above the solution keeps
 the envelopes bracketing, and a start near it, such as run_exhaustion's
@@ -63,6 +62,7 @@ __all__ = [
     "NonConvergence",
     "apply_T",
     "solve_U",
+    "solve_free",
     "check_comparison",
     "check_monotone_in_data",
 ]
@@ -265,23 +265,33 @@ def _newton_step(gop, phi, tol, u, p, fb, pts):
     """The free-set step of the module doc from u, with p = phi(u), boundary
     data fb and interior points pts: returns (new u, |A|). B fb is formed
     here, so no node array lives between steps. Through the linear solve a
-    step holds u, p, the dead set and free mask, the right-hand side and J:
-    the slope, B fb, F(u) and diag K are formed in helpers and freed before
-    it, and solve_U drops G phi(u) before the step."""
-    K = gop.op.K
-    dead, free, rhs = _free_system(K, gop.op.B @ fb, u, p)
-    n_dead = int(np.count_nonzero(dead))
-    # K.copy() is far cheaper than K[:, free][free], and steps without a dead core take
-    # it; columns first is cheap on K's CSC and gives the same matrix as rows first
-    J = K[:, free][free] if n_dead else K.copy()
-    # in place: K stores each diagonal entry once
-    J.setdiag(J.diagonal() + _slope(phi, pts, u, p)[free])
-    delta = gop.solve_jacobian(J, free, rhs, tol)
-    if delta is None:
-        delta = spla.spsolve(J, rhs, permc_spec=ORDERING)
+    step holds u, p, the dead set, the free mask and the right-hand side:
+    B fb, F(u) and diag K are freed in _free_system, the slope once
+    solve_free has put it on J, and solve_U drops G phi(u) before the step."""
+    dead, free, rhs = _free_system(gop.op.K, gop.op.B @ fb, u, p)
+    delta = solve_free(gop, free, _slope(phi, pts, u, p), rhs, tol)
     new = np.zeros_like(u)
     new[free] = u[free] + delta
-    return np.where(new <= 0.0, THETA * u, new), n_dead
+    return np.where(new <= 0.0, THETA * u, new), int(np.count_nonzero(dead))
+
+
+def solve_free(gop: GreenOperator, free, d, rhs, tol: float) -> np.ndarray:
+    """x with J x = rhs, J = (K + diag d)_FF on the free set F (a boolean mask
+    over the interior; d >= 0 per interior node): multigrid CG on J's own
+    arrays when K is separable, else, or when CG gives up, the LU."""
+    K = gop.op.K
+    # K.copy() is far cheaper than K[:, free][free], and steps without a dead core take
+    # it; columns first is cheap on K's CSC and gives the same matrix as rows first
+    J = K.copy() if free.all() else K[:, free][free]
+    J.setdiag(J.diagonal() + d[free])  # in place: K stores each diagonal entry once
+    del d
+    if gop.op.stencil is not None:
+        from . import multigrid  # imported on first use: it adds to the CLI's start-up time
+
+        x = multigrid.pcg(J, free, rhs, gop.prolongations, tol)
+        if x is not None:
+            return x
+    return spla.spsolve(J, rhs, permc_spec=ORDERING)
 
 
 def _slope(phi, pts, u, p):

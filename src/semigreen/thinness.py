@@ -183,7 +183,7 @@ def criterion_integral(
     c0: float,
     set_A,
     truncations,
-    x0=(0.0, 2.0),
+    x0=None,
     cell: float = 0.125,
 ) -> CriterionReport:
     """Accumulate the kernel-weighted absorption mass outside A.
@@ -194,6 +194,7 @@ def criterion_integral(
     predicate on points (nonzero means in A), or None for the empty set.
     truncations: increasing radii; each shell is a difference of
     cell-aligned regions, so values are nondecreasing by construction.
+    x0: the anchor; None means the interval's midpoint, or (0, 2) on the half-plane.
 
     The half-plane kernel's log singularity at x0 is handled by replacing
     the midpoint rule on cells touching x0 with the closed-form integral
@@ -214,7 +215,7 @@ def criterion_integral(
         return _criterion_interval(kernel[1], phi, c0, set_A, radii, x0, cell)
     if kernel != "halfplane":
         raise ValueError(f"unknown kernel {kernel!r}")
-    x0 = (float(x0[0]), float(x0[1]))
+    x0 = (0.0, 2.0) if x0 is None else (float(x0[0]), float(x0[1]))
     if x0[1] <= 0:
         raise ValueError(f"anchor must lie in the open half-plane, got y = {x0[1]}")
 
@@ -271,7 +272,7 @@ def _criterion_interval(endpoints, phi, c0, pred, radii, x0, cell):
     a, b = float(endpoints[0]), float(endpoints[1])
     if not (a < b):
         raise ValueError(f"bad interval endpoints ({a}, {b})")
-    x0s = float(np.atleast_1d(np.asarray(x0, dtype=float))[0])
+    x0s = (a + b) / 2.0 if x0 is None else float(np.atleast_1d(np.asarray(x0, dtype=float))[0])
     n = _cell_count(b - a, cell, "interval length")
     centers = a + (np.arange(n) + 0.5) * cell
     pts = centers[:, None]

@@ -721,6 +721,17 @@ class TestCliExperiments:
         out = capsys.readouterr().out
         assert "pass" in out
 
+    def test_verify_config_needs_no_domain(self, tmp_path, capsys):
+        # verify builds no grid: [domain] is optional, and validated when present
+        text = "[experiment]\ntype = verify\nsuites = comparison\ntrials = 2\n"
+        assert main(["verify", "--config", write_ini(tmp_path, text),
+                     "--out-dir", str(tmp_path)]) == 0
+        assert read_csv(tmp_path / "verify.csv")[1] == ["comparison", "2", "0", "pass"]
+        bad = VERIFY_INI.replace("dim = 1", "dim = 4")
+        assert main(["verify", "--config", write_ini(tmp_path, bad, name="bad.ini"),
+                     "--out-dir", str(tmp_path / "bad")]) == 2
+        assert "config error: [domain] dim: must be one of" in capsys.readouterr().err
+
     @pytest.mark.parametrize("trials", ["0", "-3"])
     def test_verify_trials_below_one_rejected(self, tmp_path, capsys, trials):
         # a verify run that runs no trial checks nothing

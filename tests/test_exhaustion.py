@@ -152,8 +152,9 @@ class TestRunExhaustion:
         exh = halfplane_exh()
         stage_grids = [id(grid) for grid in exh.stages]
         sfs, starts, potentials, coarse, stages, alive = [], [], [], [], [], []
+        solved = []  # the operator of the last Green solve: a Newton step's own
         field, join, solve = Grid.field, Grid.join, GreenOperator.solve
-        solve_jacobian, prolongation = GreenOperator.solve_jacobian, multigrid.prolongation
+        pcg, prolongation = multigrid.pcg, multigrid.prolongation
 
         class SpyProlongation:
             # P for multigrid's indexing; records P and the field of a product P @ x
@@ -188,23 +189,26 @@ class TestRunExhaustion:
         def spy_solve(self, rhs):
             out = solve(self, rhs)
             potentials.append(weakref.ref(out))
+            solved[:] = [weakref.ref(self)]
             if id(self.grid) not in stage_grids:
                 coarse.extend([weakref.ref(self), weakref.ref(out)])
             return out
 
-        def spy_jacobian(self, J, free, rhs, tol):
-            if id(self.grid) in stage_grids and (not stages or stages[-1]() is not self):
-                stages.append(weakref.ref(self))
+        def spy_pcg(J, free, rhs, prolong, tol):
+            # solve_U's last Green solve before a step is G phi(u) on the step's operator
+            gop = solved[0]()
+            if id(gop.grid) in stage_grids and (not stages or stages[-1]() is not gop):
+                stages.append(weakref.ref(gop))
                 alive.append((any(r() is not None for r in sfs),
                               any(r() is not None for r in starts),
                               potentials[-1]() is not None,
                               any(r() is not None for r in coarse)))
-            return solve_jacobian(self, J, free, rhs, tol)
+            return pcg(J, free, rhs, prolong, tol)
 
         monkeypatch.setattr(Grid, "field", spy_field)
         monkeypatch.setattr(Grid, "join", spy_join)
         monkeypatch.setattr(GreenOperator, "solve", spy_solve)
-        monkeypatch.setattr(GreenOperator, "solve_jacobian", spy_jacobian)
+        monkeypatch.setattr(multigrid, "pcg", spy_pcg)
         monkeypatch.setattr(multigrid, "prolongation", spy_prolongation)
         gc.disable()
         try:

@@ -569,19 +569,47 @@ class TestFreeSetNewton:
             assert rep.dead_set_history == []
 
 
+class TestSolveFree:
+    """solve_free with d = 0 solves K on the free set alone: the same call
+    serves Newton's step and a capacity solve on a masked set."""
+
+    @pytest.mark.parametrize("b1, lus", [(0.0, 0), (DRIFT, 1)], ids=["cg", "lu"])
+    def test_zero_slope_solves_K_on_the_free_set(self, monkeypatch, b1, lus):
+        sizes = []
+
+        class RecordingLinalg:
+            def spsolve(self, A, b, **kw):
+                sizes.append(A.shape[0])
+                return spla.spsolve(A, b, **kw)
+
+        grid, gop = halfplane_sqrt(0.25, radius=4.0, b1=b1)
+        pts = grid.nodes[grid.interior_nodes]
+        free = np.hypot(pts[:, 0], pts[:, 1] - 2.0) > 1.0  # a disk of the interior is masked
+        n_free = int(np.count_nonzero(free))
+        assert 0 < n_free < grid.n_interior
+        rhs = np.linspace(1.0, 2.0, n_free)
+        ref = spla.spsolve(gop.op.K[free][:, free], rhs)
+        monkeypatch.setattr(solver, "spla", RecordingLinalg())
+        x = solver.solve_free(gop, free, np.zeros(grid.n_interior), rhs, 1e-10)
+        # the separable K takes multigrid CG, the drift operator the LU
+        assert sizes == [n_free] * lus
+        assert np.max(np.abs(x - ref)) <= 1e-10 * np.max(np.abs(ref))
+
+
 class TestMultigridNewton:
-    """On a separable K, Newton's steps go to GreenOperator.solve_jacobian
-    (multigrid CG); the LU runs only for a step whose CG did not converge."""
+    """On a separable K, solver.solve_free solves Newton's steps by
+    multigrid CG (multigrid.pcg); the LU runs only for a step whose CG did
+    not converge."""
 
     @staticmethod
     def record(monkeypatch):
-        """(J, free, rhs, step) of every solve_jacobian call, and the size of
+        """(J, free, rhs, step) of every multigrid.pcg call, and the size of
         every spsolve system."""
         calls, lus = [], []
-        solve_jacobian = potential.GreenOperator.solve_jacobian
+        pcg = multigrid.pcg
 
-        def spy(self, J, free, rhs, tol):
-            x = solve_jacobian(self, J, free, rhs, tol)
+        def spy(J, free, rhs, prolong, tol):
+            x = pcg(J, free, rhs, prolong, tol)
             calls.append((J.copy(), free.copy(), rhs.copy(), x))
             return x
 
@@ -590,7 +618,7 @@ class TestMultigridNewton:
                 lus.append(A.shape[0])
                 return spla.spsolve(A, b, **kw)
 
-        monkeypatch.setattr(potential.GreenOperator, "solve_jacobian", spy)
+        monkeypatch.setattr(multigrid, "pcg", spy)
         monkeypatch.setattr(solver, "spla", RecordingLinalg())
         return calls, lus
 
@@ -617,7 +645,7 @@ class TestMultigridNewton:
             assert np.max(np.abs(x - ref)) <= 1e-10 * np.max(np.abs(ref))
 
     def assert_every_step_takes_the_lu(self, monkeypatch, gop):
-        monkeypatch.setattr(potential.GreenOperator, "solve_jacobian", lambda self, *a: None)
+        monkeypatch.setattr(multigrid, "pcg", lambda *a: None)
         ref, _ = solve_U(gop, 1.0, SQRT_N, tol=1e-10, scheme="newton")
         monkeypatch.undo()
         calls, lus = self.record(monkeypatch)
@@ -699,18 +727,18 @@ class TestMultigridNewton:
     def test_finest_level_shares_the_jacobian_arrays(self, monkeypatch):
         # pcg runs CG and the finest level on the Jacobian's own arrays, no copy
         received, finest = [], []
-        solve_jacobian, hierarchy = potential.GreenOperator.solve_jacobian, multigrid._hierarchy
+        pcg, hierarchy = multigrid.pcg, multigrid._hierarchy
 
-        def spy_solve(self, J, free, rhs, tol):
+        def spy_pcg(J, free, rhs, prolong, tol):
             received.append(J)
-            return solve_jacobian(self, J, free, rhs, tol)
+            return pcg(J, free, rhs, prolong, tol)
 
         def spy_hierarchy(A, free, prolong):
             levels, coarsest = hierarchy(A, free, prolong)
             finest.append(levels[0][0])
             return levels, coarsest
 
-        monkeypatch.setattr(potential.GreenOperator, "solve_jacobian", spy_solve)
+        monkeypatch.setattr(multigrid, "pcg", spy_pcg)
         monkeypatch.setattr(multigrid, "_hierarchy", spy_hierarchy)
         _, gop = halfplane_sqrt(0.125, radius=4.0)
         _, rep = solve_U(gop, 1.0, SQRT_N, tol=1e-10, scheme="newton")

@@ -166,6 +166,15 @@ class TestCriterionInterval:
         assert rep.values[-2] == pytest.approx(0.125, abs=1e-12)
         assert rep.verdict == "bounded_trend"
 
+    def test_default_anchor_is_the_midpoint(self):
+        # the half-plane's default anchor (0, 2) would sit on this interval's endpoint
+        one = lambda p, t: np.maximum(t, 0.0)
+        rep = criterion_integral(("interval", (0.0, 1.0)), one, 1.0, None, [0.25, 0.5])
+        assert rep == criterion_integral(("interval", (0.0, 1.0)), one, 1.0, None,
+                                         [0.25, 0.5], x0=(0.5,))
+        assert criterion_integral("halfplane", one, 1.0, None, [4.0]) == \
+            criterion_integral("halfplane", one, 1.0, None, [4.0], x0=(0.0, 2.0))
+
     def test_bad_endpoints(self):
         one = lambda p, t: np.maximum(t, 0.0)
         with pytest.raises(ValueError, match="endpoints"):
