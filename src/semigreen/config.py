@@ -23,6 +23,7 @@ from .geometry import (DIMS, Exhaustion, Grid, build_box_grid, build_exhaustion,
 from .operator import ZERO_ORDER_MODES, EllipticCoefficients, _coefficient_names
 from .potential import ORACLE_DIMS
 from .solver import SCHEMES, Nonlinearity
+from .verification import TRIALS
 
 __all__ = ["ConfigError", "RunConfig", "load_config"]
 
@@ -273,7 +274,7 @@ def _experiment(cp, cfg_kw):
     elif kind == "verify":
         raw = _get(cp, "experiment", "suites")
         opts["suites"] = [s.strip() for s in raw.split(",")] if raw else None
-        opts["trials"] = _get(cp, "experiment", "trials", default=25, kind=int)
+        opts["trials"] = _get(cp, "experiment", "trials", default=TRIALS, kind=int)
         if opts["trials"] < 1:
             raise ConfigError("[experiment] trials", f"must be >= 1, got {opts['trials']}")
 

@@ -14,6 +14,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from . import multigrid
 from .geometry import Exhaustion, Grid, build_box_grid, restrict
 from .operator import EllipticCoefficients, apply, assemble, check_superharmonic, rounding_tol
 from .potential import condition_factor, factorize, harmonic_extension
@@ -37,6 +38,8 @@ WINDOW = 3
 SUPERHARMONIC_TOL = 1e-9
 # check tolerance of the harmonicity of correspondence_roundtrip's h; rounding_tol widens it
 HARMONICITY_TOL = 1e-8
+# a stage whose box at twice the spacing has at most this many interior nodes starts cold
+COARSE_START = 400
 
 
 @dataclass
@@ -162,14 +165,13 @@ def _coarse_start(what: str, gop, coeffs, phi, s, **solve_kw):
     on the interior, P the prolongation of multigrid.prolongation, clipped
     at 0 as the solution is nonnegative (newton's THETA rule keeps a
     negative node negative). None (a cold start) unless every axis has an
-    even number of cells and the box at twice the spacing has more than
-    multigrid.COARSEST interior nodes. The coarse operator and fields are
-    dropped on return."""
-    from . import multigrid  # imported on first use, as by solver.solve_free
-
+    even number of more than 4 cells (P halves no axis of 3 interior nodes)
+    and the box at twice the spacing has more than COARSE_START interior
+    nodes. The coarse operator and fields are dropped on return."""
     grid = gop.grid
     cells = [k - 1 for k in grid.shape]
-    if any(c % 2 for c in cells) or math.prod(c // 2 - 1 for c in cells) <= multigrid.COARSEST:
+    if (any(c % 2 or c <= 4 for c in cells)
+            or math.prod(c // 2 - 1 for c in cells) <= COARSE_START):
         return None
     coarse = factorize(assemble(build_box_grid(grid.bbox, [2 * h for h in grid.spacing]),
                                 coeffs))

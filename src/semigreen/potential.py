@@ -19,17 +19,22 @@ loaded at start-up and gives the bits of scipy's dstn; SciPy's FFT
 module is never imported. Every other K (drift, variable coefficients, a
 cross term) gets a sparse LU factorization. That is the only sparse LU of
 a Green solve; newton's linear step is solver.solve_free, which reads K
-and, on a separable K, GreenOperator.prolongations.
+and, on a separable K, GreenOperator.prolongations. Both take their LU
+from spla, scipy.sparse.linalg loaded lazily: it executes (and imports
+scipy.linalg) at the first LU, so a run on separable operators whose
+multigrid CG converges never loads it.
 """
 
 from __future__ import annotations
 
+import importlib.util
 import math
+import sys
 from dataclasses import dataclass, field
 
 import numpy as np
-import scipy.sparse.linalg as spla
 
+from . import multigrid
 from .operator import DiscreteOperator
 
 __all__ = [
@@ -43,6 +48,14 @@ __all__ = [
     "poisson_extension",
     "ORACLE_DIMS",
 ]
+
+# scipy.sparse.linalg, executed on first use (see the module doc)
+spla = sys.modules.get("scipy.sparse.linalg")
+if spla is None:
+    _spec = importlib.util.find_spec("scipy.sparse.linalg")
+    _spec.loader = importlib.util.LazyLoader(_spec.loader)
+    spla = sys.modules[_spec.name] = importlib.util.module_from_spec(_spec)
+    _spec.loader.exec_module(spla)
 
 # the closed-form Green functions by name, and the dimension of the grid each lives
 # on: the oracles of `semigreen green` and the kernels of criterion_integral
@@ -143,8 +156,6 @@ class GreenOperator:
     def prolongations(self) -> list:
         """multigrid.prolongations of the interior shape, built on first read."""
         if self._prolong is None:
-            from . import multigrid  # imported on first use: it adds to the CLI's start-up time
-
             self._prolong = multigrid.prolongations(tuple(n - 2 for n in self.grid.shape))
         return self._prolong
 

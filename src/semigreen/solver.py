@@ -30,8 +30,9 @@ schemes share one loop and differ only in the step it takes:
   degenerate dead-core problems where an absolute step alone chatters.
   solve_free forms and solves every step's system: by multigrid CG when K
   is separable (op.stencil is not None; multigrid.py), else, or when CG
-  does not converge, by a sparse LU that orders columns by minimum degree
-  on A^T + A (ORDERING), as the Jacobian is structurally symmetric.
+  does not converge, by a sparse LU (potential.spla, loaded at first use)
+  that orders columns by minimum degree on A^T + A (ORDERING), as the
+  Jacobian is structurally symmetric.
 
 Every scheme starts from min(H f, start); a start above the solution keeps
 the envelopes bracketing, and a start near it, such as run_exhaustion's
@@ -50,10 +51,10 @@ from dataclasses import dataclass, field
 from typing import Callable
 
 import numpy as np
-import scipy.sparse.linalg as spla
 
+from . import multigrid
 from .operator import apply as apply_op
-from .potential import GreenOperator, condition_factor
+from .potential import GreenOperator, condition_factor, spla
 
 __all__ = [
     "Nonlinearity",
@@ -286,8 +287,6 @@ def solve_free(gop: GreenOperator, free, d, rhs, tol: float) -> np.ndarray:
     J.setdiag(J.diagonal() + d[free])  # in place: K stores each diagonal entry once
     del d
     if gop.op.stencil is not None:
-        from . import multigrid  # imported on first use: it adds to the CLI's start-up time
-
         x = multigrid.pcg(J, free, rhs, gop.prolongations, tol)
         if x is not None:
             return x

@@ -28,6 +28,7 @@ from .thinness import criterion_integral
 __all__ = ["SuiteResult", "SUITES", "run_suites"]
 
 TOL = 1e-9
+TRIALS = 25  # trials per suite when none are asked for (also a verify config's default)
 
 
 @dataclass(frozen=True)
@@ -196,7 +197,7 @@ SUITES = {
 }
 
 
-def run_suites(names=None, seed: int = 0, trials: int = 25):
+def run_suites(names=None, seed: int = 0, trials: int = TRIALS):
     """Run the named suites (all when names is None), each on its own
     generator seeded from seed and its name; returns a list of SuiteResult
     in the order of names."""

@@ -2,6 +2,7 @@ import csv
 import filecmp
 import hashlib
 import importlib.util
+import inspect
 import os
 import re
 import subprocess
@@ -17,7 +18,7 @@ from semigreen.cli import BLOCK_ROWS, FLOAT_FORMAT, _write_columns, main
 from semigreen.config import ConfigError, load_config
 from semigreen.solver import Nonlinearity, solve_U
 from semigreen.thinness import criterion_integral
-from semigreen.verification import run_suites
+from semigreen.verification import SuiteResult, run_suites
 
 CONFIGS = Path(__file__).resolve().parent.parent / "configs"
 
@@ -26,6 +27,10 @@ def write_ini(tmp_path, text, name="run.ini"):
     p = tmp_path / name
     p.write_text(text)
     return str(p)
+
+
+# a submodule that scipy.sparse.linalg imports as it executes
+SPLA_RUN = "scipy.sparse.linalg._dsolve"
 
 
 def child_env():
@@ -721,6 +726,22 @@ class TestCliExperiments:
         out = capsys.readouterr().out
         assert "pass" in out
 
+    def test_verify_default_trials_are_the_library_default(self, tmp_path, monkeypatch):
+        # verify with no config, and a verify config with no trials, run as many
+        # trials per suite as run_suites does by default
+        seen = []
+
+        def spy(names, seed, trials):
+            seen.append(trials)
+            return [SuiteResult("identity", trials, 0)]
+
+        monkeypatch.setattr("semigreen.cli.run_suites", spy)
+        cfg = write_ini(tmp_path, "[experiment]\ntype = verify\n")
+        assert main(["verify", "--out-dir", str(tmp_path)]) == 0
+        assert main(["verify", "--config", cfg, "--out-dir", str(tmp_path)]) == 0
+        default = inspect.signature(run_suites).parameters["trials"].default
+        assert seen == [default, default]
+
     def test_verify_config_needs_no_domain(self, tmp_path, capsys):
         # verify builds no grid: [domain] is optional, and validated when present
         text = "[experiment]\ntype = verify\nsuites = comparison\ntrials = 2\n"
@@ -761,19 +782,41 @@ class TestCliExperiments:
         assert "status=converged" in proc.stdout
 
     def test_import_leaves_fft_unloaded(self):
-        # semigreen.multigrid is loaded by newton's first step on a separable K,
-        # not at start-up; scipy.fft is never loaded (the DST-I runs on numpy.fft)
+        # scipy.fft is never loaded (the DST-I runs on numpy.fft), and start-up
+        # executes neither scipy.sparse.linalg nor scipy.linalg (see the next test)
         proc = subprocess.run(
             [sys.executable, "-c", "import sys, semigreen.cli; "
-             "print([m for m in ('scipy.fft', 'semigreen.multigrid') if m in sys.modules])"],
+             f"print([m for m in ('scipy.fft', {SPLA_RUN!r}, 'scipy.linalg') "
+             "if m in sys.modules])"],
             capture_output=True, text=True, env=child_env(),
         )
         assert proc.returncode == 0, proc.stderr
         assert proc.stdout.strip() == "[]"
 
+    def test_sparse_lu_module_loads_on_first_factorization(self, tmp_path):
+        # potential.spla is a lazily loaded scipy.sparse.linalg: a separable newton
+        # exhaust runs no LU and leaves it unexecuted; a drift operator's factorize
+        # then executes it and calls splu
+        exhaust = ["exhaust", "--config", str(CONFIGS / "thin_support.ini"),
+                   "--out-dir", str(tmp_path)]
+        proc = subprocess.run(
+            [sys.executable, "-c", "import sys; from semigreen.cli import main; "
+             "from semigreen import geometry, operator, potential; "
+             f"assert main({exhaust!r}) == 0; "
+             f"print({SPLA_RUN!r} in sys.modules, 'scipy.linalg' in sys.modules); "
+             "op = operator.assemble(geometry.build_box_grid((0.0, 1.0), 0.125), "
+             "operator.EllipticCoefficients(b1=0.5)); "
+             "print(op.stencil is None, type(potential.factorize(op)._lu).__name__, "
+             f"{SPLA_RUN!r} in sys.modules)"],
+            capture_output=True, text=True, env=child_env(),
+        )
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stdout.strip().splitlines()[-2:] == ["False False", "True SuperLU True"]
+
     def test_dst_solves_leave_scipy_fft_and_special_unloaded(self, tmp_path):
         # an exhaust (newton on multigrid) and a green --compare run every Green solve
-        # as a DST-I; neither imports scipy.fft, nor scipy.special through it
+        # as a DST-I; neither imports scipy.fft, nor scipy.special through it, and
+        # neither executes scipy.sparse.linalg
         exhaust = ["exhaust", "--config", str(CONFIGS / "sqrt_decay.ini"),
                    "--out-dir", str(tmp_path)]
         green = ["green", "--config", str(CONFIGS / "green_halfplane.ini"), "--compare",
@@ -781,12 +824,12 @@ class TestCliExperiments:
         proc = subprocess.run(
             [sys.executable, "-c", "import sys; from semigreen.cli import main; "
              f"assert main({exhaust!r}) == 0 and main({green!r}) == 0; "
-             "print([m for m in ('scipy.fft', 'scipy.special', 'semigreen.multigrid') "
+             f"print([m for m in ('scipy.fft', 'scipy.special', {SPLA_RUN!r}) "
              "if m in sys.modules])"],
             capture_output=True, text=True, env=child_env(),
         )
         assert proc.returncode == 0, proc.stderr
-        assert proc.stdout.strip().splitlines()[-1] == "['semigreen.multigrid']"
+        assert proc.stdout.strip().splitlines()[-1] == "[]"
 
 
 # every float form the CLI writes: signed zero, subnormal, huge, integral,

@@ -239,7 +239,7 @@ class TestRunExhaustion:
 class TestCoarseStart:
     def test_coarse_started_stage_beats_a_cold_solve(self):
         # stage 0 (32 x 32 cells) starts cold: its box at twice the spacing has
-        # 15^2 <= multigrid.COARSEST interior nodes; stage 1 (64 x 64) does not
+        # 15^2 <= COARSE_START interior nodes; stage 1 (64 x 64) does not
         exh = build_exhaustion(4.0, 2, spacing=0.25, halfplane=True, delta=0.25)
         tol = 1e-10
         run = run_exhaustion(exh, LAPLACE, SQRT_N, 1.0, tol=tol, scheme="newton")
@@ -262,7 +262,7 @@ class TestCoarseStart:
 
     @pytest.mark.parametrize("cells, coarse", [(41, False), (42, False), (44, True)])
     def test_stopping_rule(self, cells, coarse):
-        # even cells on every axis, and more than COARSEST interior nodes at 2h:
+        # even cells on every axis, and more than COARSE_START interior nodes at 2h:
         # 20^2 = 400 stays cold, 21^2 = 441 does not
         grid = build_box_grid(((0.0, cells / 4), (0.0, cells / 4)), 0.25)
         gop = factorize(assemble(grid, LAPLACE))
@@ -270,6 +270,18 @@ class TestCoarseStart:
                                          tol=1e-10, max_iter=200, scheme="newton")
         assert (start is not None) == coarse
         if coarse:  # no absorption: the start is H f itself
+            np.testing.assert_allclose(start, 1.0, atol=1e-12)
+
+    @pytest.mark.parametrize("cells, coarse", [(4, False), (6, True)])
+    def test_thin_axis_rule(self, cells, coarse):
+        # 1 x 501 interior nodes at 2h exceed COARSE_START, but an axis of 4 cells has
+        # 3 interior nodes, which multigrid.prolongation carries over instead of halving
+        grid = build_box_grid(((0.0, cells / 4), (0.0, 251.0)), 0.25)
+        gop = factorize(assemble(grid, LAPLACE))
+        start = exhaustion._coarse_start("stage 0", gop, LAPLACE, ZERO, 1.0,
+                                         tol=1e-10, max_iter=200, scheme="newton")
+        assert (start is not None) == coarse
+        if coarse:
             np.testing.assert_allclose(start, 1.0, atol=1e-12)
 
 
@@ -474,9 +486,9 @@ class TestRefinementLadder:
         # V-cycles per step are bounded on every solve, the coarse ones included
         vcycle, top_level, solves = multigrid._vcycle, [], []
 
-        def counting(levels, lu, k, r):
+        def counting(levels, coarsest, k, r):
             top_level.append(k == 0)
-            return vcycle(levels, lu, k, r)
+            return vcycle(levels, coarsest, k, r)
 
         def spy_solve(gop, f, phi, **kw):
             before = sum(top_level)

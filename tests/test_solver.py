@@ -677,9 +677,9 @@ class TestMultigridNewton:
         per_step = []
         vcycle, pcg = multigrid._vcycle, multigrid.pcg
 
-        def counting_vcycle(levels, lu, k, r):
+        def counting_vcycle(levels, coarsest, k, r):
             per_step[-1] += k == 0
-            return vcycle(levels, lu, k, r)
+            return vcycle(levels, coarsest, k, r)
 
         def counting_pcg(*args):
             per_step.append(0)
@@ -693,13 +693,17 @@ class TestMultigridNewton:
         assert all(multigrid.STALL_WINDOW <= n <= 2 * multigrid.STALL_WINDOW for n in per_step)
 
     def test_singular_coarsest_level_falls_back_to_the_lu(self, monkeypatch):
-        # a coarsest operator singular to working precision sends the step to
-        # the LU; neither the factorization error nor a NaN reaches the caller
-        class SingularLinalg:
-            def splu(self, A):
-                raise RuntimeError("Factor is exactly singular")
+        # a coarsest level singular to working precision, so that its Jacobi weights
+        # OMEGA / diag A are not finite, breaks every V-cycle there and sends the
+        # step to the LU; no NaN reaches the caller
+        hierarchy = multigrid._hierarchy
 
-        monkeypatch.setattr(multigrid, "spla", SingularLinalg())
+        def singular(A, free, prolong):
+            levels, (Ac, w) = hierarchy(A, free, prolong)
+            assert levels and Ac.shape[0] <= 3 ** 2
+            return levels, (Ac, np.full_like(w, np.nan))
+
+        monkeypatch.setattr(multigrid, "_hierarchy", singular)
         calls, lus = self.record(monkeypatch)
         _, gop = halfplane_sqrt(0.25, radius=4.0)
         with warnings.catch_warnings():
@@ -709,10 +713,38 @@ class TestMultigridNewton:
         assert len(calls) == len(lus) == rep.iterations > 0
         assert all(x is None for *_, x in calls)
 
+    @pytest.mark.parametrize("shape", [(3, 4095), (15, 255), (63,)])
+    def test_prolongations_end_at_three_points_per_axis(self, shape):
+        # an axis of 3 or fewer points is carried over while the others coarsen; on
+        # these shapes every axis ends at exactly 3 points
+        m = shape
+        levels = multigrid.prolongations(shape)
+        assert levels
+        for P, inj in levels:
+            assert P.shape[0] == math.prod(m)
+            m = tuple(len(np.unique(i)) for i in np.unravel_index(inj, m))
+            assert P.shape[1] == math.prod(m) == inj.size
+        assert m == (3,) * len(shape)
+
+    @pytest.mark.parametrize("bbox, h", [(((0.0, 0.375), (0.0, 4.125)), 1 / 16),
+                                         (((0.0, 8.125), (0.0, 0.375)), 1 / 16),
+                                         ((0.0, 16.0), 1 / 64)],
+                             ids=["5x65", "129x5", "1023"])
+    def test_skinny_box_never_takes_the_lu(self, monkeypatch, bbox, h):
+        # the thin axis is carried over while the long one coarsens to 3 points:
+        # every step's CG converges, and solver.spla.spsolve is never called
+        calls, lus = self.record(monkeypatch)
+        grid = build_box_grid(bbox, h)
+        gop = factorize(assemble(grid, EllipticCoefficients(zero_order_mode="c_zero")))
+        _, rep = solve_U(gop, 1.0, SQRT_N, tol=1e-10, scheme="newton")
+        assert rep.status == "converged"
+        assert len(calls) == rep.iterations > 0 and lus == []
+        assert all(x is not None for *_, x in calls)
+
     def test_v_cycle_not_positive_on_the_residual_gives_up_at_once(self, monkeypatch):
         vcycles = []
 
-        def flipped(levels, lu, k, r):
+        def flipped(levels, coarsest, k, r):
             vcycles.append(1)
             return -r
 
