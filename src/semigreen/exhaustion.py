@@ -100,10 +100,11 @@ def run_exhaustion(
     is assembled.
     A stage large enough starts (solve_U's start) from the solve of the
     same box at twice the spacing, itself started the same way (see
-    _coarse_start); a smaller one starts cold, from H f. Every coarse
-    operator and field is dropped before the stage's own solve, and s's
-    node field, made once per stage for the superharmonic check, too: while
-    solve_U runs, the stage holds s on the boundary only.
+    _coarse_start); a smaller one starts cold, from H f. That coarse solve
+    is only a start and runs to sqrt(tol); the stage's own solve meets tol.
+    Every coarse operator and field is dropped before the stage's own
+    solve, and s's node field, made once per stage for the superharmonic
+    check, too: while solve_U runs, the stage holds s on the boundary only.
     """
     fields, reports = [], []
     slack = sup_s = -np.inf
@@ -158,7 +159,7 @@ def _stage_data(n: int, op, s) -> tuple:
     return float(np.max(sf)), sf[op.grid.boundary_nodes]
 
 
-def _coarse_start(what: str, gop, coeffs, phi, s, **solve_kw):
+def _coarse_start(what: str, gop, coeffs, phi, s, tol: float, **solve_kw):
     """solve_U's start on gop's grid by nested iteration (Brandt, Math.
     Comp. 31, 1977): solve the same box at twice the spacing with data s on
     its boundary, started the same way, and return H_h f - P (H_2h f - u_2h)
@@ -167,7 +168,10 @@ def _coarse_start(what: str, gop, coeffs, phi, s, **solve_kw):
     negative node negative). None (a cold start) unless every axis has an
     even number of more than 4 cells (P halves no axis of 3 interior nodes)
     and the box at twice the spacing has more than COARSE_START interior
-    nodes. The coarse operator and fields are dropped on return."""
+    nodes. The coarse solve is only a start, so, as in full multigrid, it
+    runs to sqrt(tol), about its discretization error, not to tol; tol
+    itself is passed down, so each coarse level is loosened once. The
+    coarse operator and fields are dropped on return."""
     grid = gop.grid
     cells = [k - 1 for k in grid.shape]
     if (any(c % 2 or c <= 4 for c in cells)
@@ -175,8 +179,8 @@ def _coarse_start(what: str, gop, coeffs, phi, s, **solve_kw):
         return None
     coarse = factorize(assemble(build_box_grid(grid.bbox, [2 * h for h in grid.spacing]),
                                 coeffs))
-    u, rep = solve_U(coarse, s, phi, **solve_kw,
-                     start=_coarse_start(what, coarse, coeffs, phi, s, **solve_kw))
+    u, rep = solve_U(coarse, s, phi, tol=math.sqrt(tol), **solve_kw,
+                     start=_coarse_start(what, coarse, coeffs, phi, s, tol=tol, **solve_kw))
     rep.require_converged(f"{what}: solve at spacing {coarse.grid.spacing}")
     defect = (harmonic_extension(coarse, s) - u)[coarse.grid.interior_nodes]
     P, _ = multigrid.prolongation(tuple(c - 1 for c in cells))

@@ -36,11 +36,12 @@ schemes share one loop and differ only in the step it takes:
 
 Every scheme starts from min(H f, start); a start above the solution keeps
 the envelopes bracketing, and a start near it, such as run_exhaustion's
-prolonged solve at twice the spacing, lets newton predict the dead set from
-its first step. Each pass of the loop evaluates phi(u) and G phi(u),
-records the identity residual ||u + G phi(u) - H f||_inf of u, and stops
-when it is <= tol or not finite, or after max_iter steps; otherwise it
-takes the scheme's step.
+prolonged solve at twice the spacing (only a start, so solved to
+sqrt(tol)), lets newton predict the dead set from its first step. Each
+pass of the loop evaluates phi(u) and G phi(u), records the identity
+residual ||u + G phi(u) - H f||_inf of u, and stops when it is <= tol
+or not finite, or after max_iter steps; otherwise it takes the scheme's
+step.
 So the returned field is always the one the last recorded residual
 describes, and SolveReport.iterations counts steps.
 """

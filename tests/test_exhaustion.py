@@ -1,4 +1,5 @@
 import gc
+import math
 import re
 import weakref
 
@@ -254,11 +255,44 @@ class TestCoarseStart:
         assert np.max(np.abs(run.stages[1][1] - cold1)) <= condition_factor(gop1) * tol
 
     def test_coarse_nonconvergence_names_stage_and_spacing(self):
-        # stage 0 converges in 12 steps; stage 1's box at spacing 0.5 needs 15
-        exh = build_exhaustion(4.0, 2, spacing=0.25, halfplane=True, delta=0.25)
+        # stage 0 (64 x 64 cells) starts from its box at spacing 0.5, whose solve to
+        # sqrt(tol) needs 9 steps and runs before any stage's own solve
+        exh = build_exhaustion(8.0, 2, spacing=0.25, halfplane=True, delta=0.25)
         with pytest.raises(NonConvergence, match=re.escape(
-                "stage 1: solve at spacing (0.5, 0.5) ended with status 'max_iter'")):
-            run_exhaustion(exh, LAPLACE, SQRT_N, 1.0, scheme="newton", max_iter=13)
+                "stage 0: solve at spacing (0.5, 0.5) ended with status 'max_iter'")):
+            run_exhaustion(exh, LAPLACE, SQRT_N, 1.0, scheme="newton", max_iter=8)
+
+    def test_coarse_solve_runs_to_the_square_root_of_tol(self, monkeypatch):
+        # the coarse solve is only a start: loosening it leaves every stage's steps
+        # and accuracy as they are, and saves coarse steps
+        exh = build_exhaustion(4.0, 2, spacing=0.25, halfplane=True, delta=0.25)
+        tol = 1e-10
+
+        def spied_run(full_tol_coarse):
+            # (spacing, tol asked for, steps) per solve_U call
+            calls = []
+
+            def spy_solve(gop, *args, **kw):
+                asked = kw["tol"]
+                if full_tol_coarse:
+                    kw["tol"] = tol
+                u, rep = solve_U(gop, *args, **kw)
+                calls.append((gop.grid.spacing, asked, rep.iterations))
+                return u, rep
+
+            monkeypatch.setattr(exhaustion, "solve_U", spy_solve)
+            run = run_exhaustion(exh, LAPLACE, SQRT_N, 1.0, tol=tol, scheme="newton")
+            return run, calls
+
+        run, calls = spied_run(False)
+        full, full_calls = spied_run(True)
+        # stage 0 starts cold; stage 1 solves its box at spacing 0.5 first
+        assert [c[:2] for c in calls] == [((0.25, 0.25), tol), ((0.5, 0.5), math.sqrt(tol)),
+                                          ((0.25, 0.25), tol)]
+        assert [rep.iterations for rep in run.reports] == \
+            [rep.iterations for rep in full.reports]
+        assert all(rep.final_identity_residual <= tol for rep in run.reports)
+        assert calls[1][2] < full_calls[1][2]
 
     @pytest.mark.parametrize("cells, coarse", [(41, False), (42, False), (44, True)])
     def test_stopping_rule(self, cells, coarse):
