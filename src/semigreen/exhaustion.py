@@ -163,15 +163,15 @@ def _coarse_start(what: str, gop, coeffs, phi, s, tol: float, **solve_kw):
     """solve_U's start on gop's grid by nested iteration (Brandt, Math.
     Comp. 31, 1977): solve the same box at twice the spacing with data s on
     its boundary, started the same way, and return H_h f - P (H_2h f - u_2h)
-    on the interior, P the prolongation of multigrid.prolongation, clipped
-    at 0 as the solution is nonnegative (newton's THETA rule keeps a
-    negative node negative). None (a cold start) unless every axis has an
-    even number of more than 4 cells (P halves no axis of 3 interior nodes)
-    and the box at twice the spacing has more than COARSE_START interior
-    nodes. The coarse solve is only a start, so, as in full multigrid, it
-    runs to sqrt(tol), about its discretization error, not to tol; tol
-    itself is passed down, so each coarse level is loosened once. The
-    coarse operator and fields are dropped on return."""
+    on the interior, P = R.T with R from multigrid.restriction on the whole
+    interior, clipped at 0 as the solution is nonnegative (newton's THETA
+    rule keeps a negative node negative). None (a cold start) unless every
+    axis has an even number of more than 4 cells (R halves no axis of 3
+    interior nodes) and the box at twice the spacing has more than
+    COARSE_START interior nodes. The coarse solve is only a start, so, as
+    in full multigrid, it runs to sqrt(tol), about its discretization
+    error, not to tol; tol itself is passed down, so each coarse level is
+    loosened once. The coarse operator and fields are dropped on return."""
     grid = gop.grid
     cells = [k - 1 for k in grid.shape]
     if (any(c % 2 or c <= 4 for c in cells)
@@ -183,8 +183,9 @@ def _coarse_start(what: str, gop, coeffs, phi, s, tol: float, **solve_kw):
                      start=_coarse_start(what, coarse, coeffs, phi, s, tol=tol, **solve_kw))
     rep.require_converged(f"{what}: solve at spacing {coarse.grid.spacing}")
     defect = (harmonic_extension(coarse, s) - u)[coarse.grid.interior_nodes]
-    P, _ = multigrid.prolongation(tuple(c - 1 for c in cells))
-    return np.maximum(harmonic_extension(gop, s)[grid.interior_nodes] - P @ defect, 0.0)
+    R, _ = multigrid.restriction(tuple(c - 1 for c in cells),
+                                 np.ones(grid.n_interior, dtype=bool))
+    return np.maximum(harmonic_extension(gop, s)[grid.interior_nodes] - R.T @ defect, 0.0)
 
 
 def harmonic_majorant(exh: Exhaustion, coeffs: EllipticCoefficients, w, tol: float = 1e-9):

@@ -19,10 +19,11 @@ loaded at start-up and gives the bits of scipy's dstn; SciPy's FFT
 module is never imported. Every other K (drift, variable coefficients, a
 cross term) gets a sparse LU factorization. That is the only sparse LU of
 a Green solve; newton's linear step is solver.solve_free, which reads K
-and, on a separable K, GreenOperator.prolongations. Both take their LU
-from spla, scipy.sparse.linalg loaded lazily: it executes (and imports
-scipy.linalg) at the first LU, so a run on separable operators whose
-multigrid CG converges never loads it.
+and, on a separable K, builds multigrid's hierarchy from the free set: a
+GreenOperator holds no multigrid state. Both take their LU from spla,
+scipy.sparse.linalg loaded lazily: it executes (and imports scipy.linalg)
+at the first LU, so a run on separable operators whose multigrid CG
+converges never loads it.
 """
 
 from __future__ import annotations
@@ -34,7 +35,6 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from . import multigrid
 from .operator import DiscreteOperator
 
 __all__ = [
@@ -125,15 +125,13 @@ class GreenOperator:
     with a plus sign and L(G psi) = -psi. Building one picks the solve path
     from op.stencil: the DST-I when assemble recorded the separable
     constant-coefficient stencil (see _separable_eigenvalues), otherwise a
-    sparse LU factorization, the only one of a Green solve. On a separable
-    K it also keeps multigrid's prolongations (see prolongations).
+    sparse LU factorization, the only one of a Green solve.
     """
 
     op: DiscreteOperator
     _lam: np.ndarray | None = field(default=None, init=False, repr=False)  # DST-I eigenvalues of K
     _lu: object = field(default=None, init=False, repr=False)  # SuperLU when K is not separable
     _kappa: float | None = field(default=None, init=False, repr=False)  # cache of condition_factor
-    _prolong: list | None = field(default=None, init=False, repr=False)  # multigrid, first use
 
     def __post_init__(self):
         if self.op.stencil is not None:
@@ -151,13 +149,6 @@ class GreenOperator:
         coef = _dstn(rhs.reshape(self._lam.shape))
         coef /= self._lam
         return _dstn(coef, inverse=True, out=coef).ravel()
-
-    @property
-    def prolongations(self) -> list:
-        """multigrid.prolongations of the interior shape, built on first read."""
-        if self._prolong is None:
-            self._prolong = multigrid.prolongations(tuple(n - 2 for n in self.grid.shape))
-        return self._prolong
 
     @property
     def grid(self):

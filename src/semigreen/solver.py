@@ -288,7 +288,7 @@ def solve_free(gop: GreenOperator, free, d, rhs, tol: float) -> np.ndarray:
     J.setdiag(J.diagonal() + d[free])  # in place: K stores each diagonal entry once
     del d
     if gop.op.stencil is not None:
-        x = multigrid.pcg(J, free, rhs, gop.prolongations, tol)
+        x = multigrid.pcg(J, free, rhs, tuple(n - 2 for n in gop.grid.shape), tol)
         if x is not None:
             return x
     return spla.spsolve(J, rhs, permc_spec=ORDERING)

@@ -3,10 +3,13 @@ import math
 import re
 import weakref
 
+import conftest
 import numpy as np
 import pytest
+import scipy.sparse as sp
 
 from semigreen import exhaustion, multigrid
+from semigreen.config import load_config
 from semigreen.exhaustion import (
     _classify,
     correspondence_roundtrip,
@@ -155,23 +158,25 @@ class TestRunExhaustion:
         sfs, starts, potentials, coarse, stages, alive = [], [], [], [], [], []
         solved = []  # the operator of the last Green solve: a Newton step's own
         field, join, solve = Grid.field, Grid.join, GreenOperator.solve
-        pcg, prolongation = multigrid.pcg, multigrid.prolongation
+        pcg, restriction = multigrid.pcg, multigrid.restriction
 
-        class SpyProlongation:
-            # P for multigrid's indexing; records P and the field of a product P @ x
-            def __init__(self, P):
-                self.P = P
-
-            def __getitem__(self, key):
-                return self.P[key]
-
+        class SpyProlongation(sp.csc_matrix):
+            # R.T; records the field of a product R.T @ x and the prolonged field
             def __matmul__(self, x):
-                coarse.extend([weakref.ref(self.P), weakref.ref(x)])
-                return self.P @ x
+                out = super().__matmul__(x)
+                coarse.extend([weakref.ref(x), weakref.ref(out)])
+                return out
 
-        def spy_prolongation(m):
-            P, inj = prolongation(m)
-            return SpyProlongation(P), inj
+        class SpyRestriction(sp.csr_matrix):
+            # R on R's arrays, whose transpose is a SpyProlongation
+            def transpose(self, axes=None, copy=False):
+                return SpyProlongation(super().transpose(axes, copy))
+
+        def spy_restriction(m, free):
+            R, kept = restriction(m, free)
+            R = SpyRestriction(R)
+            coarse.append(weakref.ref(R))
+            return R, kept
 
         def spy_field(self, value, on="nodes", name="field"):
             out = field(self, value, on=on, name=name)
@@ -195,7 +200,7 @@ class TestRunExhaustion:
                 coarse.extend([weakref.ref(self), weakref.ref(out)])
             return out
 
-        def spy_pcg(J, free, rhs, prolong, tol):
+        def spy_pcg(J, free, rhs, m, tol):
             # solve_U's last Green solve before a step is G phi(u) on the step's operator
             gop = solved[0]()
             if id(gop.grid) in stage_grids and (not stages or stages[-1]() is not gop):
@@ -204,13 +209,13 @@ class TestRunExhaustion:
                               any(r() is not None for r in starts),
                               potentials[-1]() is not None,
                               any(r() is not None for r in coarse)))
-            return pcg(J, free, rhs, prolong, tol)
+            return pcg(J, free, rhs, m, tol)
 
         monkeypatch.setattr(Grid, "field", spy_field)
         monkeypatch.setattr(Grid, "join", spy_join)
         monkeypatch.setattr(GreenOperator, "solve", spy_solve)
         monkeypatch.setattr(multigrid, "pcg", spy_pcg)
-        monkeypatch.setattr(multigrid, "prolongation", spy_prolongation)
+        monkeypatch.setattr(multigrid, "restriction", spy_restriction)
         gc.disable()
         try:
             run = run_exhaustion(exh, LAPLACE, SQRT_N, 1.0, scheme="newton")
@@ -309,7 +314,7 @@ class TestCoarseStart:
     @pytest.mark.parametrize("cells, coarse", [(4, False), (6, True)])
     def test_thin_axis_rule(self, cells, coarse):
         # 1 x 501 interior nodes at 2h exceed COARSE_START, but an axis of 4 cells has
-        # 3 interior nodes, which multigrid.prolongation carries over instead of halving
+        # 3 interior nodes, which multigrid.restriction carries over instead of halving
         grid = build_box_grid(((0.0, cells / 4), (0.0, 251.0)), 0.25)
         gop = factorize(assemble(grid, LAPLACE))
         start = exhaustion._coarse_start("stage 0", gop, LAPLACE, ZERO, 1.0,
@@ -459,6 +464,24 @@ class TestShippedNewtonRuns:
         _, run, _ = shipped_run("sqrt_decay")
         assert [rep.iterations for rep in run.reports] == [12, 9, 9, 9]
 
+    def test_sqrt_decay_takes_84_newton_steps_with_its_coarse_solves(self, monkeypatch):
+        # README's count for one exhaust: every solve_U, nested iteration's coarse
+        # solves at twice the spacing included
+        steps = []
+
+        def spy_solve(gop, f, phi, **kw):
+            u, rep = solve_U(gop, f, phi, **kw)
+            steps.append(rep.iterations)
+            return u, rep
+
+        monkeypatch.setattr(exhaustion, "solve_U", spy_solve)
+        cfg = load_config(str(conftest.CONFIGS / "sqrt_decay.ini"))
+        run = run_exhaustion(cfg.build_exhaustion(), cfg.coeffs, cfg.phi,
+                             cfg.experiment_opts["super_s"], tol=cfg.tol,
+                             max_iter=cfg.max_iter, scheme=cfg.scheme)
+        assert [rep.iterations for rep in run.reports] == [12, 9, 9, 9]
+        assert sum(steps) == 84
+
 
 class TestWallProfile:
     """Both shipped exhaust runs read a 1D wall profile (ROADMAP item 1):
@@ -520,9 +543,9 @@ class TestRefinementLadder:
         # V-cycles per step are bounded on every solve, the coarse ones included
         vcycle, top_level, solves = multigrid._vcycle, [], []
 
-        def counting(levels, coarsest, k, r):
+        def counting(levels, k, r):
             top_level.append(k == 0)
-            return vcycle(levels, coarsest, k, r)
+            return vcycle(levels, k, r)
 
         def spy_solve(gop, f, phi, **kw):
             before = sum(top_level)

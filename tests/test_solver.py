@@ -596,6 +596,61 @@ class TestSolveFree:
         assert np.max(np.abs(x - ref)) <= 1e-10 * np.max(np.abs(ref))
 
 
+def kron_prolongation(m):
+    """(P, inj) for one coarsening of the interior shape m, the reference
+    for multigrid.restriction: P, the whole-lattice prolongation, is the
+    Kronecker product of 1D linear interpolation on each axis of more than
+    3 points and the identity on the others; inj holds the fine index of
+    each coarse node."""
+    mc = tuple(k // 2 if k > 3 else k for k in m)
+    P = sp.csr_matrix(np.ones((1, 1)))
+    for k, kc in zip(m, mc):
+        j = np.arange(kc)
+        rows = np.concatenate([2 * j + 1, 2 * j, 2 * j + 2])
+        vals = np.repeat([1.0, 0.5, 0.5], kc)
+        inside = rows < k
+        P1 = sp.csr_matrix((vals[inside], (rows[inside], np.tile(j, 3)[inside])),
+                           shape=(k, kc)) if kc < k else sp.identity(k, format="csr")
+        P = sp.kron(P, P1, format="csr")
+    inj = np.arange(math.prod(m)).reshape(m)[
+        tuple(slice(1, 2 * kc, 2) if kc < k else slice(None) for k, kc in zip(m, mc))]
+    return P, inj.ravel()
+
+
+class TestRestriction:
+    """multigrid.restriction(m, free) builds R = P_f^T from index arithmetic:
+    bit for bit the CSR transpose of the sliced Kronecker prolongation
+    P[free][:, kept], level after level."""
+
+    @pytest.mark.parametrize("shape", [(31, 31), (3, 4095), (15, 255), (63,), (1023,),
+                                       (7, 5, 9)])
+    @pytest.mark.parametrize("mask", ["dead", "all"])
+    def test_equals_the_sliced_kronecker_prolongation(self, shape, mask):
+        m, n = shape, math.prod(shape)
+        if mask == "all":  # exhaustion's coarse start
+            free = np.ones(n, dtype=bool)
+        elif shape == (31, 31):  # a disk dead core
+            i, j = np.unravel_index(np.arange(n), shape)
+            free = np.hypot(i - 15, j - 12) > 6
+        else:
+            free = np.random.default_rng(n).random(n) < 0.8
+        levels = 0
+        while max(m) > 3:
+            P, inj = kron_prolongation(m)
+            R, kept = multigrid.restriction(m, free)
+            assert np.array_equal(kept, free[inj])
+            ref = P[np.flatnonzero(free)][:, np.flatnonzero(kept)].T.tocsr()
+            assert R.format == "csr" and R.shape == ref.shape
+            for a in ("data", "indices", "indptr"):
+                assert getattr(R, a).dtype == getattr(ref, a).dtype
+                assert np.array_equal(getattr(R, a), getattr(ref, a))
+            if not kept.any():
+                break
+            m = tuple(len(np.unique(i)) for i in np.unravel_index(inj, m))
+            free, levels = kept, levels + 1
+        assert levels >= 2 and (mask == "dead" or max(m) <= 3)
+
+
 class TestMultigridNewton:
     """On a separable K, solver.solve_free solves Newton's steps by
     multigrid CG (multigrid.pcg); the LU runs only for a step whose CG did
@@ -608,8 +663,8 @@ class TestMultigridNewton:
         calls, lus = [], []
         pcg = multigrid.pcg
 
-        def spy(J, free, rhs, prolong, tol):
-            x = pcg(J, free, rhs, prolong, tol)
+        def spy(J, free, rhs, m, tol):
+            x = pcg(J, free, rhs, m, tol)
             calls.append((J.copy(), free.copy(), rhs.copy(), x))
             return x
 
@@ -677,9 +732,9 @@ class TestMultigridNewton:
         per_step = []
         vcycle, pcg = multigrid._vcycle, multigrid.pcg
 
-        def counting_vcycle(levels, coarsest, k, r):
+        def counting_vcycle(levels, k, r):
             per_step[-1] += k == 0
-            return vcycle(levels, coarsest, k, r)
+            return vcycle(levels, k, r)
 
         def counting_pcg(*args):
             per_step.append(0)
@@ -698,10 +753,11 @@ class TestMultigridNewton:
         # step to the LU; no NaN reaches the caller
         hierarchy = multigrid._hierarchy
 
-        def singular(A, free, prolong):
-            levels, (Ac, w) = hierarchy(A, free, prolong)
-            assert levels and Ac.shape[0] <= 3 ** 2
-            return levels, (Ac, np.full_like(w, np.nan))
+        def singular(A, free, m):
+            levels = hierarchy(A, free, m)
+            Ac, w, P, R = levels[-1]
+            assert len(levels) > 1 and Ac.shape[0] <= 3 ** 2 and P is R is None
+            return levels[:-1] + [(Ac, np.full_like(w, np.nan), P, R)]
 
         monkeypatch.setattr(multigrid, "_hierarchy", singular)
         calls, lus = self.record(monkeypatch)
@@ -716,14 +772,17 @@ class TestMultigridNewton:
     @pytest.mark.parametrize("shape", [(3, 4095), (15, 255), (63,)])
     def test_prolongations_end_at_three_points_per_axis(self, shape):
         # an axis of 3 or fewer points is carried over while the others coarsen; on
-        # these shapes every axis ends at exactly 3 points
-        m = shape
-        levels = multigrid.prolongations(shape)
-        assert levels
-        for P, inj in levels:
-            assert P.shape[0] == math.prod(m)
+        # these shapes every axis ends at exactly 3 points. Each coarse node's entry 1
+        # in R sits at its injection node, which gives the coarse shape
+        m, n = shape, math.prod(shape)
+        levels = multigrid._hierarchy(sp.identity(n, format="csr"), np.ones(n, dtype=bool), m)
+        assert len(levels) > 1
+        for A, _, _, R in levels[:-1]:
+            assert A.shape[0] == R.shape[1] == math.prod(m)
+            inj = R.indices[R.data == 1.0]
             m = tuple(len(np.unique(i)) for i in np.unravel_index(inj, m))
-            assert P.shape[1] == math.prod(m) == inj.size
+            assert R.shape[0] == math.prod(m) == inj.size
+        assert levels[-1][0].shape[0] == math.prod(m)
         assert m == (3,) * len(shape)
 
     @pytest.mark.parametrize("bbox, h", [(((0.0, 0.375), (0.0, 4.125)), 1 / 16),
@@ -744,7 +803,7 @@ class TestMultigridNewton:
     def test_v_cycle_not_positive_on_the_residual_gives_up_at_once(self, monkeypatch):
         vcycles = []
 
-        def flipped(levels, coarsest, k, r):
+        def flipped(levels, k, r):
             vcycles.append(1)
             return -r
 
@@ -753,7 +812,7 @@ class TestMultigridNewton:
         free = np.ones(4, dtype=bool)
         with warnings.catch_warnings():
             warnings.simplefilter("error", RuntimeWarning)
-            assert multigrid.pcg(J, free, np.ones(4), [], 1e-10) is None
+            assert multigrid.pcg(J, free, np.ones(4), (4,), 1e-10) is None
         assert vcycles == [1]
 
     def test_finest_level_shares_the_jacobian_arrays(self, monkeypatch):
@@ -761,14 +820,14 @@ class TestMultigridNewton:
         received, finest = [], []
         pcg, hierarchy = multigrid.pcg, multigrid._hierarchy
 
-        def spy_pcg(J, free, rhs, prolong, tol):
+        def spy_pcg(J, free, rhs, m, tol):
             received.append(J)
-            return pcg(J, free, rhs, prolong, tol)
+            return pcg(J, free, rhs, m, tol)
 
-        def spy_hierarchy(A, free, prolong):
-            levels, coarsest = hierarchy(A, free, prolong)
+        def spy_hierarchy(A, free, m):
+            levels = hierarchy(A, free, m)
             finest.append(levels[0][0])
-            return levels, coarsest
+            return levels
 
         monkeypatch.setattr(multigrid, "pcg", spy_pcg)
         monkeypatch.setattr(multigrid, "_hierarchy", spy_hierarchy)
@@ -786,10 +845,10 @@ class TestMultigridNewton:
         levels_seen = []
         hierarchy = multigrid._hierarchy
 
-        def spy(A, free, prolong):
-            levels, coarsest = hierarchy(A, free, prolong)
-            levels_seen.extend(levels)
-            return levels, coarsest
+        def spy(A, free, m):
+            levels = hierarchy(A, free, m)
+            levels_seen.extend(level for level in levels if level[2] is not None)
+            return levels
 
         monkeypatch.setattr(multigrid, "_hierarchy", spy)
         _, gop = halfplane_sqrt(0.125, radius=4.0)
@@ -828,10 +887,10 @@ class TestMultigridNewton:
         refs = []
         hierarchy = multigrid._hierarchy
 
-        def spy(J, free, prolong):
-            levels, coarsest = hierarchy(J, free, prolong)
-            refs.extend(weakref.ref(a) for level in levels for a in level)
-            return levels, coarsest
+        def spy(J, free, m):
+            levels = hierarchy(J, free, m)
+            refs.extend(weakref.ref(a) for level in levels for a in level if a is not None)
+            return levels
 
         monkeypatch.setattr(multigrid, "_hierarchy", spy)
         _, gop = halfplane_sqrt(0.125, radius=4.0)
