@@ -37,7 +37,7 @@ schemes share one loop and differ only in the step it takes:
 Every scheme starts from min(H f, start); a start above the solution keeps
 the envelopes bracketing, and a start near it, such as run_exhaustion's
 prolonged solve at twice the spacing (only a start, so solved to
-sqrt(tol)), lets newton predict the dead set from its first step. Each
+tol ** 0.25), lets newton predict the dead set from its first step. Each
 pass of the loop evaluates phi(u) and G phi(u), records the identity
 residual ||u + G phi(u) - H f||_inf of u, and stops when it is <= tol
 or not finite, or after max_iter steps; otherwise it takes the scheme's
@@ -271,7 +271,7 @@ def _newton_step(gop, phi, tol, u, p, fb, pts):
     B fb, F(u) and diag K are freed in _free_system, the slope once
     solve_free has put it on J, and solve_U drops G phi(u) before the step."""
     dead, free, rhs = _free_system(gop.op.K, gop.op.B @ fb, u, p)
-    delta = solve_free(gop, free, _slope(phi, pts, u, p), rhs, tol)
+    delta = solve_free(gop, free, _slope(phi, pts, u, p, free), rhs, tol)
     new = np.zeros_like(u)
     new[free] = u[free] + delta
     return np.where(new <= 0.0, THETA * u, new), int(np.count_nonzero(dead))
@@ -294,13 +294,17 @@ def solve_free(gop: GreenOperator, free, d, rhs, tol: float) -> np.ndarray:
     return spla.spsolve(J, rhs, permc_spec=ORDERING)
 
 
-def _slope(phi, pts, u, p):
-    """phi's slope at u (p = phi(u)): the larger of an absolute-step and a
-    relative-step secant (see the module doc), at least 0."""
+def _slope(phi, pts, u, p, free):
+    """phi's slope at u (p = phi(u)) on the free set, the larger of an
+    absolute-step and a relative-step secant (see the module doc), at least
+    0; 0 off it, where solve_free reads none."""
+    pts, u, p = pts[free], u[free], p[free]
     s_abs = 1e-6 * (1.0 + np.abs(u))
     s_rel = 1e-6 * np.abs(u) + 1e-300
-    d = np.maximum((phi(pts, u + s_abs) - p) / s_abs, (phi(pts, u + s_rel) - p) / s_rel)
-    return np.maximum(d, 0.0)
+    d = np.zeros(free.shape)
+    d[free] = np.maximum(np.maximum((phi(pts, u + s_abs) - p) / s_abs,
+                                    (phi(pts, u + s_rel) - p) / s_rel), 0.0)
+    return d
 
 
 def _free_system(K, bf, u, p):
