@@ -23,7 +23,8 @@ schemes share one loop and differ only in the step it takes:
   node whose new value would be <= 0 (all of A, and any free node that
   overshoots) takes THETA times its old value instead: a positive node
   stays positive, so a node predicted dead by mistake can come back. With
-  A empty the step is the plain Newton step on the whole system. Offered
+  A empty the step is the plain Newton step on the whole system; with A
+  every node it solves an empty system, and every node shrinks. Offered
   only when the nonlinearity is declared differentiable. The slope is the
   larger of an absolute-step and a relative-step secant; for concave phi
   this is tangent-quality, which keeps the descent monotone even on
@@ -102,7 +103,7 @@ class Nonlinearity:
         broadcast. Every evaluation is checked: a non-finite or negative
         value raises ValueError."""
         out = self._values(points, t)
-        bad = _bad_values(out.min(), out.max())
+        bad = _bad_values(out.min(), out.max()) if out.size else ""
         if bad:
             raise ValueError(bad)
         return out
@@ -267,25 +268,27 @@ def _newton_step(gop, phi, tol, u, p, fb, pts):
     """The free-set step of the module doc from u, with p = phi(u), boundary
     data fb and interior points pts: returns (new u, |A|). B fb is formed
     here, so no node array lives between steps. Through the linear solve a
-    step holds u, p, the dead set, the free mask and the right-hand side:
-    B fb, F(u) and diag K are freed in _free_system, the slope once
-    solve_free has put it on J, and solve_U drops G phi(u) before the step."""
-    dead, free, rhs = _free_system(gop.op.K, gop.op.B @ fb, u, p)
-    delta = solve_free(gop, free, _slope(phi, pts, u, p, free), rhs, tol)
+    step holds u, p, the free mask, and the right-hand side and slope, both
+    on the free set: B fb, F(u) and diag K are freed in _free_system, the
+    slope once solve_free has put it on J, and solve_U drops G phi(u) before
+    the step. A step that predicts every node dead shrinks each to THETA u."""
+    free, rhs = _free_system(gop.op.K, gop.op.B @ fb, u, p)
+    delta = solve_free(gop, free, _slope(phi, pts[free], u[free], p[free]), rhs, tol)
     new = np.zeros_like(u)
     new[free] = u[free] + delta
-    return np.where(new <= 0.0, THETA * u, new), int(np.count_nonzero(dead))
+    return np.where(new <= 0.0, THETA * u, new), free.size - int(np.count_nonzero(free))
 
 
 def solve_free(gop: GreenOperator, free, d, rhs, tol: float) -> np.ndarray:
     """x with J x = rhs, J = (K + diag d)_FF on the free set F (a boolean mask
-    over the interior; d >= 0 per interior node): multigrid CG on J's own
-    arrays when K is separable, else, or when CG gives up, the LU."""
+    over the interior; d >= 0 given on F, like rhs, or a scalar): multigrid
+    CG on J's own arrays when K is separable, else, or when CG gives up, the
+    LU. An empty F gives an empty x."""
     K = gop.op.K
     # K.copy() is far cheaper than K[:, free][free], and steps without a dead core take
     # it; columns first is cheap on K's CSC and gives the same matrix as rows first
     J = K.copy() if free.all() else K[:, free][free]
-    J.setdiag(J.diagonal() + d[free])  # in place: K stores each diagonal entry once
+    J.setdiag(J.diagonal() + d)  # in place: K stores each diagonal entry once
     del d
     if gop.op.stencil is not None:
         x = multigrid.pcg(J, free, rhs, tuple(n - 2 for n in gop.grid.shape), tol)
@@ -294,29 +297,24 @@ def solve_free(gop: GreenOperator, free, d, rhs, tol: float) -> np.ndarray:
     return spla.spsolve(J, rhs, permc_spec=ORDERING)
 
 
-def _slope(phi, pts, u, p, free):
-    """phi's slope at u (p = phi(u)) on the free set, the larger of an
+def _slope(phi, pts, u, p):
+    """phi's slope at u (p = phi(u)) on the free nodes pts, the larger of an
     absolute-step and a relative-step secant (see the module doc), at least
-    0; 0 off it, where solve_free reads none."""
-    pts, u, p = pts[free], u[free], p[free]
+    0: one value per free node."""
     s_abs = 1e-6 * (1.0 + np.abs(u))
     s_rel = 1e-6 * np.abs(u) + 1e-300
-    d = np.zeros(free.shape)
-    d[free] = np.maximum(np.maximum((phi(pts, u + s_abs) - p) / s_abs,
-                                    (phi(pts, u + s_rel) - p) / s_rel), 0.0)
-    return d
+    return np.maximum(np.maximum((phi(pts, u + s_abs) - p) / s_abs,
+                                 (phi(pts, u + s_rel) - p) / s_rel), 0.0)
 
 
 def _free_system(K, bf, u, p):
-    """(A, I, rhs): the predicted dead set A = {u <= F(u) / diag K} and the
-    free set I = ~A as boolean masks, with F(u) = K u + p - bf; and the
-    right-hand side K_IA u_A - F_I."""
+    """(free, rhs): the free set I = ~A as a boolean mask, A = {u <= F(u) /
+    diag K} the predicted dead set with F(u) = K u + p - bf (a NaN
+    comparison counts as free), and the right-hand side K_IA u_A - F_I,
+    given on I like the slope, and empty when every node is predicted dead."""
     direct = K @ u + p - bf
-    dead = u <= direct / K.diagonal()
-    free = ~dead
-    if not dead.any():
-        return dead, free, -direct
-    return dead, free, (K @ np.where(dead, u, 0.0))[free] - direct[free]
+    free = ~(u <= direct / K.diagonal())
+    return free, (K @ np.where(free, 0.0, u))[free] - direct[free]
 
 
 @dataclass(frozen=True)

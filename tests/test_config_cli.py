@@ -245,6 +245,17 @@ class TestCliSolve:
         assert filecmp.cmp(a / "solve.csv", b / "solve.csv", shallow=False)
         assert filecmp.cmp(a / "solve_log.csv", b / "solve_log.csv", shallow=False)
 
+    @pytest.mark.parametrize("drift", ["", "b1 = 0.01\n"], ids=["laplacian", "drift"])
+    def test_newton_crosses_an_all_dead_prediction(self, tmp_path, capsys, drift):
+        # at spacing 4 the first Newton step predicts all 9 interior nodes dead
+        text = ("[domain]\ndim = 2\nspacing = 4\nbbox = -8, 8, 0.25, 16.25\n\n"
+                f"[operator]\nzero_order_mode = c_zero\n{drift}\n"
+                "[nonlinearity]\nphi = max(t, 0) ^ 0.5\ndifferentiable = true\n\n"
+                "[solver]\nscheme = newton\n\n[experiment]\ntype = solve\nboundary_f = 1\n")
+        cfg = write_ini(tmp_path, text)
+        assert main(["solve", "--config", cfg, "--out-dir", str(tmp_path)]) == 0
+        assert capsys.readouterr().out.startswith("status=converged ")
+
     def test_nonconvergence_exit_code(self, tmp_path):
         cfg = write_ini(tmp_path, SOLVE_INI + "\n[solver]\nmax_iter = 1\ntol = 1e-14\n")
         assert main(["solve", "--config", cfg, "--out-dir", str(tmp_path)]) == 3

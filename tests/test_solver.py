@@ -114,6 +114,12 @@ class TestNonlinearityValidation:
         np.testing.assert_array_equal(Nonlinearity(lambda p, t: 0.5)(np.zeros((3, 1)), 1.0),
                                       [0.5, 0.5, 0.5])
 
+    @pytest.mark.parametrize("phi", [SQRT.phi, lambda p, t: 0.5], ids=["array", "scalar"])
+    def test_no_points_give_no_values(self, phi):
+        # Newton's slope on an empty free set evaluates phi on no points
+        vals = Nonlinearity(phi)(np.zeros((0, 2)), 0.5)
+        assert vals.shape == (0,) and vals.dtype == float
+
     @pytest.mark.parametrize("value, match", [(np.nan, "finite"), (np.inf, "finite"),
                                               (-1.0, "nonnegative")])
     def test_every_call_rejects_bad_values(self, value, match):
@@ -571,6 +577,22 @@ class TestFreeSetNewton:
             assert rep.dead_set_history == []
 
 
+class TestAllDeadPrediction:
+    """At spacing 4 (diag K = 1/4) the cold start u = H f = 1 makes the
+    predictor mark every node dead: that step solves an empty system, every
+    node shrinks to THETA u, and the solve goes on as usual."""
+
+    @pytest.mark.parametrize("b1", [0.0, 0.01], ids=["cg", "lu"])
+    def test_newton_converges(self, b1):
+        grid = build_box_grid(((-8.0, 8.0), (0.25, 16.25)), 4.0)
+        gop = factorize(assemble(grid, EllipticCoefficients(b1=b1, zero_order_mode="c_zero")))
+        assert grid.n_interior == 9 and (gop.op.stencil is None) == (b1 != 0.0)
+        u, rep = solve_U(gop, 1.0, SQRT_N, tol=1e-10, scheme="newton")
+        assert rep.status == "converged"
+        assert rep.dead_set_history[0] == grid.n_interior
+        assert np.min(u) > 0.0
+
+
 class TestSolveFree:
     """solve_free with d = 0 solves K on the free set alone: the same call
     serves Newton's step and a capacity solve on a masked set."""
@@ -592,9 +614,30 @@ class TestSolveFree:
         rhs = np.linspace(1.0, 2.0, n_free)
         ref = spla.spsolve(gop.op.K[free][:, free], rhs)
         monkeypatch.setattr(solver, "spla", RecordingLinalg())
-        x = solver.solve_free(gop, free, np.zeros(grid.n_interior), rhs, 1e-10)
+        x = solver.solve_free(gop, free, 0.0, rhs, 1e-10)
         # the separable K takes multigrid CG, the drift operator the LU
         assert sizes == [n_free] * lus
+        assert np.max(np.abs(x - ref)) <= 1e-10 * np.max(np.abs(ref))
+
+
+class TestPcgExits:
+    """multigrid.pcg gives up, returning None, when J is not positive on a
+    search direction, or after MAX_ITER iterations; solve_free then takes
+    the LU."""
+
+    def test_indefinite_jacobian_gives_up(self):
+        # r is J's eigenvector for -1, on which the V-cycle is positive, so p^T J p < 0
+        J = sp.csc_matrix([[1.0, 2.0], [2.0, 1.0]])
+        assert multigrid.pcg(J, np.ones(2, bool), np.array([1.0, -1.0]), (2,), 1e-10) is None
+
+    def test_max_iter_gives_up_and_solve_free_takes_the_lu(self, monkeypatch):
+        grid, _, gop = laplace(((0.0, 1.0), (0.0, 1.0)), 1 / 18)
+        assert grid.n_interior == 17 ** 2 and gop.op.stencil is not None
+        free, rhs = np.ones(grid.n_interior, bool), np.linspace(1.0, 2.0, grid.n_interior)
+        monkeypatch.setattr(multigrid, "MAX_ITER", 1)
+        assert multigrid.pcg(gop.op.K.copy(), free, rhs, (17, 17), 1e-10) is None
+        x = solver.solve_free(gop, free, 0.0, rhs, 1e-10)
+        ref = spla.spsolve(gop.op.K, rhs)
         assert np.max(np.abs(x - ref)) <= 1e-10 * np.max(np.abs(ref))
 
 
@@ -866,9 +909,9 @@ class TestMultigridNewton:
         free_system, newton_step = solver._free_system, solver._newton_step
 
         def spy_free_system(K, bf, u, p):
-            dead, free, rhs = free_system(K, bf, u, p)
-            frees.append((dead, free))
-            return dead, free, rhs
+            free, rhs = free_system(K, bf, u, p)
+            frees.append((free, rhs))
+            return free, rhs
 
         def spy_newton_step(*args):
             u, n_dead = newton_step(*args)
@@ -882,8 +925,8 @@ class TestMultigridNewton:
         assert rep.status == "converged" and max(rep.dead_set_history) > 0
         assert dead_sizes == rep.dead_set_history
         assert len(frees) == rep.iterations
-        for dead, free in frees:
-            assert free.dtype == bool and np.array_equal(free, ~dead)
+        for (free, _), n_dead in zip(frees, dead_sizes):
+            assert free.dtype == bool and n_dead == free.size - np.count_nonzero(free)
 
     def test_hierarchy_is_freed_without_the_collector(self, monkeypatch):
         refs = []
