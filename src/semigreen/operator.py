@@ -26,12 +26,24 @@ order of decreasing (K) or increasing (B) offset, the pieces give each
 column's rows, or each row's columns, in ascending order without
 duplicates, so indptr is a cumulative count and both matrices come out
 canonical.
+
+A separable operator (op.stencil is not None) keeps only B and its
+stencil record, one diagonal value and one neighbour value per axis. Its
+K is built on request (op.K, cached on the operator) from the record by
+stencil_matrix, through _compressed like every other K and B, and nothing
+in the library requests it. apply_K applies K from the record, adding
+each row's terms in the order K's CSC matvec adds them, so its bits are
+those of op.K @ x; stencil_matrix fills Newton's Jacobian (K + diag d)_FF
+on a free set F from the record too, entry for entry the slice K[:, F][F]
+with d added to its diagonal. Any other operator holds the K assemble
+built, which its LU factorizes.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
+from functools import cached_property
 
 import numpy as np
 import scipy.sparse as sp
@@ -43,6 +55,9 @@ __all__ = [
     "DiscreteOperator",
     "assemble",
     "apply",
+    "apply_K",
+    "diagonal_K",
+    "stencil_matrix",
     "check_superharmonic",
     "SuperharmonicReport",
 ]
@@ -114,10 +129,17 @@ class DiscreteOperator:
     grid: Grid
     B: sp.csr_matrix  # interior x boundary coupling
     m_matrix: bool
-    K: sp.csc_matrix  # interior x interior, rows of -L; the M-matrix the solvers factorize
     # (diagonal value, neighbour value per axis) of K when it is the separable constant
     # stencil (constant a_ii and c, no drift, no cross term), entry for entry; else None
     stencil: tuple | None = None
+    # K as assemble built it when it is not separable; a separable operator keeps none
+    _K: sp.csc_matrix | None = field(default=None, repr=False)
+
+    @cached_property
+    def K(self) -> sp.csc_matrix:
+        """Interior x interior, rows of -L: the M-matrix the solvers factorize.
+        Built from the stencil record at first access when K is separable."""
+        return self._K if self.stencil is None else stencil_matrix(self)
 
 
 def assemble(grid: Grid, coeffs: EllipticCoefficients) -> DiscreteOperator:
@@ -134,7 +156,10 @@ def assemble(grid: Grid, coeffs: EllipticCoefficients) -> DiscreteOperator:
 
     n_int = grid.n_interior
     nodes = grid.interior_nodes
-    at = {name: v[nodes] for name, v in fields.items()}
+    # a coefficient with one value on every node enters the rows as that value, a numpy
+    # scalar, not as a per-node copy: what is computed from it has the bits an array of
+    # that value gives, and a stencil piece of scalars is one value for every row
+    at = {name: v[0] if v.min() == v.max() else v[nodes] for name, v in fields.items()}
     h = grid.spacing
     a = [at[f"a{ax + 1}{ax + 1}"] for ax in range(dim)]
     b = [at[f"b{ax + 1}"] for ax in range(dim)]
@@ -150,6 +175,7 @@ def assemble(grid: Grid, coeffs: EllipticCoefficients) -> DiscreteOperator:
     # is judged to the same allowance, and never looser than _SIGN_TOL
     tol = _SIGN_TOL * float(np.max(np.abs(diag)))
     _validate_coefficients(fields, grid.nodes, coeffs.zero_order_mode, min(_SIGN_TOL, tol))
+    del fields  # dead from here: freed before the table is built
     # the stencil table: row r of L couples interior node nodes[r] to node
     # nodes[r] + offset with weight values[r], one (offset, values) entry per piece
     table = [(0, diag)]
@@ -165,11 +191,13 @@ def assemble(grid: Grid, coeffs: EllipticCoefficients) -> DiscreteOperator:
     # K is the separable constant stencil when only the a_ii and c enter, each constant;
     # its entries are then the negated values below, bit for bit
     separable = not cross and not any(np.any(v) for v in b) and all(
-        np.all(v == v[0]) for v in [*a, at["c"]])
-    stencil = (-diag[0], tuple(-(a[ax][0] / h[ax]**2) for ax in range(dim))) if separable else None
-    # the coefficient fields are dead from here; freed before K and B are filled,
-    # they add nothing to the peak memory of a large assembly
-    del fields, at, a, b
+        np.all(v == np.ravel(v)[0]) for v in [*a, at["c"]])
+    stencil = None
+    if separable:
+        stencil = (-np.ravel(diag)[0], tuple(-(np.ravel(a[ax])[0] / h[ax]**2) for ax in range(dim)))
+    # the coefficients are dead from here; freed before K and B are filled, they add
+    # nothing to the peak memory of a large assembly
+    del at, a, b
 
     # the M-matrix certificate, read from the table (no row targets a node twice):
     # K's diagonal -diag is positive, every other entry of L (the pieces after the
@@ -181,24 +209,56 @@ def assemble(grid: Grid, coeffs: EllipticCoefficients) -> DiscreteOperator:
         and np.max(sum(values for _, values in table)) <= tol
     )
 
-    # an interior node's row, a boundary node's column; int32 while it fits, which halves
-    # the index temporaries _compressed gathers from it
-    pos = np.empty(grid.n_nodes, dtype=np.int32 if grid.n_nodes <= _INT32_MAX else np.int64)
+    # an interior node's row, a boundary node's column
+    pos = _positions(grid)
     pos[nodes] = np.arange(n_int)
     pos[grid.boundary_nodes] = np.arange(len(grid.boundary_nodes))
     interior = np.zeros(grid.n_nodes, dtype=bool)
     interior[nodes] = True
-    data, indices, indptr = _compressed(table, nodes, pos, interior, transpose=True)
-    K = sp.csc_matrix((np.negative(data, out=data), indices, indptr), shape=(n_int, n_int))
+    K = None
+    if stencil is None:  # a separable K is built from its record, on request
+        data, indices, indptr = _compressed(table, nodes, pos, interior, transpose=True)
+        K = sp.csc_matrix((np.negative(data, out=data), indices, indptr), shape=(n_int, n_int))
     coupling = sp.csr_matrix(_compressed(table, nodes, pos, ~interior, transpose=False),
                              shape=(n_int, len(grid.boundary_nodes)))
-    return DiscreteOperator(grid=grid, B=coupling, m_matrix=m_matrix, K=K, stencil=stencil)
+    return DiscreteOperator(grid=grid, B=coupling, m_matrix=m_matrix, stencil=stencil, _K=K)
+
+
+def stencil_matrix(op: DiscreteOperator, free=None, d=0.0) -> sp.csc_matrix:
+    """(K + diag d)_FF of a separable operator, filled from its stencil record
+    by _compressed: K itself when the free mask F over the interior is None
+    and d = 0, else Newton's Jacobian on F (d >= 0 given on F, or a scalar).
+    Its arrays are those of K[:, F][F] with d0 + d set on its diagonal, d0
+    K's diagonal value: the same entries in the same order, the same dtypes.
+    The table holds K's own values, one scalar per piece except a diagonal
+    d0 + d that varies over F, so it needs no negation and no per-node
+    copy."""
+    grid = op.grid
+    d0, neighbour = op.stencil
+    nodes = grid.interior_nodes if free is None else grid.interior_nodes[free]
+    n = len(nodes)
+    table = [(0, d0 + d)]
+    for ax in range(grid.dim):
+        stride = math.prod(grid.shape[ax + 1:])
+        table += [(stride, neighbour[ax]), (-stride, neighbour[ax])]
+    # a free node's row and column; no other entry of pos is read
+    pos = _positions(grid)
+    pos[nodes] = np.arange(n)
+    wanted = np.zeros(grid.n_nodes, dtype=bool)
+    wanted[nodes] = True
+    return sp.csc_matrix(_compressed(table, nodes, pos, wanted, transpose=True), shape=(n, n))
+
+
+def _positions(grid: Grid) -> np.ndarray:
+    """An unfilled index per node for _compressed's pos: int32 while it fits,
+    which halves the index temporaries _compressed gathers from it."""
+    return np.empty(grid.n_nodes, dtype=np.int32 if grid.n_nodes <= _INT32_MAX else np.int64)
 
 
 def _compressed(table, nodes, pos, wanted, transpose: bool) -> tuple:
     """(data, indices, indptr) of L's entries at the wanted nodes, read from
     the stencil table; slot k of the major axis belongs to interior node
-    nodes[k].
+    nodes[k]. A piece's values are one per row, or one scalar for all rows.
 
     transpose=False (B's CSR): slot k is row k, and piece (offset, values)
     puts values[k] at column pos[nodes[k] + offset] when that node is wanted.
@@ -223,9 +283,46 @@ def _compressed(table, nodes, pos, wanted, transpose: bool) -> tuple:
         minor = pos[nodes[k] + sign * offset]
         dest = slot[k]
         indices[dest] = minor
-        data[dest] = values[minor] if transpose else values[k]
+        data[dest] = values if np.ndim(values) == 0 else values[minor] if transpose else values[k]
         slot += k
     return data, indices, indptr
+
+
+def apply_K(op: DiscreteOperator, x: np.ndarray) -> np.ndarray:
+    """K @ x for a field x on the interior, bit for bit.
+
+    A separable K is applied from its stencil record, with no matrix: on
+    the interior lattice every row adds its terms in ascending flat offset
+    (-stride[0], ..., -stride[-1], 0, +stride[-1], ..., +stride[0]), each
+    term the product of K's entry and x, into a row started at 0.0. That
+    is the order in which K's CSC matvec adds them, column by column, so
+    the sums, signed zeros included, are the same."""
+    if op.stencil is None:
+        return op.K @ x
+    d0, neighbour = op.stencil
+    m = tuple(n - 2 for n in op.grid.shape)
+    x = np.asarray(x).reshape(m)
+    y, term = np.zeros(m), np.empty(m)
+
+    def add(ax, step):
+        # row i gains neighbour[ax] * x[i + step along ax] where that node is interior
+        to, src = ((slice(None),) * ax + (s,) for s in (slice(None, -1), slice(1, None))[::step])
+        np.multiply(x[src], neighbour[ax], out=term[to])
+        y[to] += term[to]
+
+    for ax in range(len(m)):
+        add(ax, -1)
+    np.multiply(x, d0, out=term)
+    y += term
+    for ax in reversed(range(len(m))):
+        add(ax, 1)
+    return y.ravel()
+
+
+def diagonal_K(op: DiscreteOperator):
+    """K's diagonal: the one value of a separable K's record, else one value
+    per interior node."""
+    return op.stencil[0] if op.stencil is not None else op.K.diagonal()
 
 
 def apply(op: DiscreteOperator, u) -> np.ndarray:
@@ -233,7 +330,7 @@ def apply(op: DiscreteOperator, u) -> np.ndarray:
     Grid.field accepts on the nodes)."""
     grid = op.grid
     u = grid.field(u, name="u")
-    return -(op.K @ u[grid.interior_nodes]) + op.B @ u[grid.boundary_nodes]
+    return -apply_K(op, u[grid.interior_nodes]) + op.B @ u[grid.boundary_nodes]
 
 
 @dataclass(frozen=True)
@@ -255,7 +352,7 @@ def rounding_tol(op: DiscreteOperator, s: np.ndarray, tol: float) -> float:
     couplings add up to at most its diagonal, plus half of it for a cross
     stencil, whose weight ellipticity bounds."""
     n = 3**op.grid.dim + 2
-    scale = float(np.max(op.K.diagonal()))
+    scale = float(np.max(diagonal_K(op)))
     return tol + n * np.finfo(float).eps * 2.5 * scale * float(np.max(np.abs(s)))
 
 

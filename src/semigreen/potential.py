@@ -18,12 +18,14 @@ inverse transform. The DST-I runs on numpy's real FFT (_dstn), which is
 loaded at start-up and gives the bits of scipy's dstn; SciPy's FFT
 module is never imported. Every other K (drift, variable coefficients, a
 cross term) gets a sparse LU factorization. That is the only sparse LU of
-a Green solve; newton's linear step is solver.solve_free, which reads K
-and, on a separable K, builds multigrid's hierarchy from the free set: a
-GreenOperator holds no multigrid state. Both take their LU from spla,
-scipy.sparse.linalg loaded lazily: it executes (and imports scipy.linalg)
-at the first LU, so a run on separable operators whose multigrid CG
-converges never loads it.
+a Green solve; newton's linear step is solver.solve_free, which slices
+its Jacobian from K, or, on a separable operator, fills it on the free
+set from the stencil record (a separable operator keeps only that record
+and builds K only on request) and builds multigrid's hierarchy from the
+free set: a GreenOperator holds no multigrid state. Both take their LU
+from spla, scipy.sparse.linalg loaded lazily: it executes (and imports
+scipy.linalg) at the first LU, so a run on separable operators whose
+multigrid CG converges never loads it.
 """
 
 from __future__ import annotations

@@ -33,7 +33,12 @@ schemes share one loop and differ only in the step it takes:
   is separable (op.stencil is not None; multigrid.py), else, or when CG
   does not converge, by a sparse LU (potential.spla, loaded at first use)
   that orders columns by minimum degree on A^T + A (ORDERING), as the
-  Jacobian is structurally symmetric.
+  Jacobian is structurally symmetric. A separable operator keeps only its
+  stencil record and builds K only on request, which no step makes:
+  _free_system applies K from the record (operator.apply_K), and
+  solve_free fills the Jacobian on the free set from it
+  (operator.stencil_matrix), the same entries, bit for bit, as the slice
+  of K that a non-separable operator's step takes.
 
 Every scheme starts from min(H f, start); a start above the solution keeps
 the envelopes bracketing, and a start near it, such as run_exhaustion's
@@ -55,7 +60,7 @@ from typing import Callable
 import numpy as np
 
 from . import multigrid
-from .operator import apply as apply_op
+from .operator import apply as apply_op, apply_K, diagonal_K, stencil_matrix
 from .potential import GreenOperator, condition_factor, spla
 
 __all__ = [
@@ -272,7 +277,7 @@ def _newton_step(gop, phi, tol, u, p, fb, pts):
     on the free set: B fb, F(u) and diag K are freed in _free_system, the
     slope once solve_free has put it on J, and solve_U drops G phi(u) before
     the step. A step that predicts every node dead shrinks each to THETA u."""
-    free, rhs = _free_system(gop.op.K, gop.op.B @ fb, u, p)
+    free, rhs = _free_system(gop.op, gop.op.B @ fb, u, p)
     delta = solve_free(gop, free, _slope(phi, pts[free], u[free], p[free]), rhs, tol)
     new = np.zeros_like(u)
     new[free] = u[free] + delta
@@ -283,14 +288,19 @@ def solve_free(gop: GreenOperator, free, d, rhs, tol: float) -> np.ndarray:
     """x with J x = rhs, J = (K + diag d)_FF on the free set F (a boolean mask
     over the interior; d >= 0 given on F, like rhs, or a scalar): multigrid
     CG on J's own arrays when K is separable, else, or when CG gives up, the
-    LU. An empty F gives an empty x."""
-    K = gop.op.K
-    # K.copy() is far cheaper than K[:, free][free], and steps without a dead core take
-    # it; columns first is cheap on K's CSC and gives the same matrix as rows first
-    J = K.copy() if free.all() else K[:, free][free]
-    J.setdiag(J.diagonal() + d)  # in place: K stores each diagonal entry once
+    LU. A separable operator's J is filled on F straight from its stencil
+    record (operator.stencil_matrix), with no K; any other J is sliced from
+    the assembled K. An empty F gives an empty x."""
+    op = gop.op
+    if op.stencil is not None:
+        J = stencil_matrix(op, free, d)
+    else:
+        # K.copy() is far cheaper than K[:, free][free], and steps without a dead core
+        # take it; columns first is cheap on K's CSC and gives the same matrix as rows first
+        J = op.K.copy() if free.all() else op.K[:, free][free]
+        J.setdiag(J.diagonal() + d)  # in place: K stores each diagonal entry once
     del d
-    if gop.op.stencil is not None:
+    if op.stencil is not None:
         x = multigrid.pcg(J, free, rhs, tuple(n - 2 for n in gop.grid.shape), tol)
         if x is not None:
             return x
@@ -307,14 +317,16 @@ def _slope(phi, pts, u, p):
                                  (phi(pts, u + s_rel) - p) / s_rel), 0.0)
 
 
-def _free_system(K, bf, u, p):
+def _free_system(op, bf, u, p):
     """(free, rhs): the free set I = ~A as a boolean mask, A = {u <= F(u) /
     diag K} the predicted dead set with F(u) = K u + p - bf (a NaN
     comparison counts as free), and the right-hand side K_IA u_A - F_I,
-    given on I like the slope, and empty when every node is predicted dead."""
-    direct = K @ u + p - bf
-    free = ~(u <= direct / K.diagonal())
-    return free, (K @ np.where(free, 0.0, u))[free] - direct[free]
+    given on I like the slope, and empty when every node is predicted dead.
+    K is applied by operator.apply_K: from the stencil record on a separable
+    operator, which builds no K."""
+    direct = apply_K(op, u) + p - bf
+    free = ~(u <= direct / diagonal_K(op))
+    return free, apply_K(op, np.where(free, 0.0, u))[free] - direct[free]
 
 
 @dataclass(frozen=True)

@@ -1,5 +1,6 @@
 import gc
 import re
+import tracemalloc
 import weakref
 
 import conftest
@@ -7,7 +8,8 @@ import numpy as np
 import pytest
 import scipy.sparse as sp
 
-from semigreen import exhaustion, multigrid
+from semigreen import exhaustion, multigrid, operator, solver
+from semigreen.cli import main
 from semigreen.config import load_config
 from semigreen.exhaustion import (
     _classify,
@@ -616,3 +618,55 @@ class TestRefinementLadder:
         coarse, fine = self.run(1 / 4), self.run(1 / 8)
         assert all(f.iterations <= c.iterations
                    for c, f in zip(coarse.reports[1:], fine.reports[1:]))
+
+
+class TestSeparableMemory:
+    """A separable operator keeps only its stencil record and builds no K:
+    Newton's J is filled on the free set, and K is applied from the record.
+    The shipped sqrt_decay exhaust held K, and a sliced copy of it per step,
+    at a traced peak of 12.8 MB."""
+
+    @staticmethod
+    def run_shipped_sqrt_decay():
+        cfg = load_config(str(conftest.CONFIGS / "sqrt_decay.ini"))
+        exh = cfg.build_exhaustion()
+
+        def run():
+            return run_exhaustion(exh, cfg.coeffs, cfg.phi, cfg.experiment_opts["super_s"],
+                                  tol=cfg.tol, max_iter=cfg.max_iter, scheme=cfg.scheme)
+
+        return run
+
+    def test_shipped_sqrt_decay_exhaust_peaks_below_10_mb(self):
+        # CI runs this test alone too, so that nothing an earlier test left behind
+        # moves the peak; the warm-up run takes first-call caches and imports
+        run = self.run_shipped_sqrt_decay()
+        run()
+        tracemalloc.start()
+        try:
+            run()
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 10e6
+
+    def test_no_K_is_built(self, monkeypatch, tmp_path):
+        # stencil_matrix(op) with no free mask builds K, with one it builds Newton's J
+        builds = []
+        build = operator.stencil_matrix
+
+        def spy(op, free=None, d=0.0):
+            builds.append("K" if free is None else "J")
+            return build(op, free, d)
+
+        monkeypatch.setattr(operator, "stencil_matrix", spy)
+        monkeypatch.setattr(solver, "stencil_matrix", spy)
+        self.run_shipped_sqrt_decay()()
+        assert "J" in builds and "K" not in builds
+        builds.clear()
+        config = str(conftest.CONFIGS / "cosh_benchmark.ini")
+        for scheme in ("sandwich", "newton"):
+            assert main(["solve", "--config", config, "--scheme", scheme,
+                         "--out-dir", str(tmp_path)]) == 0
+        assert "J" in builds and "K" not in builds
+

@@ -5,8 +5,8 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from semigreen.geometry import build_box_grid, build_halfplane_truncation
-from semigreen.operator import (EllipticCoefficients, apply, assemble, check_superharmonic,
-                                rounding_tol)
+from semigreen.operator import (EllipticCoefficients, apply, apply_K, assemble,
+                                check_superharmonic, rounding_tol)
 
 
 def interval_op(h=0.25, **kw):
@@ -206,6 +206,51 @@ class TestLayoutOfK:
         assert K.format == "csc" and K.has_canonical_format
         on_diagonal = K.indices == np.repeat(np.arange(K.shape[1]), np.diff(K.indptr))
         assert np.count_nonzero(on_diagonal) == K.shape[0]
+
+
+class TestSeparableK:
+    """A separable operator keeps only its stencil record: K is built on
+    request and cached, and apply_K applies it from the record, bit for bit
+    the CSC matvec of that K. Any other operator holds the K assemble built,
+    which its LU needs."""
+
+    CASES = {
+        "1d": ((0.0, 1.0), 1 / 16, EllipticCoefficients()),
+        "2d": (((0.0, 1.0), (0.0, 1.0)), 1 / 16, EllipticCoefficients(zero_order_mode="c_zero")),
+        "anisotropic": (((0.0, 1.0), (0.0, 2.0)), (1 / 8, 1 / 32),
+                        EllipticCoefficients(a11=0.3, a22=7.0)),
+        "c<0": (((0.0, 1.0), (0.0, 1.5)), 1 / 16, EllipticCoefficients(c=-2.5)),
+    }
+
+    @staticmethod
+    def fields(n):
+        """Interior fields with +-0.0, subnormals and magnitudes from 1e-300 to 1e300."""
+        rng = np.random.default_rng(n)
+        x = rng.standard_normal(n) * 10.0 ** rng.integers(-300, 300, n)
+        x[::5], x[1::5], x[2::7], x[3::7] = 0.0, -0.0, 5e-324, -1e-310
+        smooth = np.sin(np.arange(n) / 7.0)
+        return [x, -x, smooth, np.ones(n), np.zeros(n), np.full(n, -0.0)]
+
+    @pytest.mark.parametrize("bbox, h, coeffs", CASES.values(), ids=CASES)
+    def test_apply_K_has_the_bits_of_the_csc_matvec(self, bbox, h, coeffs):
+        op = assemble(build_box_grid(bbox, h), coeffs)
+        assert op.stencil is not None
+        for x in self.fields(op.grid.n_interior):
+            assert np.array_equal(apply_K(op, x).view(np.int64), (op.K @ x).view(np.int64))
+
+    @pytest.mark.parametrize("bbox, h, coeffs", CASES.values(), ids=CASES)
+    def test_K_is_built_on_request_and_kept(self, bbox, h, coeffs):
+        op = assemble(build_box_grid(bbox, h), coeffs)
+        assert op._K is None and "K" not in vars(op)
+        K = op.K
+        assert op.K is K and K.shape == (op.grid.n_interior,) * 2
+
+    def test_drift_operator_builds_K_in_assemble(self):
+        op = assemble(build_box_grid(((0.0, 1.0), (0.0, 1.0)), 1 / 16),
+                      EllipticCoefficients(b1=0.5))
+        assert op.stencil is None and op._K is not None and op.K is op._K
+        x = self.fields(op.grid.n_interior)[2]
+        assert np.array_equal(apply_K(op, x), op.K @ x)
 
 
 class TestAssemblyMemory:

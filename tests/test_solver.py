@@ -12,7 +12,7 @@ from scipy import optimize
 
 from semigreen import multigrid, potential, solver
 from semigreen.geometry import build_box_grid, build_halfplane_truncation
-from semigreen.operator import EllipticCoefficients, assemble
+from semigreen.operator import EllipticCoefficients, assemble, stencil_matrix
 from semigreen.potential import factorize, green_potential, harmonic_extension
 from semigreen.solver import (
     NonConvergence,
@@ -618,6 +618,38 @@ class TestSolveFree:
         # the separable K takes multigrid CG, the drift operator the LU
         assert sizes == [n_free] * lus
         assert np.max(np.abs(x - ref)) <= 1e-10 * np.max(np.abs(ref))
+
+    @pytest.mark.parametrize("bbox, h, coeffs", [
+        ((0.0, 4.0), 1 / 16, EllipticCoefficients()),
+        (((0.0, 1.0), (0.0, 1.0)), 1 / 32, EllipticCoefficients(zero_order_mode="c_zero")),
+        (((0.0, 1.0), (0.0, 2.0)), (1 / 8, 1 / 32), EllipticCoefficients(a22=7.0, c=-2.5)),
+        (((0.0, 0.375), (0.0, 4.125)), 1 / 16, EllipticCoefficients(zero_order_mode="c_zero")),
+    ], ids=["1d", "2d", "anisotropic_c<0", "skinny_5x65"])
+    @pytest.mark.parametrize("mask", ["all", "empty", "disk", "random_0.3", "random_0.8"])
+    def test_stencil_jacobian_is_the_sliced_K(self, bbox, h, coeffs, mask):
+        # a separable operator's J is filled from its stencil record, no K: the
+        # arrays of K[:, free][free] with d added to its diagonal, dtypes included
+        grid = build_box_grid(bbox, h)
+        op = assemble(grid, coeffs)
+        n = grid.n_interior
+        rng = np.random.default_rng(n)
+        if mask == "disk":  # a dead core around the middle node
+            pts = grid.nodes[grid.interior_nodes]
+            free = np.linalg.norm(pts - pts[n // 2], axis=1) > 0.3 * np.ptp(pts[:, -1])
+        elif mask.startswith("random"):
+            free = rng.random(n) < float(mask.split("_")[1])
+        else:
+            free = np.full(n, mask == "all")
+        n_free = int(np.count_nonzero(free))
+        assert mask in ("all", "empty") or 0 < n_free < n
+        for d in (0.0, rng.random(n_free) * 10.0 ** rng.integers(-20, 5, n_free)):
+            J = stencil_matrix(op, free, d)
+            ref = op.K[:, free][free]
+            ref.setdiag(ref.diagonal() + d)
+            assert J.format == "csc" and J.shape == ref.shape == (n_free, n_free)
+            for a in ("data", "indices", "indptr"):
+                assert getattr(J, a).dtype == getattr(ref, a).dtype
+                assert np.array_equal(getattr(J, a).view(np.uint8), getattr(ref, a).view(np.uint8))
 
 
 class TestPcgExits:
